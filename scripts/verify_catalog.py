@@ -5,10 +5,13 @@ Usage: python scripts/verify_catalog.py [--x-max 1e15]
 One row per (model, beta) pair: regime, the five condition verdicts, the
 de Haan call where it applies, and the overall consistency. Serves as a
 quick eyeball check that every regime of the equivalence shows up in the
-catalog and nothing drifts after a change.
+catalog and nothing drifts after a change. Exits 1 when any row is
+inconsistent (NO), any equivalence check fails (FAIL) or any violation is
+printed, and 0 otherwise.
 """
 
 import argparse
+import sys
 
 from tailmoments import (AnalysisParams, AdmissionError, build_curve,
                          check_asymptotic_equivalences, make_geometric_tail,
@@ -38,6 +41,7 @@ def main():
     print(header)
     print("-" * len(header))
     short = {"true": "T", "false": "F", "undecided": "?"}
+    clean = True
     for model, beta in cases():
         params = AnalysisParams(beta=beta, x_max=args.x_max)
         try:
@@ -52,15 +56,19 @@ def main():
         dehaan = "-" if r.pi_result is None else ("yes" if r.pi_result.is_member
                                                   else "no")
         consistent = {True: "yes", False: "NO", None: "n/a"}[r.consistent]
+        clean = clean and r.consistent is not False
         print(f"{model.name:34s} {beta:4g} {r.regime:>13s} {verdicts:>14s} "
               f"{dehaan:>6s} {consistent:>10s}")
         for check in check_asymptotic_equivalences(r, curve, params):
             mark = "ok" if check.passed else "FAIL"
+            clean = clean and check.passed
             print(f"    {check.name:28s} observed {check.observed:9.4f} "
                   f"expected {check.expected:9.4f}  {mark}")
         for violation in r.violations:
             print(f"    VIOLATION: {violation}")
+        clean = clean and not r.violations
+    return 0 if clean else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -70,15 +70,15 @@ class PiTestResult:
     """Outcome of the de Haan class membership test.
 
     c_hat fixes the sign gauge (+-1): only the product c * ell is
-    identifiable from survival differences, so ell_samples carry the
-    magnitude and c_hat the sign. ell_index_hat is a rough diagnostic index
-    of the auxiliary function, estimated from the decay of ell_samples; it is
-    informational and never gates membership.
+    identifiable from survival differences sf(x) - sf(e x), which carry the
+    magnitude of the auxiliary function ell and c_hat its sign.
+    ell_index_hat is a rough diagnostic index of ell, estimated from the
+    decay of those differences; it is informational and never gates
+    membership.
     """
 
     is_member: bool
     c_hat: float
-    ell_samples: tuple[tuple[float, float], ...]
     per_lambda_residuals: dict[float, float]
     n_skipped: int
     window: tuple[float, float]
@@ -184,44 +184,43 @@ def estimate_rv_index(xs: np.ndarray, fs: np.ndarray, params: AnalysisParams,
         raise InsufficientDataError(
             f"only {len(points)} scale pairs fit the window [{lo:g}, {hi:g}]; "
             f"need {_MIN_PAIRS}")
-    ests = np.array([p.estimate for p in points])
-    rho_hat = float(ests.mean())
-    spread = float((ests.max() - ests.min()) / 2.0)
+    rho_hat, spread, trend = _stats(np.array([p.x for p in points]),
+                                    np.array([p.estimate for p in points]),
+                                    lo, hi)
+    return RVEstimate(rho_hat=rho_hat, per_scale=tuple(points),
+                      converged=params.converged(spread, trend), spread=spread,
+                      trend=trend, window=(lo, hi))
+
+
+def _stats(xs: np.ndarray, ys: np.ndarray, lo: float, hi: float):
+    """(mean, spread, trend) of samples ys taken at xs inside [lo, hi].
+
+    spread is the half-range; trend is the gap between the means of the
+    samples below and above the geometric midpoint of the window.
+    """
     mid = math.sqrt(lo * hi)
-    near = ests[np.array([p.x < mid for p in points])]
-    far = ests[np.array([p.x >= mid for p in points])]
+    near = ys[xs < mid]
+    far = ys[xs >= mid]
     trend = (abs(float(near.mean()) - float(far.mean()))
              if len(near) and len(far) else math.inf)
-    converged = spread <= params.spread_tol and trend <= params.trend_tol
-    return RVEstimate(rho_hat=rho_hat, per_scale=tuple(points),
-                      converged=converged, spread=spread, trend=trend,
-                      window=(lo, hi))
+    return float(ys.mean()), float((ys.max() - ys.min()) / 2.0), trend
 
 
 def _series_stats(xs: np.ndarray, ys: np.ndarray, params: AnalysisParams):
-    """(mean, spread, trend, n, window) of ys restricted to the window."""
+    """(mean, spread, trend) of ys restricted to the window."""
     lo, hi = _window_slice(xs, params)
     mask = (xs >= lo) & (xs <= hi)
-    sel_x = xs[mask]
-    sel_y = ys[mask]
-    if len(sel_y) < 2:
+    n = int(mask.sum())
+    if n < 2:
         raise InsufficientDataError(
-            f"only {len(sel_y)} samples inside window [{lo:g}, {hi:g}]")
-    mean = float(sel_y.mean())
-    spread = float((sel_y.max() - sel_y.min()) / 2.0)
-    mid = math.sqrt(lo * hi)
-    near = sel_y[sel_x < mid]
-    far = sel_y[sel_x >= mid]
-    trend = (abs(float(near.mean()) - float(far.mean()))
-             if len(near) and len(far) else math.inf)
-    return mean, spread, trend, len(sel_y), (lo, hi)
+            f"only {n} samples inside window [{lo:g}, {hi:g}]")
+    return _stats(xs[mask], ys[mask], lo, hi)
 
 
 def limit_ratio_r1(curve, params: AnalysisParams) -> tuple[float, bool]:
     """Windowed limit of r1 = x^beta sf(x) / h(x) with a convergence flag."""
-    mean, spread, trend, _, _ = _series_stats(curve.grid, curve.r1, params)
-    converged = spread <= params.spread_tol and trend <= params.trend_tol
-    return mean, converged
+    mean, spread, trend = _series_stats(curve.grid, curve.r1, params)
+    return mean, params.converged(spread, trend)
 
 
 def pi_class_test(model: TailModel, params: AnalysisParams) -> PiTestResult:
@@ -274,15 +273,14 @@ def pi_class_test(model: TailModel, params: AnalysisParams) -> PiTestResult:
              for x in xs]
     nonzero = [d for _, d in diffs if d != 0.0]
     c_hat = 1.0 if not nonzero or nonzero[-1] >= 0.0 else -1.0
-    ell_samples = tuple((x, d / c_hat) for x, d in diffs)
     ell_index_hat = None
-    pos = [(x, e) for x, e in ell_samples if e > 0.0]
+    pos = [(x, d / c_hat) for x, d in diffs if d / c_hat > 0.0]
     if len(pos) >= _MIN_PAIRS:
         lx = np.log([x for x, _ in pos])
         le = np.log([e for _, e in pos])
         ell_index_hat = float(np.polyfit(lx, le, 1)[0])
     return PiTestResult(is_member=is_member, c_hat=c_hat,
-                        ell_samples=ell_samples, per_lambda_residuals=per_lambda,
+                        per_lambda_residuals=per_lambda,
                         n_skipped=n_skipped, window=(lo, hi),
                         max_residual_rel=max_rel, ell_index_hat=ell_index_hat)
 
@@ -293,7 +291,7 @@ def gamma_classification(curve, params: AnalysisParams) -> GammaResult:
     gamma = lim u/v induces p = beta/(1+gamma) and rho = beta - p. The same
     rho is measured directly as beta * r1 (exact algebra: beta*gamma/(1+gamma)
     = beta*u/h); the two must agree or the result is indeterminate. Regime
-    bands around 0 and beta have half-width max(0.1*beta, 3*eps_rho).
+    bands around 0 and beta have half-width params.regime_band().
     """
     beta = params.beta
     lo, hi = _window_slice(curve.grid, params)
@@ -307,7 +305,7 @@ def gamma_classification(curve, params: AnalysisParams) -> GammaResult:
     rho_mean = beta * float(r1s.mean())
     rho_max = beta * float(r1s.max())
     rho_min = beta * float(r1s.min())
-    band = max(0.1 * beta, 3.0 * params.eps_rho)
+    band = params.regime_band()
 
     gammas = np.where(vs > 0.0, us / np.where(vs > 0.0, vs, 1.0), np.inf)
     if np.isinf(gammas).all() or ((gammas > _INF_GAMMA).all()
@@ -323,8 +321,8 @@ def gamma_classification(curve, params: AnalysisParams) -> GammaResult:
     p_hat = beta / (1.0 + gamma_hat)
     rho_from_gamma = beta - p_hat
     consistent = abs(rho_from_gamma - rho_mean) <= 2.0 * params.eps_rho
-    _, spread, trend, _, _ = _series_stats(curve.grid, curve.r1, params)
-    series_converged = (spread <= params.spread_tol and trend <= params.trend_tol)
+    _, spread, trend = _series_stats(curve.grid, curve.r1, params)
+    series_converged = params.converged(spread, trend)
 
     if consistent and rho_mean <= band and rho_max <= 2.0 * band:
         regime = "rho_zero"

@@ -19,7 +19,7 @@ import csv
 import math
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -162,6 +162,8 @@ def make_geometric_tail(beta_g: float, p: float) -> TailModel:
         raise ModelValidationError(f"beta_g must be positive, got {beta_g!r}")
     if not (p > 1.0 and math.isfinite(p)):
         raise ModelValidationError(f"p must exceed 1, got {p!r}")
+    # integer parameters would make p ** k exact big ints, and grids object arrays
+    beta_g, p = float(beta_g), float(p)
 
     def tail(x: float) -> float:
         if x < p:
@@ -201,9 +203,7 @@ def make_geometric_tail(beta_g: float, p: float) -> TailModel:
 
 def make_st_petersburg() -> TailModel:
     """Doubling-game tail sf(x) = 2^(-floor(log2 x)) for x >= 2."""
-    model = make_geometric_tail(1.0, 2.0)
-    object.__setattr__(model, "name", "st_petersburg")
-    return model
+    return replace(make_geometric_tail(1.0, 2.0), name="st_petersburg")
 
 
 def _li(z: float) -> float:
@@ -373,15 +373,6 @@ MODEL_REGISTRY: dict[str, tuple[Callable[..., TailModel], dict[str, object]]] = 
     "log_pareto": (make_log_pareto, {"alpha": _REQUIRED, "a": 0.0}),
     "tabulated": (load_tabulated, {"path": _REQUIRED}),
 }
-
-
-def model_signature(dist: str) -> dict[str, object]:
-    """Parameter names and defaults for a registered model family."""
-    if dist not in MODEL_REGISTRY:
-        raise ModelValidationError(
-            f"unknown model {dist!r}; choose from {sorted(MODEL_REGISTRY)}")
-    _, sig = MODEL_REGISTRY[dist]
-    return dict(sig)
 
 
 def build_model(dist: str, **params: object) -> TailModel:

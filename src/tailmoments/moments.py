@@ -28,59 +28,94 @@ from .quadrature import integrate_tail_piece
 _EPS = 2.0 ** -52
 #: admission proxy: the moment must keep growing across the analysis span
 ADMISSION_GROWTH = 10.0
+#: a kink this close (relative) to a grid point takes its place
+_SNAP = 1e-9
 
 
 def _cuts(model: TailModel, lo: float, hi: float) -> list[float]:
     """Endpoints + interior breakpoints of [lo, hi], strictly increasing."""
-    pts = [lo]
-    for b in model.breakpoints(lo, hi):
-        if lo < b < hi:
-            pts.append(b)
-    pts.append(hi)
-    out = [pts[0]]
-    for p in pts[1:]:
-        if p > out[-1]:
-            out.append(p)
-    return out
+    inner = sorted({b for b in model.breakpoints(lo, hi) if lo < b < hi})
+    return [lo, *inner, hi] if hi > lo else [lo]
 
 
-def _head(model: TailModel, beta: float, x: float) -> float:
-    # below the support floor sf == 1, so the moment is x^beta exactly
-    return min(x, model.support_floor) ** beta
+def _accumulate(model: TailModel, beta: float, xs, rel_tol: float,
+                anchors=None) -> tuple[np.ndarray, np.ndarray]:
+    """h and its error bound at every point of the increasing sequence xs.
+
+    This is the one h kernel. At or below the support floor h(x) = x^beta in
+    closed form. Above it h advances from an anchor that starts at the floor.
+    Smooth tails add one quadrature increment per step, and every point
+    becomes the next anchor. Piecewise-constant tails add exact pieces
+    sf(a) * (b^beta - a^beta); their anchor moves only at the points flagged
+    in anchors (the breakpoints), and each point reports the anchor plus one
+    partial piece, so h at x is the same sum over whole pieces that a fresh
+    evaluation at x makes. xs must hold every breakpoint between the floor
+    and its last point, flagged for piecewise-constant tails.
+    """
+    floor = model.support_floor
+    tail = model.tail
+    hs = np.empty(len(xs))
+    errs = np.empty(len(xs))
+    ax = floor
+    ah = floor ** beta
+    ae = _EPS * ah
+    if model.piecewise_constant:
+        ta = tail(floor)  # sf on [ax, next breakpoint)
+    for i, x in enumerate(xs):
+        if x <= floor:
+            hs[i] = x ** beta
+            errs[i] = _EPS * hs[i]
+        elif model.piecewise_constant:
+            if anchors[i]:
+                seg = ta * (x ** beta - ax ** beta)
+                ah += seg
+                ae += 2.0 * _EPS * (abs(seg) + ah)
+                ax, ta = x, tail(x)
+            seg = ta * (x ** beta - ax ** beta)
+            hs[i] = ah + seg
+            errs[i] = ae + 2.0 * _EPS * (abs(seg) + hs[i])
+        else:
+            seg, seg_err = integrate_tail_piece(tail, beta, ax, x, rel_tol)
+            hs[i] = ah + seg
+            errs[i] = ae + seg_err + _EPS * hs[i]
+            ax, ah, ae = x, hs[i], errs[i]
+    return hs, errs
 
 
 def compute_h(model: TailModel, beta: float, x: float,
               rel_tol: float = 1e-10) -> tuple[float, float]:
     """Truncated moment h(x) = beta * int_0^x y^(beta-1) sf(y) dy, with error.
 
-    The head piece below the support floor is closed-form. The rest is split
-    at breakpoints; piecewise-constant tails integrate each piece exactly as
-    sf(a) * (b^beta - a^beta), everything else goes through adaptive
-    quadrature. Returns (value, error_bound).
+    The h kernel run over the cuts [support floor, interior breakpoints, x]:
+    closed form below the floor, exact piece sums sf(a) * (b^beta - a^beta)
+    for piecewise-constant tails, adaptive quadrature per piece otherwise.
+    Returns (value, error_bound).
     """
     if not (x > 0.0 and math.isfinite(x)):
         raise ModelEvaluationError(f"x must be a positive finite real, got {x!r}")
-    value = _head(model, beta, x)
-    err = _EPS * value
-    if x <= model.support_floor:
-        return value, err
-    cuts = _cuts(model, model.support_floor, x)
-    if model.piecewise_constant:
-        for a, b in zip(cuts, cuts[1:]):
-            seg = model.tail(a) * (b ** beta - a ** beta)
-            value += seg
-            err += 2.0 * _EPS * (abs(seg) + value)
-    else:
-        for a, b in zip(cuts, cuts[1:]):
-            seg, seg_err = integrate_tail_piece(model.tail, beta, a, b, rel_tol)
-            value += seg
-            err += seg_err + _EPS * value
-    return value, err
+    cuts = _cuts(model, min(x, model.support_floor), x)
+    anchors = [True] * (len(cuts) - 1) + [False]
+    hs, errs = _accumulate(model, beta, cuts, rel_tol, anchors)
+    return float(hs[-1]), float(errs[-1])
 
 
 def compute_u(model: TailModel, beta: float, x: float) -> float:
     """Boundary term u(x) = x^beta * sf(x)."""
     return x ** beta * model.tail(x)
+
+
+def _stieltjes(model: TailModel, xs: np.ndarray, hs: np.ndarray,
+               us: np.ndarray, errs: np.ndarray) -> np.ndarray:
+    """v = h - u pointwise, clamping negatives inside the error budget to 0."""
+    vs = hs - us
+    bound = 2.0 * (errs + _EPS * hs)
+    bad = np.flatnonzero(vs < -bound)
+    if len(bad):
+        i = bad[0]
+        raise InconsistencyError(
+            f"v({xs[i]:g}) = {float(vs[i])!r} is negative beyond the error "
+            f"budget {bound[i]:g} for model {model.name!r}")
+    return np.where(vs < 0.0, 0.0, vs)
 
 
 def compute_v(model: TailModel, beta: float, x: float, h_value: float,
@@ -90,15 +125,9 @@ def compute_v(model: TailModel, beta: float, x: float, h_value: float,
     Tiny negative results inside the numerical error budget are clamped to
     zero; anything more negative means the inputs disagree and is an error.
     """
-    v = h_value - compute_u(model, beta, x)
-    if v < 0.0:
-        bound = 2.0 * (h_err + _EPS * h_value)
-        if v < -bound:
-            raise InconsistencyError(
-                f"v({x:g}) = {v!r} is negative beyond the error budget {bound:g} "
-                f"for model {model.name!r}")
-        return 0.0
-    return v
+    return float(_stieltjes(model, np.array([x]), np.array([h_value]),
+                            np.array([compute_u(model, beta, x)]),
+                            np.array([h_err]))[0])
 
 
 def stieltjes_v(model: TailModel, beta: float, x: float) -> float | None:
@@ -109,16 +138,25 @@ def stieltjes_v(model: TailModel, beta: float, x: float) -> float | None:
                      for loc, jump in model.point_masses(model.support_floor, x))
 
 
-def check_admission(model: TailModel, params: AnalysisParams) -> None:
+def check_admission(model: TailModel, params: AnalysisParams,
+                    curve: MomentCurve | None = None) -> None:
     """Require the truncated moment to diverge across the analysis span.
 
-    Numerical proxy for an infinite beta-moment: h at the far end must exceed
-    ADMISSION_GROWTH times h at the near end. Converging moments flatten out
-    and fail this immediately.
+    Numerical proxy for an infinite beta-moment: h(x_max) must exceed
+    ADMISSION_GROWTH times h(x_lo), x_lo = max(x_min, support floor).
+    Converging moments flatten out and fail this immediately. Given a curve
+    of the same model and params, both values are read off it (build_grid
+    puts x_lo on the grid); otherwise both are integrated from the floor.
     """
+    def h_at(x: float) -> float:
+        if curve is not None:
+            k = int(np.searchsorted(curve.grid, x))
+            if k < len(curve.grid) and curve.grid[k] == x:
+                return curve.h[k]
+        return compute_h(model, params.beta, x, params.rel_tol)[0]
+
     x_lo = max(params.x_min, model.support_floor)
-    h_lo, _ = compute_h(model, params.beta, x_lo, params.rel_tol)
-    h_hi, _ = compute_h(model, params.beta, params.x_max, params.rel_tol)
+    h_lo, h_hi = h_at(x_lo), h_at(params.x_max)
     if not h_hi > ADMISSION_GROWTH * h_lo:
         raise AdmissionError(
             f"model {model.name!r} looks like it has a finite moment of order "
@@ -127,31 +165,30 @@ def check_admission(model: TailModel, params: AnalysisParams) -> None:
 
 
 def build_grid(model: TailModel, params: AnalysisParams) -> np.ndarray:
-    """Geometric grid over [x_min, x_max] merged with model breakpoints.
+    """Geometric grid over [x_min, x_max] merged with the model's kinks.
 
-    points_per_decade controls density. Breakpoints replace the nearest grid
-    point when they all but coincide (relative 1e-9) and are inserted
-    otherwise, so integration steps between neighbours never cross a kink.
+    points_per_decade sets the density. The kinks are the breakpoints and
+    the support floor inside the range, and each is kept exactly. An
+    interior grid point within relative 1e-9 of a kink gives way to it
+    instead of forming a near-duplicate pair; x_min and x_max always stay.
+    Integration steps between neighbours therefore never cross a kink, and
+    the admission point max(x_min, support floor) is a grid point. The merge
+    is one vectorised sort, O((n + k) log(n + k)) for n grid points and k
+    kinks.
     """
-    n = int(math.ceil(math.log10(params.x_max / params.x_min)
-                      * params.points_per_decade))
-    grid = params.x_min * 10.0 ** (np.arange(n + 1) / params.points_per_decade)
-    grid[-1] = params.x_max
-    pts = list(grid)
-    for b in model.breakpoints(params.x_min, params.x_max):
-        if not params.x_min <= b <= params.x_max:
-            continue
-        i = int(np.searchsorted(pts, b))
-        near = None
-        if i < len(pts) and abs(pts[i] - b) <= 1e-9 * b:
-            near = i
-        elif i > 0 and abs(pts[i - 1] - b) <= 1e-9 * b:
-            near = i - 1
-        if near is not None:
-            pts[near] = b  # snap, keeping breakpoint values exact
-        else:
-            pts.insert(i, b)
-    return np.asarray(pts)
+    lo, hi = params.x_min, params.x_max
+    n = int(math.ceil(math.log10(hi / lo) * params.points_per_decade))
+    grid = lo * 10.0 ** (np.arange(n + 1) / params.points_per_decade)
+    grid[-1] = hi
+    kinks = np.append(np.asarray(model.breakpoints(lo, hi), dtype=float),
+                      model.support_floor)
+    kinks = kinks[(kinks >= lo) & (kinks <= hi)]
+    above = np.searchsorted(grid, kinks)  # grid[above - 1] < kink <= grid[above]
+    keep = np.ones(len(grid), dtype=bool)
+    for near in (above, np.maximum(above - 1, 0)):
+        keep[near[np.abs(grid[near] - kinks) <= _SNAP * kinks]] = False
+    keep[[0, -1]] = True
+    return np.union1d(grid[keep], kinks)
 
 
 @dataclass(frozen=True)
@@ -176,70 +213,29 @@ class MomentCurve:
 def build_curve(model: TailModel, params: AnalysisParams) -> MomentCurve:
     """Evaluate h, v, u and the shares r1, r2 across the analysis grid.
 
-    h accumulates incrementally along the grid so the whole curve costs one
-    pass. Piecewise-constant models advance an anchor across exact whole
-    pieces, reproducing compute_h bit for bit; smooth models add one
-    quadrature increment per grid step (the grid contains every breakpoint,
-    so each step is smooth inside).
+    One pass: the h kernel runs once along the grid (behind the cuts from the
+    support floor up to x_min when x_min lies above the floor), so h on the
+    curve equals compute_h bit for bit for piecewise-constant tails and to
+    quadrature accuracy otherwise. u is evaluated once per point, v = h - u
+    is one array expression, and admission is read off the finished curve.
     """
-    check_admission(model, params)
+    beta = params.beta
     grid = build_grid(model, params)
-    n = len(grid)
-    hs = np.empty(n)
-    errs = np.empty(n)
-
+    floor = model.support_floor
+    prefix = _cuts(model, floor, grid[0])[:-1] if grid[0] > floor else []
+    points = np.concatenate((prefix, grid))
+    anchors = None
     if model.piecewise_constant:
-        floor = model.support_floor
-        breaks = [b for b in model.breakpoints(params.x_min, params.x_max)
-                  if b > floor]
-        bi = 0
-        # anchor sits at the last breakpoint (or floor) at or below grid[i]
-        anchor_x = floor
-        anchor_h = _head(model, params.beta, floor)
-        anchor_err = _EPS * anchor_h
-        for i, x in enumerate(grid):
-            if x <= floor:
-                hs[i] = x ** params.beta
-                errs[i] = _EPS * hs[i]
-                continue
-            while bi < len(breaks) and breaks[bi] <= x:
-                b = breaks[bi]
-                seg = model.tail(anchor_x) * (b ** params.beta - anchor_x ** params.beta)
-                anchor_h += seg
-                anchor_err += 2.0 * _EPS * (abs(seg) + anchor_h)
-                anchor_x = b
-                bi += 1
-            seg = model.tail(anchor_x) * (x ** params.beta - anchor_x ** params.beta)
-            hs[i] = anchor_h + seg
-            errs[i] = anchor_err + 2.0 * _EPS * (abs(seg) + hs[i])
-    else:
-        h0, e0 = compute_h(model, params.beta, grid[0], params.rel_tol)
-        hs[0], errs[0] = h0, e0
-        for i in range(1, n):
-            a, b = grid[i - 1], grid[i]
-            if b <= model.support_floor:
-                hs[i] = b ** params.beta
-                errs[i] = _EPS * hs[i]
-                continue
-            if a < model.support_floor:
-                # partial head step: closed form up to the floor, then integrate
-                seg, seg_err = integrate_tail_piece(
-                    model.tail, params.beta, model.support_floor, b, params.rel_tol)
-                hs[i] = model.support_floor ** params.beta + seg
-                errs[i] = seg_err + _EPS * hs[i]
-                continue
-            seg, seg_err = integrate_tail_piece(model.tail, params.beta, a, b,
-                                                params.rel_tol)
-            hs[i] = hs[i - 1] + seg
-            errs[i] = errs[i - 1] + seg_err + _EPS * hs[i]
-
-    us = np.array([compute_u(model, params.beta, x) for x in grid])
-    vs = np.array([compute_v(model, params.beta, x, h, e)
-                   for x, h, e in zip(grid, hs, errs)])
+        anchors = np.isin(points, model.breakpoints(floor, params.x_max))
+    hs, errs = _accumulate(model, beta, points, params.rel_tol, anchors)
+    hs, errs = hs[len(prefix):], errs[len(prefix):]
+    us = np.array([compute_u(model, beta, x) for x in grid])
     r1 = us / hs
-    r2 = 1.0 - r1
-    return MomentCurve(model_name=model.name, beta=params.beta, grid=grid,
-                       h=hs, v=vs, u=us, r1=r1, r2=r2, quad_error=errs)
+    curve = MomentCurve(model_name=model.name, beta=beta, grid=grid, h=hs,
+                        v=_stieltjes(model, grid, hs, us, errs), u=us, r1=r1,
+                        r2=1.0 - r1, quad_error=errs)
+    check_admission(model, params, curve)
+    return curve
 
 
 def curve_to_csv(curve: MomentCurve) -> str:

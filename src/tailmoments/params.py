@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ModelValidationError
 
@@ -65,6 +65,14 @@ class AnalysisParams:
             raise ModelValidationError("window_decades must be positive")
         if not (self.spread_tol > 0.0 and self.trend_tol > 0.0):
             raise ModelValidationError("convergence bands must be positive")
+
+    def converged(self, spread: float, trend: float) -> bool:
+        """The one convergence rule: small spread and no trend in the window."""
+        return spread <= self.spread_tol and trend <= self.trend_tol
+
+    def regime_band(self) -> float:
+        """Half-width of the bands around rho = 0 and rho = beta."""
+        return max(0.1 * self.beta, 3.0 * self.eps_rho)
 
     def window(self) -> tuple[float, float]:
         """Tail window [x_max / 10**window_decades, x_max], clipped at x_min."""

@@ -26,7 +26,10 @@ _EPS = 2.0 ** -52
 
 
 def _eval(g: Callable[[float], float], t: float) -> float:
-    value = g(t)
+    try:
+        value = g(t)
+    except OverflowError:  # e^(beta t) past the float range
+        value = math.inf
     if not math.isfinite(value):
         raise ModelEvaluationError(
             f"integrand returned non-finite value {value!r} at log-point t={t!r}")

@@ -111,7 +111,7 @@ def _rv_verdict(est: RVEstimate | None, params: AnalysisParams,
 
 def _limit_verdict(mean: float, spread: float, trend: float,
                    params: AnalysisParams) -> ConditionVerdict:
-    if spread <= params.spread_tol and trend <= params.trend_tol:
+    if params.converged(spread, trend):
         return ConditionVerdict(verdict=_TRUE, estimate=mean, spread=spread)
     if spread > _DIVERGENCE_FACTOR * params.spread_tol:
         return ConditionVerdict(verdict=_FALSE, estimate=mean, spread=spread)
@@ -119,8 +119,11 @@ def _limit_verdict(mean: float, spread: float, trend: float,
 
 
 def _implied_rho(report_beta: float, name: str, cond: ConditionVerdict) -> float | None:
-    """Moment-index rho implied by a decided condition's estimate."""
-    if cond.estimate is None or cond.verdict == _UNDECIDED:
+    """Moment-index rho implied by a condition that holds.
+
+    A condition judged false (not regularly varying, no limit) has no index.
+    """
+    if cond.estimate is None or cond.verdict != _TRUE:
         return None
     if name == "f_rv":
         return cond.estimate + report_beta
@@ -137,7 +140,7 @@ def verify(model: TailModel, params: AnalysisParams,
     if curve is None:
         curve = build_curve(model, params)  # includes the admission check
     else:
-        check_admission(model, params)
+        check_admission(model, params, curve)
 
     def rv(values: np.ndarray) -> RVEstimate | None:
         try:
@@ -149,7 +152,7 @@ def verify(model: TailModel, params: AnalysisParams,
     cond_v = _rv_verdict(rv(curve.v), params)
     cond_f = _rv_verdict(rv(curve.u), params, index_shift=-params.beta)
 
-    r1_mean, r1_spread, r1_trend, _, _ = _series_stats(curve.grid, curve.r1, params)
+    r1_mean, r1_spread, r1_trend = _series_stats(curve.grid, curve.r1, params)
     cond_lim1 = _limit_verdict(r1_mean, r1_spread, r1_trend, params)
     # r2 = 1 - r1 pointwise, so the share statistics mirror exactly
     cond_lim2 = ConditionVerdict(verdict=cond_lim1.verdict,
@@ -179,8 +182,9 @@ def _judge(conds: dict[str, ConditionVerdict], gamma: GammaResult,
            params: AnalysisParams) -> tuple[bool | None, tuple[str, ...]]:
     """Apply the regime-specific consistency rules.
 
-    Only decided verdicts participate. In the interior all five conditions
-    must be true and their implied indices must agree. At rho = 0 the
+    Only decided verdicts participate, and only true ones imply an index.
+    In the interior all five conditions must be true and their implied
+    indices must agree. At rho = 0 the
     survival-function condition is exempt (it may legitimately fail). At
     rho = beta the Stieltjes condition is tied to de Haan membership by the
     boundary equivalence, checked only when both sides are decided.
@@ -188,7 +192,7 @@ def _judge(conds: dict[str, ConditionVerdict], gamma: GammaResult,
     if gamma.regime == "indeterminate":
         return None, ()
     beta = params.beta
-    band = max(0.1 * beta, 3.0 * params.eps_rho)
+    band = params.regime_band()
     violations: list[str] = []
 
     rhos = {name: _implied_rho(beta, name, cond) for name, cond in conds.items()}
@@ -256,8 +260,7 @@ def check_asymptotic_equivalences(report: TheoremReport, curve: MomentCurve,
     checks: list[EquivalenceCheck] = []
 
     def windowed_mean(values: np.ndarray) -> float:
-        mean, _, _, _, _ = _series_stats(curve.grid, values, params)
-        return mean
+        return _series_stats(curve.grid, values, params)[0]
 
     def add(name: str, observed: float, expected: float, tol: float,
             relative: bool) -> None:
@@ -270,19 +273,16 @@ def check_asymptotic_equivalences(report: TheoremReport, curve: MomentCurve,
 
     rho = report.gamma.rho_hat
     beta = report.beta
+    h_over_v = np.where(curve.v > 0, curve.h / np.where(curve.v > 0, curve.v, 1.0),
+                        np.inf)
     if report.regime == "interior":
         with np.errstate(divide="ignore"):
             add("h/u -> beta/rho", windowed_mean(curve.h / curve.u),
                 beta / rho, 0.1, relative=True)
-            add("h/v -> beta/(beta-rho)",
-                windowed_mean(np.where(curve.v > 0, curve.h / np.where(
-                    curve.v > 0, curve.v, 1.0), np.inf)),
-                beta / (beta - rho), 0.1, relative=True)
+        add("h/v -> beta/(beta-rho)", windowed_mean(h_over_v),
+            beta / (beta - rho), 0.1, relative=True)
     elif report.regime == "rho_zero":
-        add("h/v -> 1",
-            windowed_mean(np.where(curve.v > 0, curve.h / np.where(
-                curve.v > 0, curve.v, 1.0), np.inf)),
-            1.0, 0.1, relative=True)
+        add("h/v -> 1", windowed_mean(h_over_v), 1.0, 0.1, relative=True)
         add("u/h -> 0", windowed_mean(curve.r1), 0.0, 0.15, relative=False)
     elif report.regime == "rho_beta":
         add("h/u -> 1", windowed_mean(curve.h / curve.u), 1.0, 0.1, relative=True)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from tailmoments.catalog import (MODEL_REGISTRY, _floor_log, build_model,
@@ -8,6 +9,9 @@ from tailmoments.catalog import (MODEL_REGISTRY, _floor_log, build_model,
                                  make_pareto, make_st_petersburg)
 from tailmoments.errors import (ExtrapolationWarning, ModelValidationError,
                                 TableFormatError)
+from tailmoments.moments import build_curve, build_grid
+from tailmoments.params import AnalysisParams
+from tailmoments.verifier import verify
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +106,19 @@ def test_geometric_tail_is_log_periodic_in_normalized_units():
     # x^beta_g * sf(x) repeats when x doubles
     for x in (2.5, 7.3, 1000.1):
         assert math.isclose(x * m.tail(x), 2 * x * m.tail(2 * x), rel_tol=1e-12)
+
+
+def test_geometric_integer_parameters_match_floats():
+    # int p would make p ** k exact big ints and the grid an object array
+    p = AnalysisParams(beta=1.0, x_max=1e30)
+    as_int, as_float = make_geometric_tail(1, 10), make_geometric_tail(1.0, 10.0)
+    grid = build_grid(as_int, p)
+    assert grid.dtype == np.float64
+    assert grid.tobytes() == build_grid(as_float, p).tobytes()
+    assert all(type(b) is float for b in as_int.breakpoints(1.0, 1e30))
+    c_int, c_float = build_curve(as_int, p), build_curve(as_float, p)
+    assert c_int.h.tobytes() == c_float.h.tobytes()
+    assert repr(verify(as_int, p, c_int)) == repr(verify(as_float, p, c_float))
 
 
 def test_geometric_rejects_bad_params():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tailmoments.catalog import (load_tabulated, make_geometric_tail,
+from tailmoments.catalog import (TailModel, load_tabulated, make_geometric_tail,
                                  make_inverse_log, make_log_pareto,
                                  make_pareto, make_st_petersburg)
 from tailmoments.errors import AdmissionError, ModelEvaluationError
@@ -100,6 +100,31 @@ def test_admission_rejects_slow_growth_over_short_span():
     check_admission(make_st_petersburg(), AnalysisParams(beta=1.0, x_max=1e12))
 
 
+@pytest.mark.parametrize("model, params", [
+    (make_pareto(1.5, 1.0), AnalysisParams(beta=2.0)),
+    (make_pareto(3.0, 1.0), AnalysisParams(beta=2.0)),
+    (make_st_petersburg(), AnalysisParams(beta=1.0, x_max=1e4)),
+    (make_st_petersburg(), AnalysisParams(beta=1.0, x_max=1e12)),
+    (make_pareto(1.5, 1.0), AnalysisParams(beta=2.0, x_min=10.0, x_max=1e3)),
+    (make_inverse_log(), AnalysisParams(beta=1.0, x_max=2.0)),
+])
+def test_admission_read_off_curve_agrees_with_check_admission(model, params):
+    # build_curve reads h(x_lo) and h(x_max) off its own h instead of
+    # integrating again; it must accept and reject exactly the same pairs
+    def admitted(fn):
+        try:
+            fn()
+        except AdmissionError:
+            return False
+        return True
+
+    direct = admitted(lambda: check_admission(model, params))
+    assert admitted(lambda: build_curve(model, params)) == direct
+    if direct:
+        curve = build_curve(model, params)
+        check_admission(model, params, curve)  # the verify(curve=...) route
+
+
 # ---------------------------------------------------------------------------
 # grid
 
@@ -120,6 +145,42 @@ def test_grid_snaps_near_coincident_breakpoints():
     grid = build_grid(m, p)
     assert (np.diff(grid) > 0).all()
     assert np.min(np.abs(grid - m.support_floor)) == 0.0
+
+
+def test_grid_contains_support_floor():
+    # the floor is a kink even when the model lists no breakpoint there, so
+    # the admission point max(x_min, floor) is always on the grid
+    m = TailModel(name="floor-only", support_floor=7.5,
+                  tail=lambda x: 1.0 if x <= 7.5 else 7.5 / x)
+    grid = build_grid(m, AnalysisParams(beta=2.0, x_max=1e4))
+    assert 7.5 in grid
+
+
+_KINK = st.floats(0.5, 2e6)
+
+
+@given(kinks=st.lists(_KINK, max_size=30),
+       near=st.lists(st.tuples(st.integers(0, 6 * 40),
+                               st.floats(-1e-9, 1e-9)), max_size=10),
+       floor=_KINK, ppd=st.integers(8, 40))
+@settings(max_examples=200, deadline=None)
+def test_grid_merge_properties(kinks, near, floor, ppd):
+    p = AnalysisParams(beta=1.0, x_min=1.0, x_max=1e6, points_per_decade=ppd)
+    # breakpoints on top of geometric grid points, off by at most 1e-9
+    kinks = kinks + [10.0 ** (k / ppd) * (1.0 + eps) for k, eps in near
+                     if k <= 6 * ppd]
+    m = TailModel(name="kinks", support_floor=floor, tail=lambda x: 1.0,
+                  breakpoints=lambda lo, hi: sorted(kinks))
+    grid = build_grid(m, p)
+    assert grid.dtype == np.float64
+    assert (np.diff(grid) > 0).all()
+    assert grid[0] == 1.0 and grid[-1] == 1e6
+    inside = np.array([b for b in kinks + [floor] if 1.0 <= b <= 1e6])
+    assert np.isin(inside, grid).all()
+    # every other point keeps its distance from every kink
+    for x in grid[1:-1]:
+        if x not in inside and len(inside):
+            assert (np.abs(inside - x) > 1e-9 * inside).all()
 
 
 def test_grid_density_scales_with_points_per_decade():
@@ -155,9 +216,11 @@ def test_curve_v_nondecreasing_within_error():
     assert (np.diff(c.v) >= -slack).all()
 
 
-def test_piecewise_curve_matches_fresh_computation_bitwise():
+@pytest.mark.parametrize("x_min, x_max", [(1.0, 2.0 ** 40), (100.0, 2.0 ** 200)])
+def test_piecewise_curve_matches_fresh_computation_bitwise(x_min, x_max):
+    # x_min = 100 leaves the atoms at 2, 4, ..., 64 below the grid
     m = make_st_petersburg()
-    p = AnalysisParams(beta=1.0, x_max=2.0 ** 40)
+    p = AnalysisParams(beta=1.0, x_min=x_min, x_max=x_max)
     c = build_curve(m, p)
     fresh = np.array([compute_h(m, 1.0, float(x))[0] for x in c.grid])
     assert (c.h == fresh).all()

@@ -45,6 +45,18 @@ def test_rho_beta_biconditional_holds_for_de_haan_member():
     assert r.consistent is True
 
 
+def test_false_verdict_implies_no_index():
+    # f_rv is judged false here: the tail is not regularly varying, so its
+    # estimate must not enter the index-agreement check (it used to report
+    # "f_rv implies rho=0.1632 but h_rv implies rho=0.0150")
+    p = AnalysisParams(beta=1.0, x_max=1e30)
+    r = verify(make_geometric_tail(1.0, 10.0), p)
+    assert r.regime == "rho_zero"
+    assert r.cond_f_rv.verdict == "false"
+    assert r.consistent is True
+    assert r.violations == ()
+
+
 def test_indeterminate_regime_reports_none():
     p = AnalysisParams(beta=2.0, x_max=1e12)
     r = verify(make_geometric_tail(1.0, 2.0), p)
