@@ -216,11 +216,19 @@ def test_curve_v_nondecreasing_within_error():
     assert (np.diff(c.v) >= -slack).all()
 
 
-@pytest.mark.parametrize("x_min, x_max", [(1.0, 2.0 ** 40), (100.0, 2.0 ** 200)])
-def test_piecewise_curve_matches_fresh_computation_bitwise(x_min, x_max):
-    # x_min = 100 leaves the atoms at 2, 4, ..., 64 below the grid
+def test_piecewise_curve_matches_fresh_computation_bitwise():
     m = make_st_petersburg()
-    p = AnalysisParams(beta=1.0, x_min=x_min, x_max=x_max)
+    p = AnalysisParams(beta=1.0, x_max=2.0 ** 40)
+    c = build_curve(m, p)
+    fresh = np.array([compute_h(m, 1.0, float(x))[0] for x in c.grid])
+    assert (c.h == fresh).all()
+
+
+def test_piecewise_curve_above_breakpoints_matches_fresh_computation():
+    # x_min = 100 leaves the atoms at 2, 4, ..., 64 below the grid; the
+    # curve must still count them
+    m = make_st_petersburg()
+    p = AnalysisParams(beta=1.0, x_min=100.0, x_max=2.0 ** 200)
     c = build_curve(m, p)
     fresh = np.array([compute_h(m, 1.0, float(x))[0] for x in c.grid])
     assert (c.h == fresh).all()
