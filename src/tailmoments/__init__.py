@@ -17,7 +17,7 @@ from .moments import (MomentCurve, build_curve, build_grid, check_admission,
                       compute_h, compute_u, compute_v, curve_to_csv,
                       stieltjes_v)
 from .params import DEFAULT_LAMBDAS, AnalysisParams
-from .asymptotics import (GammaResult, PiTestResult, RVEstimate, ScalePoint,
+from .asymptotics import (GammaResult, PiTestResult, RVEstimate,
                           centered_pi_ratio, estimate_rv_index,
                           gamma_classification, has_incommensurable_pair,
                           limit_ratio_r1, pi_class_test)
@@ -33,7 +33,7 @@ __all__ = [
     "GammaResult", "GroundTruth", "InconsistencyError", "IndeterminateError",
     "InsufficientDataError", "MODEL_REGISTRY", "ModelEvaluationError",
     "ModelValidationError", "MomentCurve", "PiTestResult", "RVEstimate",
-    "ScalePoint", "TableFormatError", "TailModel", "TailMomentsError",
+    "TableFormatError", "TailModel", "TailMomentsError",
     "TheoremReport", "build_curve", "build_grid", "build_model",
     "centered_pi_ratio", "check_admission", "check_asymptotic_equivalences",
     "compute_h", "compute_u", "compute_v", "curve_to_csv",

@@ -40,25 +40,18 @@ _INF_GAMMA = 1e6
 
 
 @dataclass(frozen=True)
-class ScalePoint:
-    """One log-ratio observation: estimate = log(f(lam*x)/f(x)) / log(lam)."""
-
-    x: float
-    lam: float
-    estimate: float
-    interpolated: bool
-
-
-@dataclass(frozen=True)
 class RVEstimate:
     """Pooled regular-variation index estimate with convergence diagnostics.
 
     converged requires both a small spread across scale points and no drift
-    between the near and far halves of the window.
+    between the near and far halves of the window. per_scale is a record
+    array with one row per log-ratio observation, fields x, lam, estimate
+    = log(f(lam x) / f(x)) / log(lam), and interpolated (False when lam x
+    is a grid node).
     """
 
     rho_hat: float
-    per_scale: tuple[ScalePoint, ...]
+    per_scale: np.recarray
     converged: bool
     spread: float
     trend: float
@@ -127,22 +120,23 @@ def has_incommensurable_pair(lambdas) -> bool:
     return False
 
 
-def _window_slice(xs: np.ndarray, params: AnalysisParams) -> tuple[float, float]:
+def _window(xs: np.ndarray, params: AnalysisParams):
+    """(lo, hi, mask): the tail window clipped to the samples, and xs inside it."""
     lo, hi = params.window()
     lo = max(lo, float(xs[0]))
     hi = min(hi, float(xs[-1]))
-    return lo, hi
+    return lo, hi, (xs >= lo) & (xs <= hi)
 
 
 def estimate_rv_index(xs: np.ndarray, fs: np.ndarray, params: AnalysisParams,
                       lambdas: tuple[float, ...] | None = None) -> RVEstimate:
-    """Estimate the regular-variation index of samples fs over grid xs.
+    """Estimate the regular-variation index of samples fs over increasing xs.
 
     For each scale factor lam and each window point x with lam*x inside the
-    window, record log(f(lam x)/f(x)) / log(lam). Exact grid matches are
-    preferred; otherwise f(lam x) is log-log interpolated and the point is
-    flagged. Pools everything into rho_hat and judges convergence by spread
-    and trend.
+    window, record log(f(lam x)/f(x)) / log(lam). A target lam*x within
+    relative 1e-9 of a grid node reads that node's sample; otherwise f(lam x)
+    is log-log interpolated and the pair is flagged. Pools everything into
+    rho_hat and judges convergence by spread and trend.
     """
     xs = np.asarray(xs, dtype=float)
     fs = np.asarray(fs, dtype=float)
@@ -155,39 +149,33 @@ def estimate_rv_index(xs: np.ndarray, fs: np.ndarray, params: AnalysisParams,
         raise InsufficientDataError("fewer than 2 strictly positive samples")
     if lambdas is None:
         lambdas = params.lambdas
-    lo, hi = _window_slice(xs, params)
+    lo, hi, in_window = _window(xs, params)
     log_xs = np.log(xs)
     log_fs = np.log(fs)
-    points: list[ScalePoint] = []
+    last = len(xs) - 1
+    parts = []
     for lam in lambdas:
-        log_lam = math.log(lam)
-        for i in np.flatnonzero((xs >= lo) & (xs * lam <= hi)):
-            x = float(xs[i])
-            target = x * lam
-            j = int(np.searchsorted(xs, target))
-            matched = None
-            for k in (j - 1, j, j + 1):
-                if 0 <= k < len(xs) and abs(xs[k] - target) <= 1e-9 * target:
-                    matched = k
-                    break
-            if matched is not None:
-                log_f_target = log_fs[matched]
-                interp = False
-            else:
-                log_f_target = float(np.interp(math.log(target), log_xs, log_fs))
-                interp = True
-            points.append(ScalePoint(
-                x=x, lam=lam,
-                estimate=(log_f_target - float(log_fs[i])) / log_lam,
-                interpolated=interp))
-    if len(points) < _MIN_PAIRS:
+        i = np.flatnonzero(in_window & (xs * lam <= hi))
+        target = xs[i] * lam
+        j = np.searchsorted(xs, target)  # xs[j - 1] < target <= xs[j]
+        node = np.full(len(i), -1)
+        for k in (np.minimum(j, last), np.maximum(j - 1, 0)):  # j - 1 wins
+            node = np.where(np.abs(xs[k] - target) <= 1e-9 * target, k, node)
+        off = node < 0
+        log_target = log_fs[node]
+        log_target[off] = np.interp([math.log(t) for t in target[off]],
+                                    log_xs, log_fs)
+        parts.append((xs[i], np.full(len(i), lam),
+                      (log_target - log_fs[i]) / math.log(lam), off))
+    x, lam, estimate, interpolated = map(np.concatenate, zip(*parts))
+    if len(x) < _MIN_PAIRS:
         raise InsufficientDataError(
-            f"only {len(points)} scale pairs fit the window [{lo:g}, {hi:g}]; "
+            f"only {len(x)} scale pairs fit the window [{lo:g}, {hi:g}]; "
             f"need {_MIN_PAIRS}")
-    rho_hat, spread, trend = _stats(np.array([p.x for p in points]),
-                                    np.array([p.estimate for p in points]),
-                                    lo, hi)
-    return RVEstimate(rho_hat=rho_hat, per_scale=tuple(points),
+    rho_hat, spread, trend = _stats(x, estimate, lo, hi)
+    per_scale = np.rec.fromarrays((x, lam, estimate, interpolated),
+                                  names=("x", "lam", "estimate", "interpolated"))
+    return RVEstimate(rho_hat=rho_hat, per_scale=per_scale,
                       converged=params.converged(spread, trend), spread=spread,
                       trend=trend, window=(lo, hi))
 
@@ -208,8 +196,7 @@ def _stats(xs: np.ndarray, ys: np.ndarray, lo: float, hi: float):
 
 def _series_stats(xs: np.ndarray, ys: np.ndarray, params: AnalysisParams):
     """(mean, spread, trend) of ys restricted to the window."""
-    lo, hi = _window_slice(xs, params)
-    mask = (xs >= lo) & (xs <= hi)
+    lo, hi, mask = _window(xs, params)
     n = int(mask.sum())
     if n < 2:
         raise InsufficientDataError(
@@ -243,42 +230,31 @@ def pi_class_test(model: TailModel, params: AnalysisParams) -> PiTestResult:
     if not lambdas:
         raise IndeterminateError("all scale factors coincide with the base e")
     n_skipped = 0
-    max_rel = 0.0
     per_lambda: dict[float, float] = {}
-    used_any = False
     for lam in lambdas:
         log_lam = math.log(lam)
-        worst = 0.0
-        used = 0
-        for x in xs:
-            r = centered_pi_ratio(model.tail, float(x), lam)
-            if math.isnan(r):
-                n_skipped += 1
-                continue
-            used += 1
-            worst = max(worst, abs(r - log_lam) / log_lam)
-        if used == 0:
-            continue
-        used_any = True
-        per_lambda[lam] = worst
-        max_rel = max(max_rel, worst)
-    if not used_any:
+        r = np.array([centered_pi_ratio(model.tail, float(x), lam) for x in xs])
+        used = ~np.isnan(r)
+        n_skipped += int(len(r) - used.sum())
+        if used.any():
+            per_lambda[lam] = float(np.max(np.abs(r[used] - log_lam) / log_lam))
+    if not per_lambda:
         raise IndeterminateError(
             f"centered ratio undefined everywhere in [{lo:g}, {hi:g}] "
             f"for model {model.name!r}")
-    is_member = all(res <= PI_REL_TOL for res in per_lambda.values())
+    max_rel = max(per_lambda.values())
+    is_member = max_rel <= PI_REL_TOL
 
     # auxiliary-function samples from forward e-steps; sign fixes the gauge c
-    diffs = [(float(x), model.tail(float(x)) - model.tail(math.e * float(x)))
-             for x in xs]
-    nonzero = [d for _, d in diffs if d != 0.0]
-    c_hat = 1.0 if not nonzero or nonzero[-1] >= 0.0 else -1.0
+    diffs = np.array([model.tail(float(x)) - model.tail(math.e * float(x))
+                      for x in xs])
+    nonzero = diffs[diffs != 0.0]
+    c_hat = 1.0 if not len(nonzero) or nonzero[-1] >= 0.0 else -1.0
+    ell = diffs / c_hat
+    pos = ell > 0.0
     ell_index_hat = None
-    pos = [(x, d / c_hat) for x, d in diffs if d / c_hat > 0.0]
-    if len(pos) >= _MIN_PAIRS:
-        lx = np.log([x for x, _ in pos])
-        le = np.log([e for _, e in pos])
-        ell_index_hat = float(np.polyfit(lx, le, 1)[0])
+    if pos.sum() >= _MIN_PAIRS:
+        ell_index_hat = float(np.polyfit(np.log(xs[pos]), np.log(ell[pos]), 1)[0])
     return PiTestResult(is_member=is_member, c_hat=c_hat,
                         per_lambda_residuals=per_lambda,
                         n_skipped=n_skipped, window=(lo, hi),
@@ -294,15 +270,12 @@ def gamma_classification(curve, params: AnalysisParams) -> GammaResult:
     bands around 0 and beta have half-width params.regime_band().
     """
     beta = params.beta
-    lo, hi = _window_slice(curve.grid, params)
-    mask = (curve.grid >= lo) & (curve.grid <= hi)
+    r1_mean, spread, trend = _series_stats(curve.grid, curve.r1, params)
+    _, _, mask = _window(curve.grid, params)
     us = curve.u[mask]
     vs = curve.v[mask]
     r1s = curve.r1[mask]
-    if len(r1s) < 2:
-        raise InsufficientDataError(
-            f"only {len(r1s)} samples inside window [{lo:g}, {hi:g}]")
-    rho_mean = beta * float(r1s.mean())
+    rho_mean = beta * r1_mean
     rho_max = beta * float(r1s.max())
     rho_min = beta * float(r1s.min())
     band = params.regime_band()
@@ -321,7 +294,6 @@ def gamma_classification(curve, params: AnalysisParams) -> GammaResult:
     p_hat = beta / (1.0 + gamma_hat)
     rho_from_gamma = beta - p_hat
     consistent = abs(rho_from_gamma - rho_mean) <= 2.0 * params.eps_rho
-    _, spread, trend = _series_stats(curve.grid, curve.r1, params)
     series_converged = params.converged(spread, trend)
 
     if consistent and rho_mean <= band and rho_max <= 2.0 * band:

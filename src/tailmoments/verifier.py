@@ -102,9 +102,8 @@ def _rv_verdict(est: RVEstimate | None, params: AnalysisParams,
     estimate = est.rho_hat + index_shift
     if est.converged:
         return ConditionVerdict(verdict=_TRUE, estimate=estimate, spread=est.spread)
-    lambdas = {p.lam for p in est.per_scale}
     if (est.spread > _DIVERGENCE_FACTOR * params.spread_tol
-            and has_incommensurable_pair(sorted(lambdas))):
+            and has_incommensurable_pair(np.unique(est.per_scale.lam))):
         return ConditionVerdict(verdict=_FALSE, estimate=estimate, spread=est.spread)
     return ConditionVerdict(verdict=_UNDECIDED, estimate=estimate, spread=est.spread)
 

@@ -1,0 +1,129 @@
+"""The array estimate_rv_index against the scalar pair loop it replaced.
+
+reference_pairs is that loop, kept verbatim in spirit: one (x, lam) pair at
+a time, an exact-match search over the neighbours j-1, j, j+1 of the
+target, and one np.interp call per off-grid target. Everything the array
+code reports must match it bit for bit.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tailmoments.asymptotics import _MIN_PAIRS, _stats, estimate_rv_index
+from tailmoments.errors import InsufficientDataError
+from tailmoments.params import AnalysisParams
+
+
+def reference_pairs(xs, fs, params, lambdas):
+    """(lo, hi, [(x, lam, estimate, interpolated), ...]) by the scalar loop."""
+    xs = np.asarray(xs, dtype=float)
+    fs = np.asarray(fs, dtype=float)
+    pos = fs > 0.0
+    xs, fs = xs[pos], fs[pos]
+    if len(xs) < 2:
+        return None
+    lo, hi = params.window()
+    lo = max(lo, float(xs[0]))
+    hi = min(hi, float(xs[-1]))
+    log_xs = np.log(xs)
+    log_fs = np.log(fs)
+    points = []
+    for lam in lambdas:
+        log_lam = math.log(lam)
+        for i in np.flatnonzero((xs >= lo) & (xs * lam <= hi)):
+            x = float(xs[i])
+            target = x * lam
+            j = int(np.searchsorted(xs, target))
+            matched = None
+            for k in (j - 1, j, j + 1):
+                if 0 <= k < len(xs) and abs(xs[k] - target) <= 1e-9 * target:
+                    matched = k
+                    break
+            if matched is not None:
+                log_f_target = log_fs[matched]
+                interp = False
+            else:
+                log_f_target = float(np.interp(math.log(target), log_xs, log_fs))
+                interp = True
+            points.append((x, lam, (log_f_target - float(log_fs[i])) / log_lam,
+                           interp))
+    return lo, hi, points
+
+
+def _bits(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+_LAMBDA = st.sampled_from((1.5, 2.0, math.e, 3.0, 8.0, 10.0)) | st.floats(1.01, 20.0)
+
+
+@st.composite
+def _cases(draw):
+    n = draw(st.integers(3, 80))
+    steps = draw(st.lists(st.floats(1e-3, 0.8), min_size=n, max_size=n))
+    x0 = draw(st.floats(0.5, 10.0))
+    xs = x0 * np.exp(np.cumsum([0.0, *steps]))
+    if draw(st.booleans()):  # dyadic nodes, where a staircase steps
+        xs = np.concatenate((xs, 2.0 ** np.arange(0, int(np.log2(xs[-1])) + 1)))
+    lambdas = tuple(draw(st.lists(_LAMBDA, min_size=1, max_size=4, unique=True)))
+    # nodes that targets x * lam miss by at most about 1e-9, either side
+    near = draw(st.lists(st.tuples(st.integers(0, n), st.sampled_from(lambdas),
+                                   st.floats(-1.5e-9, 1.5e-9)), max_size=12))
+    xs = np.unique(np.concatenate(
+        (xs, [xs[i] * lam * (1.0 + eps) for i, lam, eps in near])))
+    kind = draw(st.sampled_from(("power", "staircase", "wiggle")))
+    if kind == "power":
+        fs = xs ** draw(st.floats(-2.0, 2.0))
+    elif kind == "staircase":
+        fs = 2.0 ** np.floor(np.log2(xs))
+    else:
+        fs = xs ** 0.5 * np.exp(0.3 * np.sin(np.log(xs)))
+    for k in draw(st.lists(st.integers(0, len(xs) - 1), max_size=3)):
+        fs[k] = 0.0
+    params = AnalysisParams(beta=1.0, x_min=float(xs[0]), x_max=float(xs[-1]),
+                            window_decades=draw(st.floats(0.3, 4.0)))
+    return xs, fs, params, lambdas
+
+
+@given(case=_cases())
+@settings(max_examples=300, deadline=None)
+def test_array_estimator_matches_scalar_pair_loop(case):
+    xs, fs, params, lambdas = case
+    ref = reference_pairs(xs, fs, params, lambdas)
+    if ref is None or len(ref[2]) < _MIN_PAIRS:
+        with pytest.raises(InsufficientDataError):
+            estimate_rv_index(xs, fs, params, lambdas)
+        return
+    lo, hi, points = ref
+    est = estimate_rv_index(xs, fs, params, lambdas)
+    x, lam, estimate, interpolated = (list(col) for col in zip(*points))
+    rho_hat, spread, trend = _stats(np.array(x), np.array(estimate), lo, hi)
+    assert len(est.per_scale) == len(points)
+    assert _bits(est.per_scale.x) == _bits(x)
+    assert _bits(est.per_scale.lam) == _bits(lam)
+    assert _bits(est.per_scale.estimate) == _bits(estimate)
+    assert list(est.per_scale.interpolated) == interpolated
+    assert _bits((est.rho_hat, est.spread, est.trend)) == _bits((rho_hat, spread, trend))
+    assert _bits(est.window) == _bits((lo, hi))
+    assert est.converged == params.converged(spread, trend)
+
+
+def test_off_grid_target_logs_match_the_scalar_loop():
+    # numpy's vectorised log and math.log can differ in the last bit, and do
+    # at this target on common builds; the steep power carries that bit into
+    # the estimate, so the array code must take target logs as the loop did
+    t = float.fromhex("0x1.5b319b5800f0fp+1")
+    xs = np.unique(np.concatenate((t * np.geomspace(0.125, 8.0, 24), [t / 2])))
+    fs = (xs / t) ** 50.0
+    params = AnalysisParams(beta=1.0, x_min=float(xs[0]), x_max=float(xs[-1]),
+                            window_decades=4.0)
+    _, _, points = reference_pairs(xs, fs, params, (2.0,))
+    est = estimate_rv_index(xs, fs, params, (2.0,))
+    assert any(x == t / 2 and interpolated for x, _, _, interpolated in points)
+    assert _bits(est.per_scale.estimate) == _bits(p[2] for p in points)
