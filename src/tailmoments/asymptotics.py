@@ -184,9 +184,10 @@ def _stats(xs: np.ndarray, ys: np.ndarray, lo: float, hi: float):
     """(mean, spread, trend) of samples ys taken at xs inside [lo, hi].
 
     spread is the half-range; trend is the gap between the means of the
-    samples below and above the geometric midpoint of the window.
+    samples below and above the geometric midpoint of the window, formed
+    without the product lo * hi, which overflows for windows past 1e154.
     """
-    mid = math.sqrt(lo * hi)
+    mid = math.sqrt(lo) * math.sqrt(hi)
     near = ys[xs < mid]
     far = ys[xs >= mid]
     trend = (abs(float(near.mean()) - float(far.mean()))

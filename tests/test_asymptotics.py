@@ -62,6 +62,15 @@ def test_oscillating_samples_fail_convergence():
     assert not est.converged
 
 
+def test_trend_is_finite_at_the_float_range_edge():
+    # sqrt(lo * hi) overflows for this window; the split point must not
+    p = AnalysisParams(beta=1.0, x_max=1e300)
+    xs = np.geomspace(1e290, 1e300, 161)
+    est = estimate_rv_index(xs, xs ** 0.5, p)
+    assert est.converged
+    assert est.trend < 1e-9
+
+
 def test_too_few_points_raises():
     p = AnalysisParams(beta=1.0, x_min=1.0, x_max=10.0, window_decades=1.0)
     xs = np.geomspace(1.0, 10.0, 5)

@@ -57,6 +57,28 @@ def test_false_verdict_implies_no_index():
     assert r.violations == ()
 
 
+@pytest.mark.parametrize("model, beta, ppd", [
+    (make_st_petersburg(), 1.0, 64),
+    (make_geometric_tail(0.5, 3.0), 0.5, 64),
+    (make_inverse_log(), 1.0, 16),
+    (make_log_pareto(0.5, 1.0), 1.0, 16),
+    (make_pareto(0.5, 1.0), 1.0, 16),
+], ids=lambda v: getattr(v, "name", None))
+def test_verdicts_are_decided_at_the_float_range_edge(model, beta, ppd):
+    # the window midpoint sqrt(lo * hi) overflowed past 1e154, which made
+    # every trend inf and every convergence-based verdict undecided
+    p = AnalysisParams(beta=beta, x_max=1e300, points_per_decade=ppd)
+    r = verify(model, p)
+    rho = model.ground_truth.rho_of(beta)
+    assert r.regime == ("rho_zero" if rho == 0.0 else
+                        "rho_beta" if rho == beta else "interior")
+    assert r.consistent is True and r.violations == ()
+    for cond in (r.cond_h_rv, r.cond_v_rv, r.cond_lim1, r.cond_lim2):
+        assert cond.verdict == "true"
+    tail_rv = model.ground_truth.tail_is_rv
+    assert r.cond_f_rv.verdict == ("true" if tail_rv else "false")
+
+
 def test_indeterminate_regime_reports_none():
     p = AnalysisParams(beta=2.0, x_max=1e12)
     r = verify(make_geometric_tail(1.0, 2.0), p)
