@@ -218,6 +218,8 @@ def build_curve(model: TailModel, params: AnalysisParams) -> MomentCurve:
     curve equals compute_h bit for bit for piecewise-constant tails and to
     quadrature accuracy otherwise. u is evaluated once per point, v = h - u
     is one array expression, and admission is read off the finished curve.
+    A curve that overflows (h or u not finite at some grid point) raises
+    ModelEvaluationError before admission is judged.
     """
     beta = params.beta
     grid = build_grid(model, params)
@@ -227,9 +229,17 @@ def build_curve(model: TailModel, params: AnalysisParams) -> MomentCurve:
     anchors = None
     if model.piecewise_constant:
         anchors = np.isin(points, model.breakpoints(floor, params.x_max))
-    hs, errs = _accumulate(model, beta, points, params.rel_tol, anchors)
+    with np.errstate(over="ignore", invalid="ignore"):
+        hs, errs = _accumulate(model, beta, points, params.rel_tol, anchors)
+        us = np.array([compute_u(model, beta, x) for x in grid])
     hs, errs = hs[len(prefix):], errs[len(prefix):]
-    us = np.array([compute_u(model, beta, x) for x in grid])
+    bad = np.flatnonzero(~(np.isfinite(hs) & np.isfinite(us)))
+    if len(bad):
+        k = bad[0]
+        raise ModelEvaluationError(
+            f"the moment curve of model {model.name!r} at order {beta:g} "
+            f"leaves the float range at x = {grid[k]:g}: h = {hs[k]:g}, "
+            f"u = {us[k]:g}")
     r1 = us / hs
     curve = MomentCurve(model_name=model.name, beta=beta, grid=grid, h=hs,
                         v=_stieltjes(model, grid, hs, us, errs), u=us, r1=r1,

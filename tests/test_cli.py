@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import warnings
 
 import pytest
 
@@ -134,6 +135,23 @@ def test_verify_at_float_range_edge_has_no_traceback(capsys):
     assert code in (0, 1)
     if code == 1:
         assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("model_args", [
+    ("--dist", "st_petersburg"),
+    ("--dist", "geometric", "--param", "beta_g=1", "--param", "p=2"),
+])
+def test_overflowed_staircase_is_an_error_not_a_finite_moment(capsys, model_args):
+    # x^2 overflows past 2^512: h turned nan, numpy warned, and admission
+    # then called the moment finite
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "verify", *model_args, "--beta", "2",
+                             "--x-max", "1e300")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "leaves the float range" in err
+    assert "finite moment" not in err
+    assert [str(w.message) for w in caught] == []
 
 
 def test_verify_json_is_canonical_and_stable(capsys):
