@@ -5,18 +5,21 @@ Usage: python scripts/verify_catalog.py [--x-max 1e15]
 One row per (model, beta) pair: regime, the five condition verdicts, the
 de Haan call where it applies, and the overall consistency. Serves as a
 quick eyeball check that every regime of the equivalence shows up in the
-catalog and nothing drifts after a change. Exits 1 when any row is
-inconsistent (NO), any equivalence check fails (FAIL) or any violation is
-printed, and 0 otherwise.
+catalog and nothing drifts after a change. A model with a finite moment
+prints as inadmissible; any other computation error prints an
+"error: <message>" row. Exits 1 when any row errors or is inconsistent
+(NO), any equivalence check fails (FAIL) or any violation is printed, and
+0 otherwise.
 """
 
 import argparse
 import sys
 
-from tailmoments import (AnalysisParams, AdmissionError, build_curve,
-                         check_asymptotic_equivalences, make_geometric_tail,
-                         make_inverse_log, make_log_pareto, make_pareto,
-                         make_st_petersburg, verify)
+from tailmoments import (AnalysisParams, AdmissionError, TailMomentsError,
+                         build_curve, check_asymptotic_equivalences,
+                         make_geometric_tail, make_inverse_log,
+                         make_log_pareto, make_pareto, make_st_petersburg,
+                         verify)
 
 
 def cases():
@@ -46,10 +49,14 @@ def main():
         params = AnalysisParams(beta=beta, x_max=args.x_max)
         try:
             curve = build_curve(model, params)
+            r = verify(model, params, curve)
         except AdmissionError:
             print(f"{model.name:34s} {beta:4g} {'inadmissible':>13s}")
             continue
-        r = verify(model, params, curve)
+        except TailMomentsError as exc:
+            print(f"{model.name:34s} {beta:4g} error: {exc}")
+            clean = False
+            continue
         verdicts = " ".join(short[c.verdict] for c in
                             (r.cond_h_rv, r.cond_v_rv, r.cond_f_rv,
                              r.cond_lim1, r.cond_lim2))
