@@ -99,36 +99,28 @@ def _add_model_args(sub: argparse.ArgumentParser) -> None:
                      help="model parameter, repeatable")
 
 
+#: AnalysisParams fields with a flag of the same name, type and default
+_ANALYSIS_FIELDS = [f for f in fields(AnalysisParams)
+                    if f.name not in ("beta", "lambdas")]
+
+
 def _add_analysis_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--beta", type=float, required=True,
                      help="moment order, must be positive")
-    sub.add_argument("--x-min", type=float, default=1.0)
-    sub.add_argument("--x-max", type=float, default=1e12)
-    sub.add_argument("--points-per-decade", type=int, default=16)
     sub.add_argument("--lambda", dest="lambdas", type=float, action="append",
                      metavar="LAMBDA",
                      help="scale factor for index estimation, repeatable "
                           "(default: 2, e, 3, 8)")
-    sub.add_argument("--rel-tol", type=float, default=1e-10)
-    sub.add_argument("--eps-rho", type=float, default=0.02)
-    sub.add_argument("--window-decades", type=float, default=3.0)
-    sub.add_argument("--spread-tol", type=float, default=0.02)
-    sub.add_argument("--trend-tol", type=float, default=0.01)
+    for f in _ANALYSIS_FIELDS:
+        sub.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
+                         default=f.default)
 
 
 def _params_from_args(args: argparse.Namespace) -> AnalysisParams:
-    kwargs = dict(beta=args.beta, x_min=args.x_min, x_max=args.x_max,
-                  points_per_decade=args.points_per_decade,
-                  rel_tol=args.rel_tol, eps_rho=args.eps_rho,
-                  window_decades=args.window_decades,
-                  spread_tol=args.spread_tol, trend_tol=args.trend_tol)
+    kwargs = {f.name: getattr(args, f.name) for f in _ANALYSIS_FIELDS}
     if args.lambdas:
         kwargs["lambdas"] = tuple(args.lambdas)
-    return AnalysisParams(**kwargs)
-
-
-def _params_dict(params: AnalysisParams) -> dict:
-    return {f.name: getattr(params, f.name) for f in fields(params)}
+    return AnalysisParams(beta=args.beta, **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -186,7 +178,7 @@ def _cmd_curve(args: argparse.Namespace) -> int:
         text = render_json({
             "model": curve.model_name,
             "beta": curve.beta,
-            "params": _params_dict(params),
+            "params": asdict(params),
             "columns": {"x": curve.grid, "h": curve.h, "v": curve.v,
                         "u": curve.u, "r1": curve.r1, "r2": curve.r2,
                         "quad_error": curve.quad_error},
@@ -215,15 +207,10 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     tail_index = (ests["u"]["rho_hat"] - params.beta
                   if "rho_hat" in ests["u"] else None)
     text = render_json({"model": curve.model_name, "beta": params.beta,
-                        "params": _params_dict(params), "estimates": ests,
+                        "params": asdict(params), "estimates": ests,
                         "tail_index": tail_index})
     _write_output(text, args.output)
     return EXIT_OK
-
-
-def _condition_dict(cond) -> dict:
-    return {"verdict": cond.verdict, "estimate": cond.estimate,
-            "spread": cond.spread}
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -242,18 +229,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         "model": report.model_name,
         "beta": report.beta,
         "regime": report.regime,
-        "conditions": {
-            "h_rv": _condition_dict(report.cond_h_rv),
-            "v_rv": _condition_dict(report.cond_v_rv),
-            "f_rv": _condition_dict(report.cond_f_rv),
-            "lim1": _condition_dict(report.cond_lim1),
-            "lim2": _condition_dict(report.cond_lim2),
-        },
+        "conditions": {name: asdict(getattr(report, f"cond_{name}"))
+                       for name in ("h_rv", "v_rv", "f_rv", "lim1", "lim2")},
         "gamma": asdict(report.gamma),
         "pi": pi,
         "consistent": report.consistent,
         "violations": list(report.violations),
-        "params": _params_dict(params),
+        "params": asdict(params),
     })
     _write_output(text, args.output)
     if report.consistent is None:

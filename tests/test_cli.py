@@ -5,7 +5,8 @@ import warnings
 
 import pytest
 
-from tailmoments.cli import main, render_json
+from tailmoments.cli import _params_from_args, build_parser, main, render_json
+from tailmoments.params import AnalysisParams
 
 
 def run(capsys, *argv):
@@ -214,6 +215,23 @@ def test_help_exits_zero(capsys):
     code, out, _ = run(capsys, "--help")
     assert code == 0
     assert "verify" in out
+
+
+def test_analysis_flags_mirror_analysis_params():
+    parser = build_parser()
+    base = ["verify", "--dist", "pareto", "--beta", "2"]
+    assert _params_from_args(parser.parse_args(base)) == AnalysisParams(beta=2.0)
+    args = parser.parse_args(base + [
+        "--x-min", "2", "--x-max", "1e9", "--points-per-decade", "20",
+        "--rel-tol", "1e-9", "--eps-rho", "0.03", "--window-decades", "2",
+        "--spread-tol", "0.05", "--trend-tol", "0.02",
+        "--lambda", "2", "--lambda", "3"])
+    params = _params_from_args(args)
+    assert params == AnalysisParams(
+        beta=2.0, lambdas=(2.0, 3.0), x_min=2.0, x_max=1e9,
+        points_per_decade=20, rel_tol=1e-9, eps_rho=0.03, window_decades=2.0,
+        spread_tol=0.05, trend_tol=0.02)
+    assert type(params.points_per_decade) is int
 
 
 def test_custom_lambdas_accepted(capsys):
