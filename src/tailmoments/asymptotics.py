@@ -162,6 +162,7 @@ def estimate_rv_index(xs: np.ndarray, fs: np.ndarray, params: AnalysisParams,
         for k in (np.minimum(j, last), np.maximum(j - 1, 0)):  # j - 1 wins
             node = np.where(np.abs(xs[k] - target) <= 1e-9 * target, k, node)
         off = node < 0
+        # math.log, not np.log: numpy's vector log can differ in the last bit
         log_target = log_fs[node]
         log_target[off] = np.interp([math.log(t) for t in target[off]],
                                     log_xs, log_fs)
