@@ -10,6 +10,8 @@ log 2 exposes the oscillation immediately.
 Usage: python scripts/aliasing_demo.py
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from tailmoments import AnalysisParams, estimate_rv_index, make_st_petersburg
@@ -26,15 +28,15 @@ def main():
     print(f"  oscillation over any octave: factor {us.max() / us.min():.4f}\n")
 
     for lambdas in ((2.0,), (4.0,), (2.0, 4.0), (2.0, 3.0), (2.0, np.e, 3.0, 8.0)):
-        est = estimate_rv_index(xs, us, params, lambdas=lambdas)
+        est = estimate_rv_index(xs, us, replace(params, lambdas=lambdas))
         name = ",".join(f"{l:g}" for l in lambdas)
         verdict = "CONVERGED (aliased!)" if est.converged else "not converged"
         print(f"  lambdas = {name:16s} rho_hat = {est.rho_hat:8.4f}  "
               f"spread = {est.spread:8.4f}  {verdict}")
 
     print("\npowers of 2 alias the period; 3 and e break it. the verifier")
-    print("only trusts a 'false' regular-variation verdict when the scale")
-    print("factors contain a pair with incommensurable logs.")
+    print("only trusts a regular-variation verdict, true or false, when the")
+    print("scale factors contain a pair with incommensurable logs.")
 
 
 if __name__ == "__main__":

@@ -19,6 +19,7 @@ at every x, cleanly separated from ln(lam).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -128,15 +129,15 @@ def _window(xs: np.ndarray, params: AnalysisParams):
     return lo, hi, (xs >= lo) & (xs <= hi)
 
 
-def estimate_rv_index(xs: np.ndarray, fs: np.ndarray, params: AnalysisParams,
-                      lambdas: tuple[float, ...] | None = None) -> RVEstimate:
+def estimate_rv_index(xs: np.ndarray, fs: np.ndarray,
+                      params: AnalysisParams) -> RVEstimate:
     """Estimate the regular-variation index of samples fs over increasing xs.
 
-    For each scale factor lam and each window point x with lam*x inside the
-    window, record log(f(lam x)/f(x)) / log(lam). A target lam*x within
-    relative 1e-9 of a grid node reads that node's sample; otherwise f(lam x)
-    is log-log interpolated and the pair is flagged. Pools everything into
-    rho_hat and judges convergence by spread and trend.
+    For each scale factor lam in params.lambdas and each window point x with
+    lam*x inside the window, record log(f(lam x)/f(x)) / log(lam). A target
+    lam*x within relative 1e-9 of a grid node reads that node's sample;
+    otherwise f(lam x) is log-log interpolated and the pair is flagged.
+    Pools everything into rho_hat and judges convergence by spread and trend.
     """
     xs = np.asarray(xs, dtype=float)
     fs = np.asarray(fs, dtype=float)
@@ -147,14 +148,12 @@ def estimate_rv_index(xs: np.ndarray, fs: np.ndarray, params: AnalysisParams,
     xs, fs = xs[pos], fs[pos]
     if len(xs) < 2:
         raise InsufficientDataError("fewer than 2 strictly positive samples")
-    if lambdas is None:
-        lambdas = params.lambdas
     lo, hi, in_window = _window(xs, params)
     log_xs = np.log(xs)
     log_fs = np.log(fs)
     last = len(xs) - 1
     parts = []
-    for lam in lambdas:
+    for lam in params.lambdas:
         i = np.flatnonzero(in_window & (xs * lam <= hi))
         target = xs[i] * lam
         j = np.searchsorted(xs, target)  # xs[j - 1] < target <= xs[j]
@@ -219,7 +218,8 @@ def pi_class_test(model: TailModel, params: AnalysisParams) -> PiTestResult:
     ratio to stay within PI_REL_TOL of ln(lam) across the whole window.
     Points where the base step sf(e x) - sf(x/e) vanishes numerically are
     skipped; if everything is skipped the test is indeterminate (typical of
-    exactly constant or purely atomic tails sampled between atoms).
+    exactly constant or purely atomic tails sampled between atoms). Each
+    distinct tail point is evaluated once.
     """
     lo, hi = params.window()
     lo = max(lo, model.support_floor * math.e)  # keep x/e above the floor
@@ -231,11 +231,12 @@ def pi_class_test(model: TailModel, params: AnalysisParams) -> PiTestResult:
     lambdas = [l for l in params.lambdas if not math.isclose(l, math.e)]
     if not lambdas:
         raise IndeterminateError("all scale factors coincide with the base e")
+    tail = functools.cache(model.tail)
     n_skipped = 0
     per_lambda: dict[float, float] = {}
     for lam in lambdas:
         log_lam = math.log(lam)
-        r = np.array([centered_pi_ratio(model.tail, float(x), lam) for x in xs])
+        r = np.array([centered_pi_ratio(tail, float(x), lam) for x in xs])
         used = ~np.isnan(r)
         n_skipped += int(len(r) - used.sum())
         if used.any():
@@ -248,8 +249,7 @@ def pi_class_test(model: TailModel, params: AnalysisParams) -> PiTestResult:
     is_member = max_rel <= PI_REL_TOL
 
     # auxiliary-function samples from forward e-steps; sign fixes the gauge c
-    diffs = np.array([model.tail(float(x)) - model.tail(math.e * float(x))
-                      for x in xs])
+    diffs = np.array([tail(float(x)) - tail(math.e * float(x)) for x in xs])
     nonzero = diffs[diffs != 0.0]
     c_hat = 1.0 if not len(nonzero) or nonzero[-1] >= 0.0 else -1.0
     ell = diffs / c_hat

@@ -16,6 +16,7 @@ for tests only; no analysis code may read them.
 from __future__ import annotations
 
 import csv
+import inspect
 import math
 import os
 import warnings
@@ -23,7 +24,6 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy import special
 
 from .errors import (ExtrapolationWarning, ModelValidationError,
                      TableFormatError)
@@ -72,8 +72,9 @@ class TailModel:
     """A survival function plus the structure the integrators rely on.
 
     tail(x) must be defined for every x > 0, non-increasing, with values in
-    [0, 1] and tail(x) == 1 for x < support_floor. breakpoints(lo, hi) lists
-    the kink/jump locations inside [lo, hi]; integration never crosses one.
+    [0, 1] and tail(x) == 1 for x < support_floor. The support floor is
+    always a kink; breakpoints(lo, hi) lists the other kink/jump locations
+    inside [lo, hi]. Integration never crosses a kink.
     point_masses(lo, hi), when present, lists (location, jump) pairs of every
     atom in [lo, hi] and marks the model as purely atomic above the floor.
     piecewise_constant means tail is constant between consecutive
@@ -101,6 +102,19 @@ class TailModel:
 # analytic families
 
 
+def _power_law_truth(alpha: float) -> GroundTruth:
+    """Ground truth of a tail regularly varying with index -alpha."""
+
+    def rho_of(beta: float) -> float | None:
+        if beta > alpha:
+            return beta - alpha
+        if beta == alpha:
+            return 0.0
+        return None  # finite moment, not admissible
+
+    return GroundTruth(rho_of=rho_of, tail_is_rv=True, pi_member=False)
+
+
 def make_pareto(alpha: float, x_floor: float = 1.0) -> TailModel:
     """Pure power tail sf(x) = (x / x_floor)^(-alpha) for x >= x_floor.
 
@@ -119,9 +133,6 @@ def make_pareto(alpha: float, x_floor: float = 1.0) -> TailModel:
             return 1.0
         return (x / x_floor) ** (-alpha)
 
-    def breakpoints(lo: float, hi: float) -> list[float]:
-        return [x_floor] if lo <= x_floor <= hi else []
-
     def closed_form_h(beta: float, x: float) -> float:
         if x <= x_floor:
             return x ** beta
@@ -132,20 +143,12 @@ def make_pareto(alpha: float, x_floor: float = 1.0) -> TailModel:
                 * (x ** (beta - alpha) - x_floor ** (beta - alpha))
                 / (beta - alpha))
 
-    def rho_of(beta: float) -> float | None:
-        if beta > alpha:
-            return beta - alpha
-        if beta == alpha:
-            return 0.0
-        return None  # finite moment, not admissible
-
     return TailModel(
         name=f"pareto(alpha={alpha:g},x_floor={x_floor:g})",
         support_floor=x_floor,
         tail=tail,
-        breakpoints=breakpoints,
         closed_form_h=closed_form_h,
-        ground_truth=GroundTruth(rho_of=rho_of, tail_is_rv=True, pi_member=False),
+        ground_truth=_power_law_truth(alpha),
     )
 
 
@@ -208,6 +211,7 @@ def make_st_petersburg() -> TailModel:
 
 def _li(z: float) -> float:
     """Logarithmic integral li(z) = pv int_0^z dt/ln t for z > 1."""
+    from scipy import special  # only this test oracle needs scipy
     return float(special.expi(math.log(z)))
 
 
@@ -224,9 +228,6 @@ def make_inverse_log() -> TailModel:
             return 1.0
         return 1.0 / math.log(x)
 
-    def breakpoints(lo: float, hi: float) -> list[float]:
-        return [_E] if lo <= _E <= hi else []
-
     def closed_form_h(beta: float, x: float) -> float:
         if x <= _E:
             return x ** beta
@@ -237,7 +238,6 @@ def make_inverse_log() -> TailModel:
         name="inverse_log",
         support_floor=_E,
         tail=tail,
-        breakpoints=breakpoints,
         closed_form_h=closed_form_h,
         ground_truth=GroundTruth(rho_of=lambda beta: beta,
                                  tail_is_rv=True, pi_member=True),
@@ -262,22 +262,11 @@ def make_log_pareto(alpha: float, a: float = 0.0) -> TailModel:
             return 1.0
         return min(1.0, c * x ** (-alpha) * math.log(x) ** a)
 
-    def breakpoints(lo: float, hi: float) -> list[float]:
-        return [x0] if lo <= x0 <= hi else []
-
-    def rho_of(beta: float) -> float | None:
-        if beta > alpha:
-            return beta - alpha
-        if beta == alpha:
-            return 0.0
-        return None
-
     return TailModel(
         name=f"log_pareto(alpha={alpha:g},a={a:g})",
         support_floor=x0,
         tail=tail,
-        breakpoints=breakpoints,
-        ground_truth=GroundTruth(rho_of=rho_of, tail_is_rv=True, pi_member=False),
+        ground_truth=_power_law_truth(alpha),
     )
 
 
@@ -285,7 +274,7 @@ def make_log_pareto(alpha: float, a: float = 0.0) -> TailModel:
 # tabulated survival functions
 
 
-def load_tabulated(path: str, interpolation: str = "log-linear") -> TailModel:
+def load_tabulated(path: str) -> TailModel:
     """Build a model from a CSV file with header ``x,tail``.
 
     Rows must have strictly increasing x and non-increasing tail values in
@@ -294,9 +283,6 @@ def load_tabulated(path: str, interpolation: str = "log-linear") -> TailModel:
     first sample the survival function is 1; right of the last sample it is
     held constant and an ExtrapolationWarning is issued once per model.
     """
-    if interpolation != "log-linear":
-        raise ModelValidationError(
-            f"unsupported interpolation {interpolation!r}; only 'log-linear' is available")
     xs: list[float] = []
     ts: list[float] = []
     with open(path, newline="") as fh:
@@ -362,17 +348,22 @@ def load_tabulated(path: str, interpolation: str = "log-linear") -> TailModel:
 # ---------------------------------------------------------------------------
 # registry used by the command line
 
-_REQUIRED = object()
-
-#: model name -> (factory, {parameter: default or _REQUIRED})
-MODEL_REGISTRY: dict[str, tuple[Callable[..., TailModel], dict[str, object]]] = {
-    "pareto": (make_pareto, {"alpha": _REQUIRED, "x_floor": 1.0}),
-    "geometric": (make_geometric_tail, {"beta_g": _REQUIRED, "p": _REQUIRED}),
-    "st_petersburg": (make_st_petersburg, {}),
-    "inverse_log": (make_inverse_log, {}),
-    "log_pareto": (make_log_pareto, {"alpha": _REQUIRED, "a": 0.0}),
-    "tabulated": (load_tabulated, {"path": _REQUIRED}),
+#: model name -> factory; the factory signature declares the parameters
+MODEL_REGISTRY: dict[str, Callable[..., TailModel]] = {
+    "pareto": make_pareto,
+    "geometric": make_geometric_tail,
+    "st_petersburg": make_st_petersburg,
+    "inverse_log": make_inverse_log,
+    "log_pareto": make_log_pareto,
+    "tabulated": load_tabulated,
 }
+
+
+def model_parameters(dist: str) -> dict[str, inspect.Parameter]:
+    """Name, default (``Parameter.empty`` when required) and coercion type
+    (the annotation) of each parameter, read off the model's factory.
+    """
+    return dict(inspect.signature(MODEL_REGISTRY[dist], eval_str=True).parameters)
 
 
 def build_model(dist: str, **params: object) -> TailModel:
@@ -380,26 +371,21 @@ def build_model(dist: str, **params: object) -> TailModel:
     if dist not in MODEL_REGISTRY:
         raise ModelValidationError(
             f"unknown model {dist!r}; choose from {sorted(MODEL_REGISTRY)}")
-    factory, sig = MODEL_REGISTRY[dist]
+    sig = model_parameters(dist)
     unknown = set(params) - set(sig)
     if unknown:
         raise ModelValidationError(
             f"unknown parameter(s) {sorted(unknown)} for model {dist!r}; "
             f"accepted: {sorted(sig)}")
     kwargs: dict[str, object] = {}
-    for key, default in sig.items():
+    for key, param in sig.items():
         if key in params:
-            value = params[key]
-            if key != "path":
-                try:
-                    value = float(value)  # type: ignore[arg-type]
-                except (TypeError, ValueError):
-                    raise ModelValidationError(
-                        f"parameter {key!r} of {dist!r} must be numeric, got {value!r}"
-                    ) from None
-            kwargs[key] = value
-        elif default is _REQUIRED:
+            try:
+                kwargs[key] = param.annotation(params[key])
+            except (TypeError, ValueError):
+                raise ModelValidationError(
+                    f"parameter {key!r} of {dist!r} must be numeric, "
+                    f"got {params[key]!r}") from None
+        elif param.default is param.empty:
             raise ModelValidationError(f"model {dist!r} requires parameter {key!r}")
-        else:
-            kwargs[key] = default
-    return factory(**kwargs)
+    return MODEL_REGISTRY[dist](**kwargs)

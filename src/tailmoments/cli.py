@@ -24,7 +24,7 @@ from dataclasses import asdict, fields
 import numpy as np
 
 from .asymptotics import estimate_rv_index
-from .catalog import MODEL_REGISTRY, _REQUIRED, build_model
+from .catalog import MODEL_REGISTRY, build_model, model_parameters
 from .errors import InsufficientDataError, TailMomentsError
 from .moments import build_curve, curve_to_csv
 from .params import AnalysisParams
@@ -153,9 +153,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_list(args: argparse.Namespace) -> int:
     entries = {}
-    for name, (_, sig) in sorted(MODEL_REGISTRY.items()):
-        entries[name] = {key: ("required" if default is _REQUIRED else default)
-                         for key, default in sig.items()}
+    for name in sorted(MODEL_REGISTRY):
+        entries[name] = {key: ("required" if p.default is p.empty else p.default)
+                         for key, p in model_parameters(name).items()}
     if args.format == "json":
         _write_output(render_json(entries), None)
     else:

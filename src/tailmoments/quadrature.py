@@ -37,9 +37,8 @@ def _eval(g: Callable[[float], float], t: float) -> float:
 
 
 def integrate_tail_piece(tail: Callable[[float], float], beta: float,
-                         a: float, b: float, rel_tol: float = 1e-10,
-                         max_depth: int = _MAX_DEPTH,
-                         max_intervals: int = _MAX_INTERVALS) -> tuple[float, float]:
+                         a: float, b: float,
+                         rel_tol: float = 1e-10) -> tuple[float, float]:
     """Integral of beta * y^(beta-1) * tail(y) over [a, b], with error bound.
 
     Returns (value, err) where err is a conservative absolute-error estimate
@@ -86,14 +85,14 @@ def integrate_tail_piece(tail: Callable[[float], float], beta: float,
         s_left = h6 * (f0 + 4.0 * fl + f1)
         s_right = h6 * (f1 + 4.0 * fr + f2)
         delta = s_left + s_right - s
-        if abs(delta) <= _RICHARDSON * tol or depth >= max_depth:
+        if abs(delta) <= _RICHARDSON * tol or depth >= _MAX_DEPTH:
             seg = s_left + s_right + delta / _RICHARDSON
             value += seg
             err += abs(delta) / _RICHARDSON + _EPS * abs(seg)
             intervals += 1
-            if intervals > max_intervals:
+            if intervals > _MAX_INTERVALS:
                 raise ConvergenceError(
-                    f"interval budget {max_intervals} exhausted on "
+                    f"interval budget {_MAX_INTERVALS} exhausted on "
                     f"[{a:g}, {b:g}] at rel_tol={rel_tol:g}",
                     estimate=value, err=err)
         else:

@@ -18,7 +18,8 @@ de Haan class.
 The verifier estimates every statement independently, classifies the regime
 from the boundary/Stieltjes mass split, and checks that no decided verdict
 contradicts what the theorem requires in that regime. Estimates that have
-not converged stay 'undecided' and never count against consistency.
+not converged, and regular-variation estimates from scale factors that could
+alias, stay 'undecided' and never count against consistency.
 """
 
 from __future__ import annotations
@@ -28,10 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import (GammaResult, PiTestResult, RVEstimate,
-                          _series_stats, estimate_rv_index,
-                          gamma_classification, has_incommensurable_pair,
-                          pi_class_test)
+from .asymptotics import (GammaResult, PiTestResult, _series_stats,
+                          estimate_rv_index, gamma_classification,
+                          has_incommensurable_pair, pi_class_test)
 from .catalog import TailModel
 from .errors import IndeterminateError, InsufficientDataError
 from .moments import MomentCurve, build_curve, check_admission
@@ -89,32 +89,20 @@ class TheoremReport:
     violations: tuple[str, ...]
 
 
-def _rv_verdict(est: RVEstimate | None, params: AnalysisParams,
-                index_shift: float = 0.0) -> ConditionVerdict:
-    """Three-valued call on a regular-variation estimate.
-
-    Convergence means true. Calling false needs more: a spread far above the
-    tolerance AND scale factors with incommensurable logs, otherwise a
-    log-periodic tail sampled at its own period could fake stability.
+def _verdict(estimate: float, spread: float, trend: float,
+             params: AnalysisParams, decidable: bool) -> ConditionVerdict:
+    """Three-valued call: convergence means true, a spread far above the
+    tolerance false. Either call needs decidable evidence; for an RV
+    estimate that is a pair of scale factors with incommensurable logs,
+    since a log-periodic tail sampled at its own period looks stable at
+    every commensurable scale.
     """
-    if est is None:
-        return ConditionVerdict(verdict=_UNDECIDED, estimate=None, spread=math.inf)
-    estimate = est.rho_hat + index_shift
-    if est.converged:
-        return ConditionVerdict(verdict=_TRUE, estimate=estimate, spread=est.spread)
-    if (est.spread > _DIVERGENCE_FACTOR * params.spread_tol
-            and has_incommensurable_pair(np.unique(est.per_scale.lam))):
-        return ConditionVerdict(verdict=_FALSE, estimate=estimate, spread=est.spread)
-    return ConditionVerdict(verdict=_UNDECIDED, estimate=estimate, spread=est.spread)
-
-
-def _limit_verdict(mean: float, spread: float, trend: float,
-                   params: AnalysisParams) -> ConditionVerdict:
-    if params.converged(spread, trend):
-        return ConditionVerdict(verdict=_TRUE, estimate=mean, spread=spread)
-    if spread > _DIVERGENCE_FACTOR * params.spread_tol:
-        return ConditionVerdict(verdict=_FALSE, estimate=mean, spread=spread)
-    return ConditionVerdict(verdict=_UNDECIDED, estimate=mean, spread=spread)
+    verdict = _UNDECIDED
+    if decidable and params.converged(spread, trend):
+        verdict = _TRUE
+    elif decidable and spread > _DIVERGENCE_FACTOR * params.spread_tol:
+        verdict = _FALSE
+    return ConditionVerdict(verdict=verdict, estimate=estimate, spread=spread)
 
 
 def _implied_rho(report_beta: float, name: str, cond: ConditionVerdict) -> float | None:
@@ -141,18 +129,21 @@ def verify(model: TailModel, params: AnalysisParams,
     else:
         check_admission(model, params, curve)
 
-    def rv(values: np.ndarray) -> RVEstimate | None:
+    def rv(values: np.ndarray, index_shift: float = 0.0) -> ConditionVerdict:
         try:
-            return estimate_rv_index(curve.grid, values, params)
+            est = estimate_rv_index(curve.grid, values, params)
         except InsufficientDataError:
-            return None
+            return ConditionVerdict(verdict=_UNDECIDED, estimate=None,
+                                    spread=math.inf)
+        return _verdict(est.rho_hat + index_shift, est.spread, est.trend, params,
+                        has_incommensurable_pair(np.unique(est.per_scale.lam)))
 
-    cond_h = _rv_verdict(rv(curve.h), params)
-    cond_v = _rv_verdict(rv(curve.v), params)
-    cond_f = _rv_verdict(rv(curve.u), params, index_shift=-params.beta)
+    cond_h = rv(curve.h)
+    cond_v = rv(curve.v)
+    cond_f = rv(curve.u, index_shift=-params.beta)
 
     r1_mean, r1_spread, r1_trend = _series_stats(curve.grid, curve.r1, params)
-    cond_lim1 = _limit_verdict(r1_mean, r1_spread, r1_trend, params)
+    cond_lim1 = _verdict(r1_mean, r1_spread, r1_trend, params, decidable=True)
     # r2 = 1 - r1 pointwise, so the share statistics mirror exactly
     cond_lim2 = ConditionVerdict(verdict=cond_lim1.verdict,
                                  estimate=1.0 - r1_mean, spread=r1_spread)

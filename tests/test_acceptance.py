@@ -3,6 +3,7 @@ tolerance. Run with -v to get one pass/fail line per requirement."""
 
 import json
 import math
+from dataclasses import replace
 import subprocess
 import sys
 import time
@@ -244,9 +245,9 @@ def test_acc_single_scale_aliasing_guard():
     xs = 2.0 ** (np.arange(0, 16 * 40 + 1) / 16.0)
     us = np.array([compute_u(m, 1.0, float(x)) for x in xs])
     p = AnalysisParams(beta=1.0, x_min=1.0, x_max=float(xs[-1]))
-    est2 = estimate_rv_index(xs, us, p, lambdas=(2.0,))
+    est2 = estimate_rv_index(xs, us, replace(p, lambdas=(2.0,)))
     assert est2.converged and abs(est2.rho_hat) < 1e-9
-    est23 = estimate_rv_index(xs, us, p, lambdas=(2.0, 3.0))
+    est23 = estimate_rv_index(xs, us, replace(p, lambdas=(2.0, 3.0)))
     assert not est23.converged
     print(f"PASS: lambda={{2}} aliases the staircase to rho=0 'converged', "
           f"adding lambda=3 exposes it (spread {est23.spread:.3f})")

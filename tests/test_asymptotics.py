@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -75,7 +76,7 @@ def test_too_few_points_raises():
     p = AnalysisParams(beta=1.0, x_min=1.0, x_max=10.0, window_decades=1.0)
     xs = np.geomspace(1.0, 10.0, 5)
     with pytest.raises(InsufficientDataError):
-        estimate_rv_index(xs, xs ** 0.5, p, lambdas=(8.0,))
+        estimate_rv_index(xs, xs ** 0.5, replace(p, lambdas=(8.0,)))
 
 
 def test_zero_samples_are_dropped_not_fatal():
@@ -96,7 +97,7 @@ def test_single_scale_factor_aliases_log_periodic_tail():
     xs = 2.0 ** (np.arange(0, 16 * 40 + 1) / 16.0)
     us = np.array([float(x) * m.tail(float(x)) for x in xs])
     p = AnalysisParams(beta=1.0, x_min=1.0, x_max=float(xs[-1]))
-    est2 = estimate_rv_index(xs, us, p, lambdas=(2.0,))
+    est2 = estimate_rv_index(xs, us, replace(p, lambdas=(2.0,)))
     assert est2.converged
     assert abs(est2.rho_hat) < 1e-12
 
@@ -106,7 +107,7 @@ def test_second_incommensurable_scale_breaks_the_alias():
     xs = 2.0 ** (np.arange(0, 16 * 40 + 1) / 16.0)
     us = np.array([float(x) * m.tail(float(x)) for x in xs])
     p = AnalysisParams(beta=1.0, x_min=1.0, x_max=float(xs[-1]))
-    est23 = estimate_rv_index(xs, us, p, lambdas=(2.0, 3.0))
+    est23 = estimate_rv_index(xs, us, replace(p, lambdas=(2.0, 3.0)))
     assert not est23.converged
     assert est23.spread > 0.1
 
@@ -158,6 +159,22 @@ def test_de_haan_auxiliary_index_diagnostic():
     # for a pure power the diagnostic recovers the tail index itself
     res_p = pi_class_test(make_pareto(1.5, 1.0), AnalysisParams(beta=2.0))
     assert math.isclose(res_p.ell_index_hat, -1.5, abs_tol=1e-3)
+
+
+def test_de_haan_test_evaluates_each_tail_point_once():
+    # 49 window points, each needing sf at x, e x, x/e and at lam x, x/lam
+    # for the three scale factors other than e: 9 distinct points per x
+    model = make_inverse_log()
+    calls = []
+
+    def counting_tail(x):
+        calls.append(x)
+        return model.tail(x)
+
+    params = AnalysisParams(beta=1.0, x_max=1e15)
+    res = pi_class_test(replace(model, tail=counting_tail), params)
+    assert len(calls) == len(set(calls)) == 441
+    assert res == pi_class_test(model, params)
 
 
 @given(scale=st.floats(0.1, 10.0), shift=st.floats(-0.5, 0.5),

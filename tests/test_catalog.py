@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -234,12 +237,6 @@ def test_tabulated_needs_two_rows(table_factory):
         load_tabulated(path)
 
 
-def test_tabulated_rejects_unknown_interpolation(table_factory):
-    path = table_factory([(1.0, 1.0), (10.0, 0.1)])
-    with pytest.raises(ModelValidationError):
-        load_tabulated(path, interpolation="cubic")
-
-
 # ---------------------------------------------------------------------------
 # registry
 
@@ -278,3 +275,20 @@ def test_registry_coerces_string_numbers():
 def test_registry_rejects_non_numeric_value():
     with pytest.raises(ModelValidationError, match="must be numeric"):
         build_model("pareto", alpha="wide")
+
+
+# ---------------------------------------------------------------------------
+# import cost
+
+def test_import_does_not_load_scipy():
+    # scipy serves only the inverse_log closed form, and importing it would
+    # more than double the start-up time of every command-line call
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(root, "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, tailmoments; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, timeout=60, env=env, check=True)
+    assert proc.stdout.strip() == "False"

@@ -21,17 +21,27 @@ def run(capsys, *argv):
 def test_list_names_every_family(capsys):
     code, out, _ = run(capsys, "list")
     assert code == 0
-    for name in ("pareto", "geometric", "st_petersburg", "inverse_log",
-                 "log_pareto", "tabulated"):
-        assert name in out
+    assert out.splitlines() == [
+        "geometric: beta_g=required, p=required",
+        "inverse_log: (no parameters)",
+        "log_pareto: alpha=required, a=0.0",
+        "pareto: alpha=required, x_floor=1.0",
+        "st_petersburg: (no parameters)",
+        "tabulated: path=required",
+    ]
 
 
 def test_list_json_format(capsys):
     code, out, _ = run(capsys, "list", "--format", "json")
     assert code == 0
-    entries = json.loads(out)
-    assert entries["pareto"]["alpha"] == "required"
-    assert entries["pareto"]["x_floor"] == 1.0
+    assert out == render_json({
+        "geometric": {"beta_g": "required", "p": "required"},
+        "inverse_log": {},
+        "log_pareto": {"alpha": "required", "a": 0.0},
+        "pareto": {"alpha": "required", "x_floor": 1.0},
+        "st_petersburg": {},
+        "tabulated": {"path": "required"},
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +135,19 @@ def test_verify_false_tail_condition_exits_zero(capsys):
     doc = json.loads(out)
     assert doc["conditions"]["f_rv"]["verdict"] == "false"
     assert doc["violations"] == []
+
+
+def test_commensurable_scales_leave_rv_verdicts_undecided(capsys):
+    # lambda = 10 maps the decimal grid onto itself, so the p = 10 staircase
+    # aliases to a constant: zero spread is no evidence of regular variation
+    code, out, _ = run(capsys, "verify", "--dist", "geometric", "--param",
+                       "beta_g=1", "--param", "p=10", "--beta", "1",
+                       "--x-max", "1e30", "--lambda", "10")
+    assert code == 0
+    conds = json.loads(out)["conditions"]
+    assert conds["f_rv"]["spread"] < 1e-12
+    for name in ("h_rv", "v_rv", "f_rv"):
+        assert conds[name]["verdict"] == "undecided", name
 
 
 def test_verify_at_float_range_edge_has_no_traceback(capsys):

@@ -9,6 +9,7 @@ code reports must match it bit for bit.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -98,10 +99,10 @@ def test_array_estimator_matches_scalar_pair_loop(case):
     ref = reference_pairs(xs, fs, params, lambdas)
     if ref is None or len(ref[2]) < _MIN_PAIRS:
         with pytest.raises(InsufficientDataError):
-            estimate_rv_index(xs, fs, params, lambdas)
+            estimate_rv_index(xs, fs, replace(params, lambdas=lambdas))
         return
     lo, hi, points = ref
-    est = estimate_rv_index(xs, fs, params, lambdas)
+    est = estimate_rv_index(xs, fs, replace(params, lambdas=lambdas))
     x, lam, estimate, interpolated = (list(col) for col in zip(*points))
     rho_hat, spread, trend = _stats(np.array(x), np.array(estimate), lo, hi)
     assert len(est.per_scale) == len(points)
@@ -124,6 +125,6 @@ def test_off_grid_target_logs_match_the_scalar_loop():
     params = AnalysisParams(beta=1.0, x_min=float(xs[0]), x_max=float(xs[-1]),
                             window_decades=4.0)
     _, _, points = reference_pairs(xs, fs, params, (2.0,))
-    est = estimate_rv_index(xs, fs, params, (2.0,))
+    est = estimate_rv_index(xs, fs, replace(params, lambdas=(2.0,)))
     assert any(x == t / 2 and interpolated for x, _, _, interpolated in points)
     assert _bits(est.per_scale.estimate) == _bits(p[2] for p in points)

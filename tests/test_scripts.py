@@ -1,4 +1,4 @@
-"""The catalog summary script at the edge of the float range."""
+"""The scripts under scripts/, run as a user runs them."""
 
 from __future__ import annotations
 
@@ -9,14 +9,17 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def test_verify_catalog_reports_errors_as_rows_at_1e300():
+def _run_script(name: str, *args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, os.path.join(ROOT, "scripts", "verify_catalog.py"),
-         "--x-max", "1e300"],
+    return subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", name), *args],
         capture_output=True, text=True, timeout=120, env=env)
+
+
+def test_verify_catalog_reports_errors_as_rows_at_1e300():
+    proc = _run_script("verify_catalog.py", "--x-max", "1e300")
     assert "Traceback" not in proc.stderr
     assert proc.returncode == 1  # three cases overflow the float range
     errors = [line for line in proc.stdout.splitlines() if " error: " in line]
@@ -25,3 +28,12 @@ def test_verify_catalog_reports_errors_as_rows_at_1e300():
     assert any("leaves the float range" in line for line in errors)
     assert "NO" not in proc.stdout.split()
     assert "FAIL" not in proc.stdout and "VIOLATION" not in proc.stdout
+
+
+def test_aliasing_demo_shows_commensurable_scales_aliasing():
+    proc = _run_script("aliasing_demo.py")
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr
+    rows = [line for line in proc.stdout.splitlines() if "lambdas =" in line]
+    assert len(rows) == 5
+    assert all(row.endswith("CONVERGED (aliased!)") for row in rows[:3])
+    assert all(row.endswith("not converged") for row in rows[3:])
