@@ -2,13 +2,15 @@ import math
 
 import pytest
 
+from tailmoments.asymptotics import GammaResult, PiTestResult
 from tailmoments.catalog import (load_tabulated, make_geometric_tail,
                                  make_inverse_log, make_log_pareto,
                                  make_pareto, make_st_petersburg)
 from tailmoments.errors import AdmissionError
 from tailmoments.moments import build_curve
 from tailmoments.params import AnalysisParams
-from tailmoments.verifier import (check_asymptotic_equivalences, verify)
+from tailmoments.verifier import (ConditionVerdict, _judge,
+                                  check_asymptotic_equivalences, verify)
 
 
 def test_interior_model_all_conditions_true():
@@ -173,3 +175,178 @@ def test_indeterminate_regime_has_no_equivalence_checks():
     c = build_curve(m, p)
     checks = check_asymptotic_equivalences(verify(m, p, c), c, p)
     assert checks == []
+
+
+# ---------------------------------------------------------------------------
+# the consistency rules, on hand-built verdicts
+
+_BETA2 = AnalysisParams(beta=2.0)  # regime band 0.2, eps_rho 0.02
+
+
+def _conds(rho, beta=2.0, **verdicts):
+    """Every condition at the estimate that implies rho; true unless given."""
+    estimates = {"h_rv": rho, "v_rv": rho, "f_rv": rho - beta,
+                 "lim1": rho / beta, "lim2": 1.0 - rho / beta}
+    return {name: ConditionVerdict(verdict=verdicts.get(name, "true"),
+                                   estimate=est, spread=0.0)
+            for name, est in estimates.items()}
+
+
+def _gamma(regime):
+    return GammaResult(gamma_hat=1.0, p_hat=1.0, rho_hat=1.0, regime=regime)
+
+
+def _pi(is_member):
+    return PiTestResult(is_member=is_member, c_hat=1.0,
+                        per_lambda_residuals={2.0: 0.0}, n_skipped=0,
+                        window=(1e9, 1e12), max_residual_rel=0.0,
+                        ell_index_hat=None)
+
+
+def test_judge_reports_index_disagreement_in_sorted_pairs():
+    conds = _conds(0.5)
+    conds["v_rv"] = ConditionVerdict(verdict="true", estimate=0.6, spread=0.0)
+    assert _judge(conds, _gamma("interior"), None, _BETA2) == (False, (
+        "index disagreement: f_rv implies rho=0.5000 but v_rv implies rho=0.6000",
+        "index disagreement: h_rv implies rho=0.5000 but v_rv implies rho=0.6000",
+        "index disagreement: lim1 implies rho=0.5000 but v_rv implies rho=0.6000",
+        "index disagreement: lim2 implies rho=0.5000 but v_rv implies rho=0.6000",
+    ))
+
+
+def test_judge_agreeing_true_conditions_are_consistent():
+    assert _judge(_conds(0.5), _gamma("interior"), None, _BETA2) == (True, ())
+
+
+def test_judge_interior_flags_every_false_condition():
+    conds = _conds(0.5, **dict.fromkeys(
+        ("h_rv", "v_rv", "f_rv", "lim1", "lim2"), "false"))
+    assert _judge(conds, _gamma("interior"), None, _BETA2) == (False, (
+        "h_rv is false but every condition must hold for 0 < rho < beta",
+        "v_rv is false but every condition must hold for 0 < rho < beta",
+        "f_rv is false but every condition must hold for 0 < rho < beta",
+        "lim1 is false but every condition must hold for 0 < rho < beta",
+        "lim2 is false but every condition must hold for 0 < rho < beta",
+    ))
+
+
+def test_judge_rho_zero_flags_false_conditions_except_f_rv():
+    conds = _conds(0.0, **dict.fromkeys(
+        ("h_rv", "v_rv", "f_rv", "lim1", "lim2"), "false"))
+    assert _judge(conds, _gamma("rho_zero"), None, _BETA2) == (False, (
+        "h_rv is false but must hold at rho = 0",
+        "v_rv is false but must hold at rho = 0",
+        "lim1 is false but must hold at rho = 0",
+        "lim2 is false but must hold at rho = 0",
+    ))
+    assert _judge(_conds(0.0, f_rv="false"), _gamma("rho_zero"), None,
+                  _BETA2) == (True, ())
+
+
+def test_judge_rho_beta_flags_false_conditions_except_v_rv():
+    conds = _conds(2.0, **dict.fromkeys(
+        ("h_rv", "v_rv", "f_rv", "lim1", "lim2"), "false"))
+    assert _judge(conds, _gamma("rho_beta"), None, _BETA2) == (False, (
+        "h_rv is false but must hold at rho = beta",
+        "f_rv is false but must hold at rho = beta",
+        "lim1 is false but must hold at rho = beta",
+        "lim2 is false but must hold at rho = beta",
+    ))
+    assert _judge(_conds(2.0, v_rv="false"), _gamma("rho_beta"), None,
+                  _BETA2) == (True, ())
+
+
+def test_judge_rho_zero_flags_an_index_above_the_band():
+    # f_rv is exempt from the band as well
+    assert _judge(_conds(0.3), _gamma("rho_zero"), None, _BETA2) == (False, (
+        "h_rv implies rho=0.3000, too large for the rho = 0 regime",
+        "v_rv implies rho=0.3000, too large for the rho = 0 regime",
+        "lim1 implies rho=0.3000, too large for the rho = 0 regime",
+        "lim2 implies rho=0.3000, too large for the rho = 0 regime",
+    ))
+
+
+def test_judge_rho_beta_flags_an_index_below_the_band():
+    # v_rv is exempt from the band as well
+    assert _judge(_conds(1.7), _gamma("rho_beta"), None, _BETA2) == (False, (
+        "h_rv implies rho=1.7000, too small for the rho = beta regime",
+        "f_rv implies rho=1.7000, too small for the rho = beta regime",
+        "lim1 implies rho=1.7000, too small for the rho = beta regime",
+        "lim2 implies rho=1.7000, too small for the rho = beta regime",
+    ))
+
+
+@pytest.mark.parametrize("beta, regime, inside, outside, message", [
+    # band + 2 eps_rho = 0.24000000000000002 at beta = 2
+    (2.0, "rho_zero", 0.24000000000000002, 0.24000000000000005,
+     "h_rv implies rho=0.2400, too large for the rho = 0 regime"),
+    # beta - band - 2 eps_rho = 0.6799999999999999 at beta = 0.8, one ulp
+    # below beta - (band + 2 eps_rho)
+    (0.8, "rho_beta", 0.6799999999999999, 0.6799999999999998,
+     "h_rv implies rho=0.6800, too small for the rho = beta regime"),
+], ids=["rho_zero", "rho_beta"])
+def test_judge_band_edges_are_exact(beta, regime, inside, outside, message):
+    params = AnalysisParams(beta=beta)
+
+    def only_h(rho):
+        conds = dict.fromkeys(("h_rv", "v_rv", "f_rv", "lim1", "lim2"),
+                              ConditionVerdict("undecided", None, 1.0))
+        conds["h_rv"] = ConditionVerdict("true", rho, 0.0)
+        return conds
+
+    assert _judge(only_h(inside), _gamma(regime), None, params) == (True, ())
+    assert _judge(only_h(outside), _gamma(regime), None, params) == (
+        False, (message,))
+
+
+@pytest.mark.parametrize("v_rv, is_member", [("true", False), ("false", True)])
+def test_judge_de_haan_biconditional_violated(v_rv, is_member):
+    assert _judge(_conds(2.0, v_rv=v_rv), _gamma("rho_beta"), _pi(is_member),
+                  _BETA2) == (False, (
+        "at rho = beta the Stieltjes moment is regularly varying iff the "
+        f"survival function is in the de Haan class: v_rv={v_rv} but "
+        f"membership={is_member}",))
+
+
+@pytest.mark.parametrize("v_rv, pi", [
+    ("true", _pi(True)),
+    ("false", _pi(False)),
+    ("undecided", _pi(False)),
+    ("undecided", _pi(True)),
+    ("true", None),
+    ("false", None),
+])
+def test_judge_de_haan_biconditional_held_or_skipped(v_rv, pi):
+    assert _judge(_conds(2.0, v_rv=v_rv), _gamma("rho_beta"), pi,
+                  _BETA2) == (True, ())
+
+
+def test_judge_orders_disagreement_falsity_band_and_de_haan():
+    conds = _conds(2.0, h_rv="false")
+    conds["f_rv"] = ConditionVerdict(verdict="true", estimate=-0.5, spread=0.0)
+    assert _judge(conds, _gamma("rho_beta"), _pi(False), _BETA2) == (False, (
+        "index disagreement: f_rv implies rho=1.5000 but lim1 implies rho=2.0000",
+        "index disagreement: f_rv implies rho=1.5000 but lim2 implies rho=2.0000",
+        "index disagreement: f_rv implies rho=1.5000 but v_rv implies rho=2.0000",
+        "h_rv is false but must hold at rho = beta",
+        "f_rv implies rho=1.5000, too small for the rho = beta regime",
+        "at rho = beta the Stieltjes moment is regularly varying iff the "
+        "survival function is in the de Haan class: v_rv=true but "
+        "membership=False",
+    ))
+
+
+def test_judge_indeterminate_regime_judges_nothing():
+    conds = _conds(0.5, h_rv="false")
+    conds["v_rv"] = ConditionVerdict(verdict="true", estimate=0.9, spread=0.0)
+    assert _judge(conds, _gamma("indeterminate"), _pi(False), _BETA2) == (
+        None, ())
+
+
+def test_critical_pareto_reports_its_index_disagreement():
+    # the one decided contradiction the catalog reaches: v converges slowly
+    # at the critical order and reads rho ~ 0.04 against f_rv's 0
+    r = verify(make_pareto(1.0), AnalysisParams(beta=1.0, x_max=1e12))
+    assert r.violations == (
+        "index disagreement: f_rv implies rho=0.0000 but v_rv implies "
+        "rho=0.0416",)
