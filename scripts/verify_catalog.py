@@ -57,9 +57,7 @@ def main():
             print(f"{model.name:34s} {beta:4g} error: {exc}")
             clean = False
             continue
-        verdicts = " ".join(short[c.verdict] for c in
-                            (r.cond_h_rv, r.cond_v_rv, r.cond_f_rv,
-                             r.cond_lim1, r.cond_lim2))
+        verdicts = " ".join(short[c.verdict] for c in r.conditions.values())
         dehaan = "-" if r.pi_result is None else ("yes" if r.pi_result.is_member
                                                   else "no")
         consistent = {True: "yes", False: "NO", None: "n/a"}[r.consistent]

@@ -20,7 +20,7 @@ from .params import DEFAULT_LAMBDAS, AnalysisParams
 from .asymptotics import (GammaResult, PiTestResult, RVEstimate,
                           centered_pi_ratio, estimate_rv_index,
                           gamma_classification, has_incommensurable_pair,
-                          limit_ratio_r1, pi_class_test)
+                          pi_class_test)
 from .quadrature import integrate_tail_piece
 from .verifier import (ConditionVerdict, EquivalenceCheck, TheoremReport,
                        check_asymptotic_equivalences, verify)
@@ -38,7 +38,7 @@ __all__ = [
     "centered_pi_ratio", "check_admission", "check_asymptotic_equivalences",
     "compute_h", "compute_u", "compute_v", "curve_to_csv",
     "estimate_rv_index", "gamma_classification", "has_incommensurable_pair",
-    "integrate_tail_piece", "limit_ratio_r1", "load_tabulated",
+    "integrate_tail_piece", "load_tabulated",
     "make_geometric_tail", "make_inverse_log", "make_log_pareto",
     "make_pareto", "make_st_petersburg", "pi_class_test", "stieltjes_v",
     "verify",

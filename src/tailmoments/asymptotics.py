@@ -34,7 +34,7 @@ from .params import AnalysisParams
 PI_REL_TOL = 0.05
 #: denominators this small relative to sf(x) make the centered ratio meaningless
 _DENOM_FLOOR = 1e-13
-#: log-ratios are "commensurable" when close to a fraction p/q with p, q <= this
+#: log-ratios are "commensurable" when close to a fraction p/q with q <= this
 _COMMENSURATE_MAX_DEN = 6
 _MIN_PAIRS = 8
 _INF_GAMMA = 1e6
@@ -103,18 +103,19 @@ def centered_pi_ratio(tail, x: float, lam: float) -> float:
     return (tail(lam * x) - tail(x / lam)) / denom
 
 
-def has_incommensurable_pair(lambdas) -> bool:
+@functools.cache
+def has_incommensurable_pair(lambdas: tuple[float, ...]) -> bool:
     """True when some pair of scale factors has incommensurable logarithms.
 
-    log lam_i / log lam_j close to a small fraction p/q (p, q <= 6) means a
-    log-periodic oscillation can alias identically at both scales; such a
-    pair cannot certify non-convergence. Pairs far from all small fractions
-    can.
+    The log of the larger factor over the log of the smaller close to a
+    fraction p/q with q <= 6 means a log-periodic oscillation can alias
+    identically at both scales; such a pair cannot certify non-convergence.
+    Pairs far from all such fractions can.
     """
     logs = [math.log(l) for l in lambdas]
     for i in range(len(logs)):
         for j in range(i + 1, len(logs)):
-            ratio = logs[i] / logs[j]
+            ratio = max(logs[i], logs[j]) / min(logs[i], logs[j])
             frac = Fraction(ratio).limit_denominator(_COMMENSURATE_MAX_DEN)
             if abs(ratio - float(frac)) > 1e-9:
                 return True
@@ -203,12 +204,6 @@ def _series_stats(xs: np.ndarray, ys: np.ndarray, params: AnalysisParams):
         raise InsufficientDataError(
             f"only {n} samples inside window [{lo:g}, {hi:g}]")
     return _stats(xs[mask], ys[mask], lo, hi)
-
-
-def limit_ratio_r1(curve, params: AnalysisParams) -> tuple[float, bool]:
-    """Windowed limit of r1 = x^beta sf(x) / h(x) with a convergence flag."""
-    mean, spread, trend = _series_stats(curve.grid, curve.r1, params)
-    return mean, params.converged(spread, trend)
 
 
 def pi_class_test(model: TailModel, params: AnalysisParams) -> PiTestResult:

@@ -229,8 +229,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         "model": report.model_name,
         "beta": report.beta,
         "regime": report.regime,
-        "conditions": {name: asdict(getattr(report, f"cond_{name}"))
-                       for name in ("h_rv", "v_rv", "f_rv", "lim1", "lim2")},
+        "conditions": {name: asdict(cond)
+                       for name, cond in report.conditions.items()},
         "gamma": asdict(report.gamma),
         "pi": pi,
         "consistent": report.consistent,

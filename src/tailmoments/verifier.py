@@ -37,7 +37,16 @@ from .errors import IndeterminateError, InsufficientDataError
 from .moments import MomentCurve, build_curve, check_admission
 from .params import AnalysisParams
 
+#: the five statements of the theorem, in report order
+CONDITIONS = ("h_rv", "v_rv", "f_rv", "lim1", "lim2")
 _TRUE, _FALSE, _UNDECIDED = "true", "false", "undecided"
+#: per classified regime: the condition the theorem lets fail there, and
+#: what any other condition found false violates
+_RULES = {
+    "interior": (None, "every condition must hold for 0 < rho < beta"),
+    "rho_zero": ("f_rv", "must hold at rho = 0"),
+    "rho_beta": ("v_rv", "must hold at rho = beta"),
+}
 #: a spread this many times the convergence tolerance signals real oscillation
 _DIVERGENCE_FACTOR = 5.0
 
@@ -71,6 +80,7 @@ class EquivalenceCheck:
 class TheoremReport:
     """Full verification outcome for one model at one beta.
 
+    conditions maps each name of CONDITIONS, in that order, to its verdict.
     consistent is None when the regime could not be classified, otherwise
     True/False with violations naming every decided contradiction.
     """
@@ -78,11 +88,7 @@ class TheoremReport:
     model_name: str
     beta: float
     regime: str
-    cond_h_rv: ConditionVerdict
-    cond_v_rv: ConditionVerdict
-    cond_f_rv: ConditionVerdict
-    cond_lim1: ConditionVerdict
-    cond_lim2: ConditionVerdict
+    conditions: dict[str, ConditionVerdict]
     gamma: GammaResult
     pi_result: PiTestResult | None
     consistent: bool | None
@@ -136,17 +142,17 @@ def verify(model: TailModel, params: AnalysisParams,
             return ConditionVerdict(verdict=_UNDECIDED, estimate=None,
                                     spread=math.inf)
         return _verdict(est.rho_hat + index_shift, est.spread, est.trend, params,
-                        has_incommensurable_pair(np.unique(est.per_scale.lam)))
-
-    cond_h = rv(curve.h)
-    cond_v = rv(curve.v)
-    cond_f = rv(curve.u, index_shift=-params.beta)
+                        has_incommensurable_pair(
+                            tuple(np.unique(est.per_scale.lam))))
 
     r1_mean, r1_spread, r1_trend = _series_stats(curve.grid, curve.r1, params)
-    cond_lim1 = _verdict(r1_mean, r1_spread, r1_trend, params, decidable=True)
+    lim1 = _verdict(r1_mean, r1_spread, r1_trend, params, decidable=True)
     # r2 = 1 - r1 pointwise, so the share statistics mirror exactly
-    cond_lim2 = ConditionVerdict(verdict=cond_lim1.verdict,
-                                 estimate=1.0 - r1_mean, spread=r1_spread)
+    lim2 = ConditionVerdict(verdict=lim1.verdict, estimate=1.0 - r1_mean,
+                            spread=r1_spread)
+    conditions = dict(zip(CONDITIONS, (
+        rv(curve.h), rv(curve.v), rv(curve.u, index_shift=-params.beta),
+        lim1, lim2)))
 
     gamma = gamma_classification(curve, params)
 
@@ -157,85 +163,59 @@ def verify(model: TailModel, params: AnalysisParams,
         except IndeterminateError:
             pi_result = None
 
-    conds = {"h_rv": cond_h, "v_rv": cond_v, "f_rv": cond_f,
-             "lim1": cond_lim1, "lim2": cond_lim2}
-    consistent, violations = _judge(conds, gamma, pi_result, params)
+    consistent, violations = _judge(conditions, gamma, pi_result, params)
     return TheoremReport(model_name=model.name, beta=params.beta,
-                         regime=gamma.regime, cond_h_rv=cond_h, cond_v_rv=cond_v,
-                         cond_f_rv=cond_f, cond_lim1=cond_lim1,
-                         cond_lim2=cond_lim2, gamma=gamma, pi_result=pi_result,
+                         regime=gamma.regime, conditions=conditions,
+                         gamma=gamma, pi_result=pi_result,
                          consistent=consistent, violations=violations)
 
 
 def _judge(conds: dict[str, ConditionVerdict], gamma: GammaResult,
            pi_result: PiTestResult | None,
            params: AnalysisParams) -> tuple[bool | None, tuple[str, ...]]:
-    """Apply the regime-specific consistency rules.
+    """Apply the consistency rules of the classified regime.
 
-    Only decided verdicts participate, and only true ones imply an index.
-    In the interior all five conditions must be true and their implied
-    indices must agree. At rho = 0 the
-    survival-function condition is exempt (it may legitimately fail). At
-    rho = beta the Stieltjes condition is tied to de Haan membership by the
-    boundary equivalence, checked only when both sides are decided.
+    Only decided verdicts participate, and only true ones imply an index;
+    implied indices must agree. No condition but the regime's exempt one
+    (_RULES) may be false or, at a boundary, imply an index outside the
+    regime band. At rho = beta the exempt Stieltjes condition is tied to
+    de Haan membership instead, checked only when both sides are decided.
     """
     if gamma.regime == "indeterminate":
         return None, ()
+    exempt, must = _RULES[gamma.regime]
     beta = params.beta
     band = params.regime_band()
-    violations: list[str] = []
-
-    rhos = {name: _implied_rho(beta, name, cond) for name, cond in conds.items()}
-    decided = {name: rho for name, rho in rhos.items() if rho is not None}
-    names = sorted(decided)
-    for i, a in enumerate(names):
-        for b in names[i + 1:]:
-            if abs(decided[a] - decided[b]) > 2.0 * params.eps_rho:
-                violations.append(
-                    f"index disagreement: {a} implies rho={decided[a]:.4f} but "
-                    f"{b} implies rho={decided[b]:.4f}")
-
-    if gamma.regime == "interior":
-        for name, cond in conds.items():
-            if cond.verdict == _FALSE:
-                violations.append(
-                    f"{name} is false but every condition must hold for "
-                    f"0 < rho < beta")
-    elif gamma.regime == "rho_zero":
-        for name, cond in conds.items():
-            if name == "f_rv":
-                continue  # the one condition allowed to fail at rho = 0
-            if cond.verdict == _FALSE:
-                violations.append(f"{name} is false but must hold at rho = 0")
-        for name, rho in decided.items():
-            if name == "f_rv":
-                continue
-            if rho > band + 2.0 * params.eps_rho:
-                violations.append(
-                    f"{name} implies rho={rho:.4f}, too large for the rho = 0 regime")
-    else:  # rho_beta
-        for name, cond in conds.items():
-            if name == "v_rv":
-                continue  # governed by the de Haan biconditional below
-            if cond.verdict == _FALSE:
-                violations.append(f"{name} is false but must hold at rho = beta")
-        for name, rho in decided.items():
-            if name == "v_rv":
-                continue
-            if rho < beta - band - 2.0 * params.eps_rho:
-                violations.append(
-                    f"{name} implies rho={rho:.4f}, too small for the "
-                    f"rho = beta regime")
-        if conds["v_rv"].verdict != _UNDECIDED and pi_result is not None:
-            v_holds = conds["v_rv"].verdict == _TRUE
-            if v_holds != pi_result.is_member:
-                violations.append(
-                    "at rho = beta the Stieltjes moment is regularly varying "
-                    "iff the survival function is in the de Haan class: "
-                    f"v_rv={conds['v_rv'].verdict} but "
-                    f"membership={pi_result.is_member}")
-
-    return (len(violations) == 0), tuple(violations)
+    rhos = {name: rho for name, cond in conds.items()
+            if (rho := _implied_rho(beta, name, cond)) is not None}
+    names = sorted(rhos)
+    violations = [f"index disagreement: {a} implies rho={rhos[a]:.4f} but "
+                  f"{b} implies rho={rhos[b]:.4f}"
+                  for i, a in enumerate(names) for b in names[i + 1:]
+                  if abs(rhos[a] - rhos[b]) > 2.0 * params.eps_rho]
+    violations += [f"{name} is false but {must}"
+                   for name, cond in conds.items()
+                   if name != exempt and cond.verdict == _FALSE]
+    for name, rho in rhos.items():
+        if name == exempt:
+            continue
+        if gamma.regime == "rho_zero" and rho > band + 2.0 * params.eps_rho:
+            violations.append(
+                f"{name} implies rho={rho:.4f}, too large for the rho = 0 regime")
+        elif (gamma.regime == "rho_beta"
+              and rho < beta - band - 2.0 * params.eps_rho):
+            violations.append(
+                f"{name} implies rho={rho:.4f}, too small for the "
+                f"rho = beta regime")
+    v_rv = conds["v_rv"].verdict
+    if (gamma.regime == "rho_beta" and v_rv != _UNDECIDED
+            and pi_result is not None
+            and (v_rv == _TRUE) != pi_result.is_member):
+        violations.append(
+            "at rho = beta the Stieltjes moment is regularly varying "
+            "iff the survival function is in the de Haan class: "
+            f"v_rv={v_rv} but membership={pi_result.is_member}")
+    return not violations, tuple(violations)
 
 
 def check_asymptotic_equivalences(report: TheoremReport, curve: MomentCurve,

@@ -12,14 +12,14 @@ import numpy as np
 import pytest
 
 from tailmoments.asymptotics import (centered_pi_ratio, estimate_rv_index,
-                                     gamma_classification, limit_ratio_r1,
-                                     pi_class_test)
+                                     gamma_classification, pi_class_test)
 from tailmoments.catalog import (load_tabulated, make_geometric_tail,
                                  make_inverse_log, make_log_pareto,
                                  make_pareto, make_st_petersburg)
 from tailmoments.cli import main
 from tailmoments.moments import build_curve, compute_h, compute_u, compute_v
 from tailmoments.params import AnalysisParams
+from tailmoments.verifier import verify
 
 
 def _cli(*argv):
@@ -53,7 +53,8 @@ def test_acc_power_tail_interior_estimates():
         est = estimate_rv_index(c.grid, series, p)
         assert est.converged, name
         assert abs(est.rho_hat - 0.5) <= 0.01, (name, est.rho_hat)
-    r1, converged = limit_ratio_r1(c, p)
+    lim1 = verify(m, p, c).conditions["lim1"]
+    r1, converged = lim1.estimate, lim1.verdict == "true"
     assert converged and abs(r1 - 0.25) <= 0.005
     g = gamma_classification(c, p)
     assert abs(g.gamma_hat - 1.0 / 3.0) <= 0.01
@@ -91,9 +92,8 @@ def test_acc_staircase_exact_moments_and_log_periodicity():
         assert us.max() / us.min() >= 1.8, start
     est_u = estimate_rv_index(c.grid, c.u, p)
     assert not est_u.converged
-    from tailmoments.verifier import verify
     r = verify(m, p, c)
-    assert r.cond_f_rv.verdict == "false"
+    assert r.conditions["f_rv"].verdict == "false"
     assert r.consistent is True
     code = _cli("verify", "--dist", "st_petersburg", "--beta", "1",
                 "--x-max", "1e26")
@@ -156,7 +156,7 @@ def test_acc_boundary_biconditional():
     r = verify(m, p)
     assert r.regime == "rho_beta"
     assert r.consistent is True
-    assert r.cond_v_rv.verdict == "true"
+    assert r.conditions["v_rv"].verdict == "true"
     assert r.pi_result is not None and r.pi_result.is_member
     print("PASS: consistent at rho=beta with the Stieltjes RV condition and "
           "de Haan membership both true")

@@ -8,14 +8,14 @@ from hypothesis import strategies as st
 
 from tailmoments.asymptotics import (centered_pi_ratio, estimate_rv_index,
                                      gamma_classification,
-                                     has_incommensurable_pair,
-                                     limit_ratio_r1, pi_class_test)
+                                     has_incommensurable_pair, pi_class_test)
 from tailmoments.catalog import (make_geometric_tail, make_inverse_log,
                                  make_log_pareto, make_pareto,
                                  make_st_petersburg)
 from tailmoments.errors import InsufficientDataError
 from tailmoments.moments import build_curve
 from tailmoments.params import AnalysisParams
+from tailmoments.verifier import verify
 
 
 # ---------------------------------------------------------------------------
@@ -119,6 +119,8 @@ def test_second_incommensurable_scale_breaks_the_alias():
     ((2.0, 3.0), True),
     ((2.0, math.e), True),
     ((2.0, math.e, 3.0, 8.0), True),
+    ((2.0, 128.0), False),        # log ratio exactly 7, in either order
+    ((128.0, 2.0), False),
 ])
 def test_incommensurable_pair_detection(lambdas, expected):
     assert has_incommensurable_pair(lambdas) is expected
@@ -197,9 +199,10 @@ def test_centered_ratio_is_affine_invariant(scale, shift, lam):
 
 def test_limit_ratio_r1_converges_for_pareto():
     c = build_curve(make_pareto(1.5, 1.0), AnalysisParams(beta=2.0, x_max=1e8))
-    mean, converged = limit_ratio_r1(c, AnalysisParams(beta=2.0, x_max=1e8))
-    assert converged
-    assert math.isclose(mean, 0.25, abs_tol=0.005)
+    lim1 = verify(make_pareto(1.5, 1.0), AnalysisParams(beta=2.0, x_max=1e8),
+                  c).conditions["lim1"]
+    assert lim1.verdict == "true"
+    assert math.isclose(lim1.estimate, 0.25, abs_tol=0.005)
 
 
 def test_gamma_interior_for_pareto():

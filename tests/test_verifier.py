@@ -19,10 +19,10 @@ def test_interior_model_all_conditions_true():
     assert r.regime == "interior"
     assert r.consistent is True
     assert r.violations == ()
-    for cond in (r.cond_h_rv, r.cond_v_rv, r.cond_f_rv, r.cond_lim1, r.cond_lim2):
+    for cond in r.conditions.values():
         assert cond.verdict == "true"
-    assert math.isclose(r.cond_h_rv.estimate, 0.5, abs_tol=0.01)
-    assert math.isclose(r.cond_f_rv.estimate, -1.5, abs_tol=0.01)
+    assert math.isclose(r.conditions["h_rv"].estimate, 0.5, abs_tol=0.01)
+    assert math.isclose(r.conditions["f_rv"].estimate, -1.5, abs_tol=0.01)
     assert r.pi_result is None  # only probed in the rho = beta regime
 
 
@@ -32,8 +32,8 @@ def test_rho_zero_tolerates_failed_tail_condition():
     p = AnalysisParams(beta=1.0, x_max=1e26)
     r = verify(make_st_petersburg(), p)
     assert r.regime == "rho_zero"
-    assert r.cond_f_rv.verdict == "false"
-    assert r.cond_h_rv.verdict == "true"
+    assert r.conditions["f_rv"].verdict == "false"
+    assert r.conditions["h_rv"].verdict == "true"
     assert r.consistent is True
     assert r.violations == ()
 
@@ -43,7 +43,7 @@ def test_rho_beta_biconditional_holds_for_de_haan_member():
     r = verify(make_inverse_log(), p)
     assert r.regime == "rho_beta"
     assert r.pi_result is not None and r.pi_result.is_member
-    assert r.cond_v_rv.verdict == "true"
+    assert r.conditions["v_rv"].verdict == "true"
     assert r.consistent is True
 
 
@@ -54,7 +54,7 @@ def test_false_verdict_implies_no_index():
     p = AnalysisParams(beta=1.0, x_max=1e30)
     r = verify(make_geometric_tail(1.0, 10.0), p)
     assert r.regime == "rho_zero"
-    assert r.cond_f_rv.verdict == "false"
+    assert r.conditions["f_rv"].verdict == "false"
     assert r.consistent is True
     assert r.violations == ()
 
@@ -75,10 +75,10 @@ def test_verdicts_are_decided_at_the_float_range_edge(model, beta, ppd):
     assert r.regime == ("rho_zero" if rho == 0.0 else
                         "rho_beta" if rho == beta else "interior")
     assert r.consistent is True and r.violations == ()
-    for cond in (r.cond_h_rv, r.cond_v_rv, r.cond_lim1, r.cond_lim2):
-        assert cond.verdict == "true"
+    for name in ("h_rv", "v_rv", "lim1", "lim2"):
+        assert r.conditions[name].verdict == "true"
     tail_rv = model.ground_truth.tail_is_rv
-    assert r.cond_f_rv.verdict == ("true" if tail_rv else "false")
+    assert r.conditions["f_rv"].verdict == ("true" if tail_rv else "false")
 
 
 def test_indeterminate_regime_reports_none():
@@ -100,7 +100,7 @@ def test_verify_accepts_precomputed_curve():
     c = build_curve(m, p)
     r1 = verify(m, p, curve=c)
     r2 = verify(m, p)
-    assert r1.cond_h_rv == r2.cond_h_rv
+    assert r1.conditions["h_rv"] == r2.conditions["h_rv"]
     assert r1.consistent == r2.consistent
 
 
