@@ -155,7 +155,8 @@ def estimate_rv_index(xs: np.ndarray, fs: np.ndarray,
     last = len(xs) - 1
     parts = []
     for lam in params.lambdas:
-        i = np.flatnonzero(in_window & (xs * lam <= hi))
+        with np.errstate(over="ignore"):  # lam x past the float range: outside
+            i = np.flatnonzero(in_window & (xs * lam <= hi))
         target = xs[i] * lam
         j = np.searchsorted(xs, target)  # xs[j - 1] < target <= xs[j]
         node = np.full(len(i), -1)

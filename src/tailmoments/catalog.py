@@ -42,8 +42,11 @@ def _floor_log(x: float, base: float) -> int:
         m, e = math.frexp(x)  # x = m * 2**e with m in [0.5, 1)
         return e - 1
     k = math.floor(math.log(x) / math.log(base))
-    while base ** (k + 1) <= x:
-        k += 1
+    try:
+        while base ** (k + 1) <= x:
+            k += 1
+    except OverflowError:  # the next power lies past the float range, above x
+        pass
     while base ** k > x:
         k -= 1
     return k

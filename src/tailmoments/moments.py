@@ -56,8 +56,8 @@ def _accumulate(model: TailModel, beta: float, xs, rel_tol: float,
     tail = model.tail
     hs = np.empty(len(xs))
     errs = np.empty(len(xs))
-    ax = floor
-    ah = floor ** beta
+    ax = np.float64(floor)  # its powers overflow to inf, not OverflowError
+    ah = ax ** beta
     ae = _EPS * ah
     if model.piecewise_constant:
         ta = tail(floor)  # sf on [ax, next breakpoint)

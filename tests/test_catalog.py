@@ -34,6 +34,10 @@ def test_floor_log_general_base():
     assert _floor_log(27.0, 3.0) == 3
     assert _floor_log(1.5, 10.0) == 0
     assert _floor_log(0.5, 10.0) == -1
+    # the next power lies past the float range
+    assert _floor_log(1.7e308, 3.0) == 646
+    assert _floor_log(1.7e308, 10.0) == 308
+    assert _floor_log(1e300, 1e10) == 30
 
 
 # ---------------------------------------------------------------------------

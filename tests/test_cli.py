@@ -161,6 +161,34 @@ def test_verify_at_float_range_edge_has_no_traceback(capsys):
         assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("beta_g, p, x_max", [
+    ("0.5", "3", "1.7e308"),
+    ("1", "10", "1.7e308"),
+    ("0.5", "1e10", "1e300"),
+])
+def test_staircase_near_the_float_limit_reports(capsys, beta_g, p, x_max):
+    # the floor-log of the top grid point compared it against the next
+    # power of p, which lies past the float range: an OverflowError
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "verify", "--dist", "geometric",
+                             "--param", f"beta_g={beta_g}", "--param",
+                             f"p={p}", "--beta", beta_g, "--x-max", x_max)
+    assert code == 0 and "Traceback" not in err
+    report = json.loads(out)
+    assert report["regime"] == "rho_zero" and report["consistent"] is True
+    assert [str(w.message) for w in caught] == []
+
+
+def test_overflowed_support_floor_power_is_an_error(capsys):
+    # floor^beta = 1e500 raised OverflowError in the h kernel
+    code, out, err = run(capsys, "verify", "--dist", "geometric", "--param",
+                         "beta_g=0.5", "--param", "p=1e10", "--beta", "50",
+                         "--x-max", "1e12")
+    assert code == 1 and out == "" and "Traceback" not in err
+    assert err.startswith("error: the moment curve") and "leaves the float range" in err
+
+
 @pytest.mark.parametrize("model_args", [
     ("--dist", "st_petersburg"),
     ("--dist", "geometric", "--param", "beta_g=1", "--param", "p=2"),
