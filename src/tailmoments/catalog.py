@@ -2,7 +2,8 @@
 
 A model packages a survival function sf(x) = P(X > x) together with the
 structural metadata the rest of the pipeline needs: the support floor below
-which sf == 1, breakpoint locations for piecewise integration, optional exact
+which sf == 1, breakpoint locations for piecewise integration, the power
+pieces of a tail that is a power function between its knots, optional exact
 atom lists for Stieltjes summation, and an optional closed-form truncated
 moment used for cross-validation. Everything is immutable and evaluation is
 pure, so model instances can be shared freely.
@@ -56,6 +57,14 @@ def _no_breakpoints(lo: float, hi: float) -> list[float]:
     return []
 
 
+def _knots_of(pieces: Callable) -> Callable[[float, float], list[float]]:
+    """breakpoints(lo, hi) read off pieces: their knots inside [lo, hi]."""
+    def breakpoints(lo: float, hi: float) -> list[float]:
+        knots = pieces(lo, hi)[0]
+        return knots[knots >= lo].tolist()
+    return breakpoints
+
+
 @dataclass(frozen=True)
 class GroundTruth:
     """Known limiting behaviour, for test assertions only.
@@ -78,19 +87,25 @@ class TailModel:
     [0, 1] and tail(x) == 1 for x < support_floor. The support floor is
     always a kink; breakpoints(lo, hi) lists the other kink/jump locations
     inside [lo, hi]. Integration never crosses a kink.
+    pieces(lo, hi), when present, says that tail is a power function
+    between knots: it returns three float arrays (knots, sfs, exps), where
+    knots rise from the knot at or below max(lo, support_floor) to the last
+    knot at or below hi, and tail(y) = sfs[i] * (y / knots[i]) ** -exps[i]
+    from knots[i] up to the next knot. The first knot of a model is its
+    support floor. The moment integrals of such a tail are exact sums, and
+    its breakpoints are its knots.
     point_masses(lo, hi), when present, lists (location, jump) pairs of every
     atom in [lo, hi] and marks the model as purely atomic above the floor.
-    piecewise_constant means tail is constant between consecutive
-    breakpoints, unlocking the exact integration path.
     """
 
     name: str
     support_floor: float
     tail: Callable[[float], float]
     breakpoints: Callable[[float, float], list[float]] = _no_breakpoints
+    pieces: Callable[[float, float],
+                     tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None
     point_masses: Callable[[float, float], list[tuple[float, float]]] | None = None
     closed_form_h: Callable[[float, float], float] | None = None  # (beta, x)
-    piecewise_constant: bool = False
     ground_truth: GroundTruth | None = None
 
     def __post_init__(self):
@@ -136,6 +151,11 @@ def make_pareto(alpha: float, x_floor: float = 1.0) -> TailModel:
             return 1.0
         return (x / x_floor) ** (-alpha)
 
+    def pieces(lo: float, hi: float):
+        n = int(hi >= x_floor)
+        return (np.full(n, x_floor, dtype=float), np.ones(n),
+                np.full(n, alpha, dtype=float))
+
     def closed_form_h(beta: float, x: float) -> float:
         if x <= x_floor:
             return x ** beta
@@ -150,6 +170,7 @@ def make_pareto(alpha: float, x_floor: float = 1.0) -> TailModel:
         name=f"pareto(alpha={alpha:g},x_floor={x_floor:g})",
         support_floor=x_floor,
         tail=tail,
+        pieces=pieces,
         closed_form_h=closed_form_h,
         ground_truth=_power_law_truth(alpha),
     )
@@ -161,8 +182,8 @@ def make_geometric_tail(beta_g: float, p: float) -> TailModel:
     All mass sits in atoms at p^k, k >= 1, with jump p^(-beta_g*k)*(p^beta_g - 1).
     The normalized tail weight x^beta_g * sf(x) is periodic in log_p x, so the
     survival function is not regularly varying even though the truncated
-    beta_g-moment is slowly varying. The model is piecewise constant, which
-    the integrators exploit to stay exact.
+    beta_g-moment is slowly varying. The model is piecewise constant: its
+    pieces have exponent 0, so its moments are exact sums.
     """
     if not (beta_g > 0.0 and math.isfinite(beta_g)):
         raise ModelValidationError(f"beta_g must be positive, got {beta_g!r}")
@@ -177,20 +198,22 @@ def make_geometric_tail(beta_g: float, p: float) -> TailModel:
         return p ** (-beta_g * _floor_log(x, p))
 
     def _power_range(lo: float, hi: float) -> range:
+        """k of the knots p^k from the one at or below max(lo, p) up to hi."""
         if hi < p:
             return range(0)
-        k_lo = max(1, _floor_log(max(lo, p), p))
-        if p ** k_lo < lo:
-            k_lo += 1
-        k_hi = _floor_log(hi, p)
-        return range(k_lo, k_hi + 1)
+        return range(max(1, _floor_log(max(lo, p), p)), _floor_log(hi, p) + 1)
 
-    def breakpoints(lo: float, hi: float) -> list[float]:
-        return [p ** k for k in _power_range(lo, hi)]
+    def pieces(lo: float, hi: float):
+        ks = _power_range(lo, hi)
+        # the same expressions as tail, so sfs[i] == tail(knots[i]) bitwise
+        return (np.array([p ** k for k in ks], dtype=float),
+                np.array([p ** (-beta_g * k) for k in ks], dtype=float),
+                np.zeros(len(ks)))
 
     def point_masses(lo: float, hi: float) -> list[tuple[float, float]]:
         scale = p ** beta_g - 1.0
-        return [(p ** k, p ** (-beta_g * k) * scale) for k in _power_range(lo, hi)]
+        return [(p ** k, p ** (-beta_g * k) * scale)
+                for k in _power_range(lo, hi) if p ** k >= lo]
 
     def rho_of(beta: float) -> float | None:
         # only the critical order has a regularly varying truncated moment
@@ -200,9 +223,9 @@ def make_geometric_tail(beta_g: float, p: float) -> TailModel:
         name=f"geometric(beta_g={beta_g:g},p={p:g})",
         support_floor=p,
         tail=tail,
-        breakpoints=breakpoints,
+        breakpoints=_knots_of(pieces),
+        pieces=pieces,
         point_masses=point_masses,
-        piecewise_constant=True,
         ground_truth=GroundTruth(rho_of=rho_of, tail_is_rv=False, pi_member=False),
     )
 
@@ -323,8 +346,11 @@ def load_tabulated(path: str) -> TailModel:
     if len(xs) < 2:
         raise TableFormatError(f"need at least 2 samples, got {len(xs)}")
 
-    log_xs = np.log(np.asarray(xs))
-    log_ts = np.log(np.asarray(ts))
+    knots, sfs = np.asarray(xs), np.asarray(ts)
+    log_xs = np.log(knots)
+    log_ts = np.log(sfs)
+    # the log-log slope of each row to the next; held constant past the last
+    exps = np.append(-np.diff(log_ts) / np.diff(log_xs), 0.0)
     x_first, x_last, t_last = xs[0], xs[-1], ts[-1]
     warned = [False]  # one-shot flag; benign under concurrent evaluation
 
@@ -340,12 +366,14 @@ def load_tabulated(path: str) -> TailModel:
             return t_last
         return float(math.exp(np.interp(math.log(x), log_xs, log_ts)))
 
-    def breakpoints(lo: float, hi: float) -> list[float]:
-        return [x for x in xs if lo <= x <= hi]
+    def pieces(lo: float, hi: float):
+        i = max(int(np.searchsorted(knots, lo, side="right")) - 1, 0)
+        j = int(np.searchsorted(knots, hi, side="right"))
+        return knots[i:j], sfs[i:j], exps[i:j]
 
     name = f"tabulated({os.path.basename(path)})"
     return TailModel(name=name, support_floor=x_first, tail=tail,
-                     breakpoints=breakpoints)
+                     breakpoints=_knots_of(pieces), pieces=pieces)
 
 
 # ---------------------------------------------------------------------------

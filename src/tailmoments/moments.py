@@ -6,9 +6,11 @@ Two quantities drive everything downstream, linked by one identity:
     v(x) = int_[0,x] y^beta dF(y)                  (Stieltjes form)
     v(x) = h(x) - x^beta sf(x)                     (integration by parts)
 
-We compute h by quadrature (exactly, for piecewise-constant tails) and obtain
-v through the identity, tracking an error budget so the subtraction's health
-is checkable. The normalized shares r1 = x^beta sf(x) / h(x) and r2 = v / h
+We compute h exactly where the tail is a power function between knots (a
+staircase, a Pareto tail, a log-linear table): on each piece h grows in
+closed form, so h is a running sum of pieces. Other tails are integrated by
+adaptive quadrature. v follows through the identity, with an error budget
+that keeps the subtraction's health checkable. The normalized shares r1 = x^beta sf(x) / h(x) and r2 = v / h
 always sum to 1 by construction.
 """
 
@@ -38,47 +40,96 @@ def _cuts(model: TailModel, lo: float, hi: float) -> list[float]:
     return [lo, *inner, hi] if hi > lo else [lo]
 
 
-def _accumulate(model: TailModel, beta: float, xs, rel_tol: float,
-                anchors=None) -> tuple[np.ndarray, np.ndarray]:
+def _powers(xs: np.ndarray, beta: float) -> np.ndarray:
+    """x ** beta for each x by the scalar power, inf past the float range.
+
+    numpy's vector power can miss the scalar result by an ulp, and the
+    staircase sums are pinned to the scalar one bit for bit.
+    """
+    return np.array([x ** beta for x in xs], dtype=float)
+
+
+def _power_pieces(lo, lo_pow, hi, hi_pow, sf, exps, beta):
+    """beta * int_lo^hi y^(beta-1) sf (y/lo)^-a dy elementwise, exactly,
+    and the roundoff bound each piece adds beyond that of a sum.
+
+    lo_pow and hi_pow hold lo^beta and hi^beta by the scalar power; hi_pow is
+    read only where a == 0. There the piece is sf * (hi^beta - lo^beta), the
+    staircase sum. Elsewhere it is sf lo^beta * beta * expm1((beta - a)
+    ln(hi/lo)) / (beta - a), or sf lo^beta * beta * ln(hi/lo) at a = beta:
+    no power of hi is formed, so a piece overflows only with its value. The
+    bound covers the rounding of ln(hi/lo), which expm1 amplifies by
+    (beta - a) ln(hi/lo), and a few roundings of each product.
+    """
+    seg = np.empty(len(lo))
+    err = np.zeros(len(lo))
+    flat = exps == 0.0
+    seg[flat] = sf[flat] * (hi_pow[flat] - lo_pow[flat])
+    power = ~flat
+    if power.any():
+        c = beta - exps[power]
+        log_q = np.log(hi[power] / lo[power])
+        c_log_q = c * log_q
+        crit = c == 0.0
+        growth = np.where(crit, log_q,
+                          np.expm1(c_log_q) / np.where(crit, 1.0, c))
+        base = sf[power] * lo_pow[power]
+        seg[power] = base * beta * growth
+        err[power] = _EPS * ((4.0 + 2.0 * np.abs(c_log_q) + np.maximum(c, 0.0))
+                             * np.abs(seg[power]) + beta * base)
+    return seg, err
+
+
+def _accumulate(model: TailModel, beta: float, xs,
+                rel_tol: float) -> tuple[np.ndarray, np.ndarray]:
     """h and its error bound at every point of the increasing sequence xs.
 
     This is the one h kernel. At or below the support floor h(x) = x^beta in
-    closed form. Above it h advances from an anchor that starts at the floor.
-    Smooth tails add one quadrature increment per step, and every point
-    becomes the next anchor. Piecewise-constant tails add exact pieces
-    sf(a) * (b^beta - a^beta); their anchor moves only at the points flagged
-    in anchors (the breakpoints), and each point reports the anchor plus one
-    partial piece, so h at x is the same sum over whole pieces that a fresh
-    evaluation at x makes. xs must hold every breakpoint between the floor
-    and its last point, flagged for piecewise-constant tails.
+    closed form. Above it, a model with pieces gets exact sums: every point
+    is placed in its piece, h at each knot is the running sum (np.cumsum,
+    in order) of the whole pieces below it, and one partial piece is added,
+    so h at x is the same sum whatever other points are asked for. Other
+    models add one quadrature increment per step, each point the start of
+    the next; xs must then hold every breakpoint between the floor and its
+    last point.
     """
+    xs = np.asarray(xs, dtype=float)
     floor = model.support_floor
-    tail = model.tail
+    head = int(np.searchsorted(xs, floor, side="right"))
     hs = np.empty(len(xs))
     errs = np.empty(len(xs))
-    ax = np.float64(floor)  # its powers overflow to inf, not OverflowError
-    ah = ax ** beta
-    ae = _EPS * ah
-    if model.piecewise_constant:
-        ta = tail(floor)  # sf on [ax, next breakpoint)
-    for i, x in enumerate(xs):
-        if x <= floor:
-            hs[i] = x ** beta
-            errs[i] = _EPS * hs[i]
-        elif model.piecewise_constant:
-            if anchors[i]:
-                seg = ta * (x ** beta - ax ** beta)
-                ah += seg
-                ae += 2.0 * _EPS * (abs(seg) + ah)
-                ax, ta = x, tail(x)
-            seg = ta * (x ** beta - ax ** beta)
-            hs[i] = ah + seg
-            errs[i] = ae + 2.0 * _EPS * (abs(seg) + hs[i])
-        else:
-            seg, seg_err = integrate_tail_piece(tail, beta, ax, x, rel_tol)
-            hs[i] = ah + seg
-            errs[i] = ae + seg_err + _EPS * hs[i]
-            ax, ah, ae = x, hs[i], errs[i]
+    hs[:head] = _powers(xs[:head], beta)
+    errs[:head] = _EPS * hs[:head]
+    xs = xs[head:]
+    if not len(xs):
+        return hs, errs
+    h0 = np.float64(floor) ** beta  # overflows to inf, not OverflowError
+    if model.pieces is not None:
+        knots, sfs, exps = model.pieces(floor, float(xs[-1]))
+        knot_pows = _powers(knots, beta)
+        whole, whole_err = _power_pieces(knots[:-1], knot_pows[:-1], knots[1:],
+                                         knot_pows[1:], sfs[:-1], exps[:-1],
+                                         beta)
+        at_knot = np.cumsum(np.append(h0, whole))
+        knot_err = np.cumsum(np.append(
+            _EPS * h0, 2.0 * _EPS * (np.abs(whole) + at_knot[1:]) + whole_err))
+        k = np.searchsorted(knots, xs, side="right") - 1
+        flat = exps[k] == 0.0
+        x_pows = np.zeros(len(xs))
+        x_pows[flat] = _powers(xs[flat], beta)
+        seg, seg_err = _power_pieces(knots[k], knot_pows[k], xs, x_pows,
+                                     sfs[k], exps[k], beta)
+        hs[head:] = at_knot[k] + seg
+        errs[head:] = knot_err[k] + (2.0 * _EPS * (np.abs(seg) + hs[head:])
+                                     + seg_err)
+        return hs, errs
+    tail = model.tail
+    ax, ah, ae = floor, h0, _EPS * h0
+    for i, x in enumerate(xs.tolist(), start=head):
+        seg, seg_err = integrate_tail_piece(tail, beta, ax, x, rel_tol)
+        hs[i] = ah + seg
+        errs[i] = ae + seg_err + _EPS * hs[i]
+        ax, ah, ae = x, hs[i], errs[i]
     return hs, errs
 
 
@@ -87,15 +138,14 @@ def compute_h(model: TailModel, beta: float, x: float,
     """Truncated moment h(x) = beta * int_0^x y^(beta-1) sf(y) dy, with error.
 
     The h kernel run over the cuts [support floor, interior breakpoints, x]:
-    closed form below the floor, exact piece sums sf(a) * (b^beta - a^beta)
-    for piecewise-constant tails, adaptive quadrature per piece otherwise.
-    Returns (value, error_bound).
+    closed form below the floor, exact sums of power pieces for models that
+    have them, adaptive quadrature per piece otherwise. Returns (value,
+    error_bound).
     """
     if not (x > 0.0 and math.isfinite(x)):
         raise ModelEvaluationError(f"x must be a positive finite real, got {x!r}")
-    cuts = _cuts(model, min(x, model.support_floor), x)
-    anchors = [True] * (len(cuts) - 1) + [False]
-    hs, errs = _accumulate(model, beta, cuts, rel_tol, anchors)
+    hs, errs = _accumulate(model, beta, _cuts(model, min(x, model.support_floor), x),
+                           rel_tol)
     return float(hs[-1]), float(errs[-1])
 
 
@@ -215,7 +265,7 @@ def build_curve(model: TailModel, params: AnalysisParams) -> MomentCurve:
 
     One pass: the h kernel runs once along the grid (behind the cuts from the
     support floor up to x_min when x_min lies above the floor), so h on the
-    curve equals compute_h bit for bit for piecewise-constant tails and to
+    curve equals compute_h bit for bit for models with pieces and to
     quadrature accuracy otherwise. u is evaluated once per point, v = h - u
     is one array expression, and admission is read off the finished curve.
     A curve that overflows (h or u not finite at some grid point) raises
@@ -226,11 +276,8 @@ def build_curve(model: TailModel, params: AnalysisParams) -> MomentCurve:
     floor = model.support_floor
     prefix = _cuts(model, floor, grid[0])[:-1] if grid[0] > floor else []
     points = np.concatenate((prefix, grid))
-    anchors = None
-    if model.piecewise_constant:
-        anchors = np.isin(points, model.breakpoints(floor, params.x_max))
     with np.errstate(over="ignore", invalid="ignore"):
-        hs, errs = _accumulate(model, beta, points, params.rel_tol, anchors)
+        hs, errs = _accumulate(model, beta, points, params.rel_tol)
         us = np.array([compute_u(model, beta, x) for x in grid])
     hs, errs = hs[len(prefix):], errs[len(prefix):]
     bad = np.flatnonzero(~(np.isfinite(hs) & np.isfinite(us)))
