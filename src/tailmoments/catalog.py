@@ -87,13 +87,10 @@ class TailModel:
     [0, 1] and tail(x) == 1 for x < support_floor. The support floor is
     always a kink; breakpoints(lo, hi) lists the other kink/jump locations
     inside [lo, hi]. Integration never crosses a kink.
-    pieces(lo, hi), when present, says that tail is a power function
-    between knots: it returns three float arrays (knots, sfs, exps), where
-    knots rise from the knot at or below max(lo, support_floor) to the last
-    knot at or below hi, and tail(y) = sfs[i] * (y / knots[i]) ** -exps[i]
-    from knots[i] up to the next knot. The first knot of a model is its
-    support floor. The moment integrals of such a tail are exact sums, and
-    its breakpoints are its knots.
+    pieces(lo, hi), when present, returns float arrays (knots, sfs, exps):
+    the knots from the one at or below max(lo, support_floor) up to hi, with
+    tail(y) = sfs[i] * (y / knots[i]) ** -exps[i] up to the next knot. The
+    first knot is the support floor. Moments of such a tail are exact sums.
     point_masses(lo, hi), when present, lists (location, jump) pairs of every
     atom in [lo, hi] and marks the model as purely atomic above the floor.
     """

@@ -7,11 +7,11 @@ Two quantities drive everything downstream, linked by one identity:
     v(x) = h(x) - x^beta sf(x)                     (integration by parts)
 
 We compute h exactly where the tail is a power function between knots (a
-staircase, a Pareto tail, a log-linear table): on each piece h grows in
-closed form, so h is a running sum of pieces. Other tails are integrated by
-adaptive quadrature. v follows through the identity, with an error budget
-that keeps the subtraction's health checkable. The normalized shares r1 = x^beta sf(x) / h(x) and r2 = v / h
-always sum to 1 by construction.
+staircase, a Pareto tail, a log-linear table), as a running sum of closed-form
+pieces, and by adaptive quadrature otherwise. v follows through the identity,
+with an error budget that keeps the subtraction's health checkable. The
+normalized shares r1 = x^beta sf(x) / h(x) and r2 = v / h always sum to 1 by
+construction.
 """
 
 from __future__ import annotations
@@ -41,42 +41,32 @@ def _cuts(model: TailModel, lo: float, hi: float) -> list[float]:
 
 
 def _powers(xs: np.ndarray, beta: float) -> np.ndarray:
-    """x ** beta for each x by the scalar power, inf past the float range.
-
-    numpy's vector power can miss the scalar result by an ulp, and the
-    staircase sums are pinned to the scalar one bit for bit.
+    """x ** beta by the scalar power (numpy's vector power can differ in the
+    last bit, and staircase sums are pinned to it); inf past the float range.
     """
     return np.array([x ** beta for x in xs], dtype=float)
 
 
-def _power_pieces(lo, lo_pow, hi, hi_pow, sf, exps, beta):
-    """beta * int_lo^hi y^(beta-1) sf (y/lo)^-a dy elementwise, exactly,
-    and the roundoff bound each piece adds beyond that of a sum.
-
-    lo_pow and hi_pow hold lo^beta and hi^beta by the scalar power; hi_pow is
-    read only where a == 0. There the piece is sf * (hi^beta - lo^beta), the
-    staircase sum. Elsewhere it is sf lo^beta * beta * expm1((beta - a)
-    ln(hi/lo)) / (beta - a), or sf lo^beta * beta * ln(hi/lo) at a = beta:
-    no power of hi is formed, so a piece overflows only with its value. The
-    bound covers the rounding of ln(hi/lo), which expm1 amplifies by
-    (beta - a) ln(hi/lo), and a few roundings of each product.
+def _power_pieces(lo, lo_pow, hi, sf, a, beta):
+    """beta * int_lo^hi y^(beta-1) sf (y/lo)^-a dy elementwise, with the
+    roundoff each adds beyond a sum's. lo_pow is lo^beta. a = 0 gives the
+    staircase sf * (hi^beta - lo^beta); otherwise sf lo^beta beta expm1((beta
+    - a) ln(hi/lo)) / (beta - a), ln(hi/lo) at a = beta, which overflows only
+    with its value. expm1 scales the log's rounding by (beta - a) ln(hi/lo).
     """
     seg = np.empty(len(lo))
     err = np.zeros(len(lo))
-    flat = exps == 0.0
-    seg[flat] = sf[flat] * (hi_pow[flat] - lo_pow[flat])
-    power = ~flat
-    if power.any():
-        c = beta - exps[power]
-        log_q = np.log(hi[power] / lo[power])
-        c_log_q = c * log_q
-        crit = c == 0.0
-        growth = np.where(crit, log_q,
-                          np.expm1(c_log_q) / np.where(crit, 1.0, c))
-        base = sf[power] * lo_pow[power]
-        seg[power] = base * beta * growth
-        err[power] = _EPS * ((4.0 + 2.0 * np.abs(c_log_q) + np.maximum(c, 0.0))
-                             * np.abs(seg[power]) + beta * base)
+    flat = a == 0.0
+    seg[flat] = sf[flat] * (_powers(hi[flat], beta) - lo_pow[flat])
+    p = ~flat
+    c = beta - a[p]
+    log_q = np.log(hi[p] / lo[p])
+    crit = c == 0.0
+    growth = np.where(crit, log_q, np.expm1(c * log_q) / np.where(crit, 1.0, c))
+    base = sf[p] * lo_pow[p]
+    seg[p] = base * beta * growth
+    err[p] = _EPS * ((4.0 + 2.0 * np.abs(c * log_q) + np.maximum(c, 0.0))
+                     * np.abs(seg[p]) + beta * base)
     return seg, err
 
 
@@ -84,53 +74,40 @@ def _accumulate(model: TailModel, beta: float, xs,
                 rel_tol: float) -> tuple[np.ndarray, np.ndarray]:
     """h and its error bound at every point of the increasing sequence xs.
 
-    This is the one h kernel. At or below the support floor h(x) = x^beta in
-    closed form. Above it, a model with pieces gets exact sums: every point
-    is placed in its piece, h at each knot is the running sum (np.cumsum,
-    in order) of the whole pieces below it, and one partial piece is added,
-    so h at x is the same sum whatever other points are asked for. Other
-    models add one quadrature increment per step, each point the start of
-    the next; xs must then hold every breakpoint between the floor and its
-    last point.
+    The one h kernel: h(x) = x^beta up to the support floor. Above it, h at
+    each knot of a model with pieces is the in-order np.cumsum of the whole
+    pieces below, and a point adds its partial piece, whatever the other
+    points. Otherwise each step adds a quadrature increment from the last
+    point, and xs must hold every breakpoint above the floor.
     """
     xs = np.asarray(xs, dtype=float)
     floor = model.support_floor
     head = int(np.searchsorted(xs, floor, side="right"))
-    hs = np.empty(len(xs))
-    errs = np.empty(len(xs))
-    hs[:head] = _powers(xs[:head], beta)
-    errs[:head] = _EPS * hs[:head]
+    hs = _powers(xs[:head], beta)
+    errs = _EPS * hs
     xs = xs[head:]
-    if not len(xs):
-        return hs, errs
     h0 = np.float64(floor) ** beta  # overflows to inf, not OverflowError
-    if model.pieces is not None:
+    if model.pieces is not None and len(xs):
         knots, sfs, exps = model.pieces(floor, float(xs[-1]))
-        knot_pows = _powers(knots, beta)
-        whole, whole_err = _power_pieces(knots[:-1], knot_pows[:-1], knots[1:],
-                                         knot_pows[1:], sfs[:-1], exps[:-1],
-                                         beta)
-        at_knot = np.cumsum(np.append(h0, whole))
+        n = len(knots) - 1  # whole pieces knot j -> j + 1, then one per point
+        j = np.append(np.arange(n), np.searchsorted(knots, xs, side="right") - 1)
+        seg, seg_err = _power_pieces(knots[j], _powers(knots, beta)[j],
+                                     np.append(knots[1:], xs), sfs[j], exps[j],
+                                     beta)
+        at_knot = np.cumsum(np.append(h0, seg[:n]))
         knot_err = np.cumsum(np.append(
-            _EPS * h0, 2.0 * _EPS * (np.abs(whole) + at_knot[1:]) + whole_err))
-        k = np.searchsorted(knots, xs, side="right") - 1
-        flat = exps[k] == 0.0
-        x_pows = np.zeros(len(xs))
-        x_pows[flat] = _powers(xs[flat], beta)
-        seg, seg_err = _power_pieces(knots[k], knot_pows[k], xs, x_pows,
-                                     sfs[k], exps[k], beta)
-        hs[head:] = at_knot[k] + seg
-        errs[head:] = knot_err[k] + (2.0 * _EPS * (np.abs(seg) + hs[head:])
-                                     + seg_err)
-        return hs, errs
-    tail = model.tail
+            _EPS * h0, 2.0 * _EPS * (np.abs(seg[:n]) + at_knot[1:]) + seg_err[:n]))
+        h = at_knot[j[n:]] + seg[n:]
+        err = knot_err[j[n:]] + (2.0 * _EPS * (np.abs(seg[n:]) + h) + seg_err[n:])
+        return np.append(hs, h), np.append(errs, err)
+    h, err = np.empty(len(xs)), np.empty(len(xs))
     ax, ah, ae = floor, h0, _EPS * h0
-    for i, x in enumerate(xs.tolist(), start=head):
-        seg, seg_err = integrate_tail_piece(tail, beta, ax, x, rel_tol)
-        hs[i] = ah + seg
-        errs[i] = ae + seg_err + _EPS * hs[i]
-        ax, ah, ae = x, hs[i], errs[i]
-    return hs, errs
+    for i, x in enumerate(xs.tolist()):
+        seg, seg_err = integrate_tail_piece(model.tail, beta, ax, x, rel_tol)
+        h[i] = ah + seg
+        err[i] = ae + seg_err + _EPS * h[i]
+        ax, ah, ae = x, h[i], err[i]
+    return np.append(hs, h), np.append(errs, err)
 
 
 def compute_h(model: TailModel, beta: float, x: float,
