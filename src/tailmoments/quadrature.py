@@ -59,7 +59,13 @@ def integrate_tail_piece(tail: Callable[[float], float], beta: float,
     # spans at most ~100x inside it; a single coarse Simpson estimate over an
     # exponentially growing span would set the tolerance from a value that is
     # off by orders of magnitude and make the Richardson residuals optimistic
-    n_seg = max(1, math.ceil(beta * (tb - ta) / 4.6))
+    segments = beta * (tb - ta) / 4.6
+    if segments > _MAX_INTERVALS:
+        # each segment accepts at least one interval: the budget cannot hold
+        raise ConvergenceError(
+            f"order {beta:g} on [{a:g}, {b:g}] needs {segments:g} segments, "
+            f"more than the interval budget {_MAX_INTERVALS}")
+    n_seg = max(1, math.ceil(segments))
     bounds = [ta + (tb - ta) * k / n_seg for k in range(n_seg + 1)]
 
     value = 0.0

@@ -1,12 +1,16 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import warnings
 
 import pytest
 
 from tailmoments.cli import _params_from_args, build_parser, main, render_json
 from tailmoments.params import AnalysisParams
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def run(capsys, *argv):
@@ -204,6 +208,24 @@ def test_overflowed_staircase_is_an_error_not_a_finite_moment(capsys, model_args
     assert err.startswith("error:") and "leaves the float range" in err
     assert "finite moment" not in err
     assert [str(w.message) for w in caught] == []
+
+
+@pytest.mark.parametrize("model_args", [
+    ("--dist", "inverse_log"),
+    ("--dist", "pareto", "--param", "alpha=0.5"),
+])
+def test_huge_order_is_a_clean_error(model_args):
+    # quadrature built ceil(beta * dt / 4.6) segment bounds before it could
+    # exhaust its interval budget: at beta = 1e300 the run never ended
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "tailmoments.cli", "verify", *model_args,
+         "--beta", "1e300"], capture_output=True, text=True, timeout=60,
+        env=env)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
 
 
 def test_verify_json_is_canonical_and_stable(capsys):

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from tailmoments.errors import ConvergenceError, ModelEvaluationError
-from tailmoments.quadrature import integrate_tail_piece
+from tailmoments.quadrature import _MAX_INTERVALS, integrate_tail_piece
 
 
 def test_constant_tail_gives_power_difference():
@@ -61,3 +61,22 @@ def test_budget_exhaustion_raises_with_partial_estimate():
         integrate_tail_piece(hostile, 1.0, 1.0, math.e, rel_tol=1e-12)
     assert exc.value.estimate is not None
     assert exc.value.err >= 0.0
+
+
+def test_order_past_the_interval_budget_fails_before_evaluating():
+    # ceil(beta * 10 / 4.6) segments over ten log-units; each accepts at
+    # least one interval, so past the budget the run cannot converge
+    below = 4.6 * _MAX_INTERVALS / 10.0 - 1.0
+    # the weight e^(beta t) underflows to 0 here: one interval per segment
+    assert integrate_tail_piece(lambda y: 1.0, below, math.exp(-20.0),
+                                math.exp(-10.0)) == (0.0, 0.0)
+    calls = []
+
+    def tail(y):
+        calls.append(y)
+        return 1.0
+
+    for beta in (below + 2.0, 1e300):
+        with pytest.raises(ConvergenceError, match="interval budget"):
+            integrate_tail_piece(tail, beta, math.exp(-20.0), math.exp(-10.0))
+    assert calls == []
