@@ -271,14 +271,20 @@ def make_log_pareto(alpha: float, a: float = 0.0) -> TailModel:
     """Power tail with logarithmic correction sf(x) = C x^(-alpha) (ln x)^a.
 
     The floor x0 = max(e, e^(a/alpha)) is the smallest point at which the
-    expression is non-increasing; C normalizes sf(x0) = 1.
+    expression is non-increasing; C normalizes sf(x0) = 1. Parameters whose
+    floor or C leave the float range are rejected.
     """
     if not (alpha > 0.0 and math.isfinite(alpha)):
         raise ModelValidationError(f"alpha must be positive, got {alpha!r}")
     if not math.isfinite(a):
         raise ModelValidationError(f"a must be finite, got {a!r}")
-    x0 = max(_E, math.exp(a / alpha))
-    c = x0 ** alpha / math.log(x0) ** a
+    try:
+        x0 = max(_E, math.exp(a / alpha))
+        c = x0 ** alpha / math.log(x0) ** a
+    except OverflowError:
+        raise ModelValidationError(
+            f"a / alpha = {a / alpha:g} is too large: the support floor "
+            "e^(a/alpha) or its normalisation leaves the float range") from None
 
     def tail(x: float) -> float:
         if x <= x0:

@@ -7,6 +7,7 @@ import warnings
 
 import pytest
 
+from tailmoments import cli
 from tailmoments.cli import _params_from_args, build_parser, main, render_json
 from tailmoments.params import AnalysisParams
 
@@ -226,6 +227,32 @@ def test_huge_order_is_a_clean_error(model_args):
         env=env)
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("alpha, a, x_max", [
+    ("0.5", "400", "1e12"),  # e^(a/alpha) overflows
+    ("1", "300", "1e300"),   # ln(x0)^a overflows
+])
+def test_log_pareto_past_the_float_range_is_a_validation_error(capsys, alpha,
+                                                                a, x_max):
+    code, out, err = run(capsys, "verify", "--dist", "log_pareto", "--param",
+                         f"alpha={alpha}", "--param", f"a={a}", "--beta", "1",
+                         "--x-max", x_max)
+    assert code == 1 and out == ""
+    assert err.startswith("error: a / alpha") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("exc", [OverflowError("math range error"),
+                                 FloatingPointError("overflow encountered")])
+def test_arithmetic_errors_exit_one_with_a_message(capsys, monkeypatch, exc):
+    def overflowing(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "verify", overflowing)
+    code, out, err = run(capsys, "verify", "--dist", "pareto", "--param",
+                         "alpha=1.5", "--beta", "2")
+    assert code == 1 and out == ""
+    assert err == f"error: {type(exc).__name__}: {exc}\n"
 
 
 def test_verify_json_is_canonical_and_stable(capsys):
