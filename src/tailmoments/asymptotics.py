@@ -198,13 +198,14 @@ def _stats(xs: np.ndarray, ys: np.ndarray, lo: float, hi: float):
 
 
 def _series_stats(xs: np.ndarray, ys: np.ndarray, params: AnalysisParams):
-    """(mean, spread, trend) of ys restricted to the window."""
+    """(mean, spread, trend, mask) of ys restricted to the window, whose
+    samples mask selects."""
     lo, hi, mask = _window(xs, params)
     n = int(mask.sum())
     if n < 2:
         raise InsufficientDataError(
             f"only {n} samples inside window [{lo:g}, {hi:g}]")
-    return _stats(xs[mask], ys[mask], lo, hi)
+    return (*_stats(xs[mask], ys[mask], lo, hi), mask)
 
 
 def pi_class_test(model: TailModel, params: AnalysisParams) -> PiTestResult:
@@ -259,17 +260,20 @@ def pi_class_test(model: TailModel, params: AnalysisParams) -> PiTestResult:
                         max_residual_rel=max_rel, ell_index_hat=ell_index_hat)
 
 
-def gamma_classification(curve, params: AnalysisParams) -> GammaResult:
+def gamma_classification(curve, params: AnalysisParams,
+                         r1_stats=None) -> GammaResult:
     """Classify the limiting regime from the boundary/Stieltjes ratio u/v.
 
     gamma = lim u/v induces p = beta/(1+gamma) and rho = beta - p. The same
     rho is measured directly as beta * r1 (exact algebra: beta*gamma/(1+gamma)
     = beta*u/h); the two must agree or the result is indeterminate. Regime
-    bands around 0 and beta have half-width params.regime_band().
+    bands around 0 and beta have half-width params.regime_band(). r1_stats
+    is _series_stats of curve.r1, for a caller that has it already.
     """
     beta = params.beta
-    r1_mean, spread, trend = _series_stats(curve.grid, curve.r1, params)
-    _, _, mask = _window(curve.grid, params)
+    if r1_stats is None:
+        r1_stats = _series_stats(curve.grid, curve.r1, params)
+    r1_mean, spread, trend, mask = r1_stats
     us = curve.u[mask]
     vs = curve.v[mask]
     r1s = curve.r1[mask]

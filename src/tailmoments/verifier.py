@@ -145,7 +145,8 @@ def verify(model: TailModel, params: AnalysisParams,
                         has_incommensurable_pair(
                             tuple(np.unique(est.per_scale.lam))))
 
-    r1_mean, r1_spread, r1_trend = _series_stats(curve.grid, curve.r1, params)
+    r1_stats = _series_stats(curve.grid, curve.r1, params)
+    r1_mean, r1_spread, r1_trend, _ = r1_stats
     lim1 = _verdict(r1_mean, r1_spread, r1_trend, params, decidable=True)
     # r2 = 1 - r1 pointwise, so the share statistics mirror exactly
     lim2 = ConditionVerdict(verdict=lim1.verdict, estimate=1.0 - r1_mean,
@@ -154,7 +155,7 @@ def verify(model: TailModel, params: AnalysisParams,
         rv(curve.h), rv(curve.v), rv(curve.u, index_shift=-params.beta),
         lim1, lim2)))
 
-    gamma = gamma_classification(curve, params)
+    gamma = gamma_classification(curve, params, r1_stats)
 
     pi_result: PiTestResult | None = None
     if gamma.regime == "rho_beta":
