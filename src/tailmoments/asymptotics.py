@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -216,10 +217,12 @@ def pi_class_test(model: TailModel, params: AnalysisParams) -> PiTestResult:
     Points where the base step sf(e x) - sf(x/e) vanishes numerically are
     skipped; if everything is skipped the test is indeterminate (typical of
     exactly constant or purely atomic tails sampled between atoms). Each
-    distinct tail point is evaluated once.
+    distinct tail point is evaluated once. The window's top is clipped so
+    that lam x and e x stay inside the float range.
     """
     lo, hi = params.window()
     lo = max(lo, model.support_floor * math.e)  # keep x/e above the floor
+    hi = min(hi, sys.float_info.max / max(*params.lambdas, math.e))
     if not lo < hi:
         raise IndeterminateError(
             f"window [{lo:g}, {hi:g}] is empty for model {model.name!r}")

@@ -229,6 +229,17 @@ def test_huge_order_is_a_clean_error(model_args):
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
 
 
+def test_de_haan_test_stays_inside_the_float_range(capsys):
+    # sf(8 x) and sf(e x) were read past the float range at the window's
+    # top: residuals of 322 and 170 made membership false against v_rv true
+    code, out, err = run(capsys, "verify", "--dist", "inverse_log", "--beta",
+                         "1", "--x-max", "1.7e308")
+    report = json.loads(out)
+    assert code == 0 and report["consistent"] is True
+    assert report["regime"] == "rho_beta" and report["pi"]["is_member"] is True
+    assert report["pi"]["window"][1] <= sys.float_info.max / 8.0
+
+
 @pytest.mark.parametrize("alpha, a, x_max", [
     ("0.5", "400", "1e12"),  # e^(a/alpha) overflows
     ("1", "300", "1e300"),   # ln(x0)^a overflows
