@@ -117,12 +117,17 @@ def compute_h(model: TailModel, beta: float, x: float,
     The h kernel run over the cuts [support floor, interior breakpoints, x]:
     closed form below the floor, exact sums of power pieces for models that
     have them, adaptive quadrature per piece otherwise. Returns (value,
-    error_bound).
+    error_bound); an h past the float range raises ModelEvaluationError.
     """
     if not (x > 0.0 and math.isfinite(x)):
         raise ModelEvaluationError(f"x must be a positive finite real, got {x!r}")
-    hs, errs = _accumulate(model, beta, _cuts(model, min(x, model.support_floor), x),
-                           rel_tol)
+    with np.errstate(over="ignore", invalid="ignore"):
+        hs, errs = _accumulate(model, beta,
+                               _cuts(model, min(x, model.support_floor), x), rel_tol)
+    if not math.isfinite(hs[-1]):
+        raise ModelEvaluationError(
+            f"h({x:g}) of model {model.name!r} at order {beta:g} leaves the "
+            f"float range")
     return float(hs[-1]), float(errs[-1])
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -70,6 +71,18 @@ def test_v_clamps_tiny_negative_to_zero():
 def test_u_is_boundary_term():
     m = make_pareto(2.0, 1.0)
     assert compute_u(m, 3.0, 10.0) == 10.0 ** 3 * 10.0 ** -2.0
+
+
+@pytest.mark.parametrize("model, beta, x", [
+    (make_st_petersburg(), 2.0, 1e300),  # x^2 - lo^2 is inf - inf
+    (make_pareto(0.5, 1.0), 1e300, 10.0),
+    (make_inverse_log(), 1100.0, 2.0),  # below the floor: 2^1100
+])
+def test_compute_h_past_the_float_range_is_an_error(model, beta, x):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ModelEvaluationError, match="leaves the float range"):
+            compute_h(model, beta, x)
 
 
 def test_compute_h_rejects_bad_x():
