@@ -6,7 +6,7 @@ indices and limiting mass shares, tests de Haan class membership, and
 cross-checks the equivalence theorem tying all of these together.
 """
 
-from .catalog import (GroundTruth, TailModel, build_model, load_tabulated,
+from .catalog import (TailModel, build_model, load_tabulated,
                       make_geometric_tail, make_inverse_log, make_log_pareto,
                       make_pareto, make_st_petersburg, MODEL_REGISTRY)
 from .errors import (AdmissionError, ConvergenceError, ExtrapolationWarning,
@@ -14,8 +14,7 @@ from .errors import (AdmissionError, ConvergenceError, ExtrapolationWarning,
                      InsufficientDataError, ModelEvaluationError,
                      ModelValidationError, TableFormatError, TailMomentsError)
 from .moments import (MomentCurve, build_curve, build_grid, check_admission,
-                      compute_h, compute_u, compute_v, curve_to_csv,
-                      stieltjes_v)
+                      compute_h, compute_u, curve_to_csv)
 from .params import DEFAULT_LAMBDAS, AnalysisParams
 from .asymptotics import (GammaResult, PiTestResult, RVEstimate,
                           centered_pi_ratio, estimate_rv_index,
@@ -30,16 +29,16 @@ __version__ = "0.1.0"
 __all__ = [
     "AdmissionError", "AnalysisParams", "ConditionVerdict", "ConvergenceError",
     "DEFAULT_LAMBDAS", "EquivalenceCheck", "ExtrapolationWarning",
-    "GammaResult", "GroundTruth", "InconsistencyError", "IndeterminateError",
+    "GammaResult", "InconsistencyError", "IndeterminateError",
     "InsufficientDataError", "MODEL_REGISTRY", "ModelEvaluationError",
     "ModelValidationError", "MomentCurve", "PiTestResult", "RVEstimate",
     "TableFormatError", "TailModel", "TailMomentsError",
     "TheoremReport", "build_curve", "build_grid", "build_model",
     "centered_pi_ratio", "check_admission", "check_asymptotic_equivalences",
-    "compute_h", "compute_u", "compute_v", "curve_to_csv",
+    "compute_h", "compute_u", "curve_to_csv",
     "estimate_rv_index", "gamma_classification", "has_incommensurable_pair",
     "integrate_tail_piece", "load_tabulated",
     "make_geometric_tail", "make_inverse_log", "make_log_pareto",
-    "make_pareto", "make_st_petersburg", "pi_class_test", "stieltjes_v",
+    "make_pareto", "make_st_petersburg", "pi_class_test",
     "verify",
 ]

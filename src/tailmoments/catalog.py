@@ -1,17 +1,16 @@
 """Catalog of heavy-tailed survival-function models.
 
-A model packages a survival function sf(x) = P(X > x) together with the
-structural metadata the rest of the pipeline needs: the support floor below
-which sf == 1, breakpoint locations for piecewise integration, the power
-pieces of a tail that is a power function between its knots, optional exact
-atom lists for Stieltjes summation, and an optional closed-form truncated
-moment used for cross-validation. Everything is immutable and evaluation is
-pure, so model instances can be shared freely.
+A model is plain data plus a tail function: a survival function
+sf(x) = P(X > x), the support floor below which sf == 1, and, for a tail
+that is a power function between knots, its power pieces. The pieces are
+the one description of a model's kinks. Everything is immutable and
+evaluation is pure, so model instances can be shared freely.
 
-Ground-truth records attached to analytic models state the known limiting
+Two fields serve tests only: an optional closed-form truncated moment used
+for cross-validation, and a ground-truth record stating the known limiting
 index of the truncated moment per beta, whether the survival function is
-regularly varying, and whether it belongs to the de Haan class. They exist
-for tests only; no analysis code may read them.
+regularly varying, and whether it belongs to the de Haan class. No module
+of the package other than this one may name them.
 """
 
 from __future__ import annotations
@@ -53,18 +52,6 @@ def _floor_log(x: float, base: float) -> int:
     return k
 
 
-def _no_breakpoints(lo: float, hi: float) -> list[float]:
-    return []
-
-
-def _knots_of(pieces: Callable) -> Callable[[float, float], list[float]]:
-    """breakpoints(lo, hi) read off pieces: their knots inside [lo, hi]."""
-    def breakpoints(lo: float, hi: float) -> list[float]:
-        knots = pieces(lo, hi)[0]
-        return knots[knots >= lo].tolist()
-    return breakpoints
-
-
 @dataclass(frozen=True)
 class GroundTruth:
     """Known limiting behaviour, for test assertions only.
@@ -84,24 +71,21 @@ class TailModel:
     """A survival function plus the structure the integrators rely on.
 
     tail(x) must be defined for every x > 0, non-increasing, with values in
-    [0, 1] and tail(x) == 1 for x < support_floor. The support floor is
-    always a kink; breakpoints(lo, hi) lists the other kink/jump locations
-    inside [lo, hi]. Integration never crosses a kink.
+    [0, 1] and tail(x) == 1 for x < support_floor.
     pieces(lo, hi), when present, returns float arrays (knots, sfs, exps):
     the knots from the one at or below max(lo, support_floor) up to hi, with
     tail(y) = sfs[i] * (y / knots[i]) ** -exps[i] up to the next knot. The
-    first knot is the support floor. Moments of such a tail are exact sums.
-    point_masses(lo, hi), when present, lists (location, jump) pairs of every
-    atom in [lo, hi] and marks the model as purely atomic above the floor.
+    first knot is the support floor. Moments of such a tail are exact sums,
+    and its knots are its only kinks and jumps. A tail without pieces must
+    be continuous above its support floor: the floor is its one kink, and
+    quadrature integrates it from there without a split.
     """
 
     name: str
     support_floor: float
     tail: Callable[[float], float]
-    breakpoints: Callable[[float, float], list[float]] = _no_breakpoints
     pieces: Callable[[float, float],
                      tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None
-    point_masses: Callable[[float, float], list[tuple[float, float]]] | None = None
     closed_form_h: Callable[[float, float], float] | None = None  # (beta, x)
     ground_truth: GroundTruth | None = None
 
@@ -111,6 +95,13 @@ class TailModel:
                 f"support_floor must be a positive real, got {self.support_floor!r}")
         if not self.name:
             raise ModelValidationError("model name must be non-empty")
+
+    def breakpoints(self, lo: float, hi: float) -> list[float]:
+        """The knots of the pieces inside [lo, hi]; [] without pieces."""
+        if self.pieces is None:
+            return []
+        knots = self.pieces(lo, hi)[0]
+        return knots[knots >= lo].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -194,23 +185,14 @@ def make_geometric_tail(beta_g: float, p: float) -> TailModel:
             return 1.0
         return p ** (-beta_g * _floor_log(x, p))
 
-    def _power_range(lo: float, hi: float) -> range:
-        """k of the knots p^k from the one at or below max(lo, p) up to hi."""
-        if hi < p:
-            return range(0)
-        return range(max(1, _floor_log(max(lo, p), p)), _floor_log(hi, p) + 1)
-
     def pieces(lo: float, hi: float):
-        ks = _power_range(lo, hi)
+        # k of the knots p^k from the one at or below max(lo, p) up to hi
+        ks = (range(max(1, _floor_log(max(lo, p), p)), _floor_log(hi, p) + 1)
+              if hi >= p else range(0))
         # the same expressions as tail, so sfs[i] == tail(knots[i]) bitwise
         return (np.array([p ** k for k in ks], dtype=float),
                 np.array([p ** (-beta_g * k) for k in ks], dtype=float),
                 np.zeros(len(ks)))
-
-    def point_masses(lo: float, hi: float) -> list[tuple[float, float]]:
-        scale = p ** beta_g - 1.0
-        return [(p ** k, p ** (-beta_g * k) * scale)
-                for k in _power_range(lo, hi) if p ** k >= lo]
 
     def rho_of(beta: float) -> float | None:
         # only the critical order has a regularly varying truncated moment
@@ -220,9 +202,7 @@ def make_geometric_tail(beta_g: float, p: float) -> TailModel:
         name=f"geometric(beta_g={beta_g:g},p={p:g})",
         support_floor=p,
         tail=tail,
-        breakpoints=_knots_of(pieces),
         pieces=pieces,
-        point_masses=point_masses,
         ground_truth=GroundTruth(rho_of=rho_of, tail_is_rv=False, pi_member=False),
     )
 
@@ -375,8 +355,7 @@ def load_tabulated(path: str) -> TailModel:
         return knots[i:j], sfs[i:j], exps[i:j]
 
     name = f"tabulated({os.path.basename(path)})"
-    return TailModel(name=name, support_floor=x_first, tail=tail,
-                     breakpoints=_knots_of(pieces), pieces=pieces)
+    return TailModel(name=name, support_floor=x_first, tail=tail, pieces=pieces)
 
 
 # ---------------------------------------------------------------------------

