@@ -174,9 +174,8 @@ def build_grid(model: TailModel, params: AnalysisParams) -> np.ndarray:
 
     points_per_decade sets the density. The kinks are the knots of the
     model's pieces and the support floor inside the range, and each is kept
-    exactly. An
-    interior grid point within relative 1e-9 of a kink gives way to it
-    instead of forming a near-duplicate pair; x_min and x_max always stay.
+    exactly. An interior grid point within relative 1e-9 of a kink gives way
+    to it instead of forming a near-duplicate pair; x_min and x_max stay.
     Integration steps between neighbours therefore never cross a kink, and
     the admission point max(x_min, support floor) is a grid point. The merge
     is one vectorised sort, O((n + k) log(n + k)) for n grid points and k

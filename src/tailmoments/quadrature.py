@@ -6,8 +6,10 @@ so integration happens in t = ln y where the geometry is uniform:
     int_a^b beta y^(beta-1) sf(y) dy = int_{ln a}^{ln b} beta e^(beta t) sf(e^t) dt.
 
 Classic adaptive Simpson with Richardson extrapolation on each accepted
-interval. Callers are expected to split at model breakpoints first; each call
-here assumes a smooth integrand on its interval.
+interval. Each call assumes a tail that is continuous on (a, b]: models with
+kinks or jumps above their support floor describe them by power pieces and
+never come here, so the one jump left is at the floor, where the tail is read
+at a itself.
 """
 
 from __future__ import annotations
@@ -68,13 +70,15 @@ def integrate_tail_piece(tail: Callable[[float], float], beta: float,
     n_seg = max(1, math.ceil(segments))
     bounds = [ta + (tb - ta) * k / n_seg for k in range(n_seg + 1)]
 
+    # exp(ln a) can round below a, onto the far side of a jump at a
+    f_a = _eval(lambda t: beta * math.exp(beta * t) * tail(a), ta)
     value = 0.0
     err = 0.0
     intervals = 0
     stack = []
     # stack entries: (t_lo, t_hi, f_lo, f_mid, f_hi, simpson, tol, depth)
-    for t0_, t1_ in zip(bounds, bounds[1:]):
-        f0_, f2_ = _eval(g, t0_), _eval(g, t1_)
+    for k, (t0_, t1_) in enumerate(zip(bounds, bounds[1:])):
+        f0_, f2_ = (_eval(g, t0_) if k else f_a), _eval(g, t1_)
         tm_seed = 0.5 * (t0_ + t1_)
         f1_ = _eval(g, tm_seed)
         whole = (t1_ - t0_) / 6.0 * (f0_ + 4.0 * f1_ + f2_)

@@ -2,7 +2,9 @@ import math
 
 import pytest
 
+from tailmoments.catalog import TailModel
 from tailmoments.errors import ConvergenceError, ModelEvaluationError
+from tailmoments.moments import compute_h
 from tailmoments.quadrature import _MAX_INTERVALS, integrate_tail_piece
 
 
@@ -80,3 +82,15 @@ def test_order_past_the_interval_budget_fails_before_evaluating():
         with pytest.raises(ConvergenceError, match="interval budget"):
             integrate_tail_piece(tail, beta, math.exp(-20.0), math.exp(-10.0))
     assert calls == []
+
+
+def test_tail_is_read_at_the_left_end_itself():
+    # exp(ln a) rounds below a = 8.667, onto the left of this tail's jump at
+    # its floor; reading sf there once skewed h(86.67) by 1.04e-6 against a
+    # reported bound of 7.4e-8
+    a = 8.667
+    assert math.exp(math.log(a)) < a
+    m = TailModel(name="jump-at-floor", support_floor=a,
+                  tail=lambda y: 1.0 if y < a else 0.3)
+    h, err = compute_h(m, 1.0, 86.67)
+    assert abs(h - (a + 0.3 * (86.67 - a))) <= err
