@@ -12,6 +12,11 @@ from .errors import ModelValidationError
 #: and e makes the de Haan normalization step exact.
 DEFAULT_LAMBDAS: tuple[float, ...] = (2.0, math.e, 3.0, 8.0)
 
+#: the tightest quadrature tolerance accepted: below it the curve error stops
+#: improving while the work grows 5-10x, and reported errors fall below the
+#: true ones
+REL_TOL_FLOOR = 1.0e-13
+
 
 @dataclass(frozen=True)
 class AnalysisParams:
@@ -21,7 +26,7 @@ class AnalysisParams:
     lambdas           scale factors for ratio estimators (each > 1)
     x_min, x_max      analysis range (0 < x_min < x_max)
     points_per_decade geometric grid density (>= 8)
-    rel_tol           relative quadrature tolerance, in (0, 1e-4]
+    rel_tol           relative quadrature tolerance, in [1e-13, 1e-4]
     eps_rho           tolerance used when comparing index estimates and
                       classifying boundary regimes
     window_decades    width of the tail window used by all limit estimators
@@ -56,9 +61,10 @@ class AnalysisParams:
         if self.points_per_decade < 8:
             raise ModelValidationError(
                 f"points_per_decade must be >= 8, got {self.points_per_decade!r}")
-        if not (0.0 < self.rel_tol <= 1.0e-4):
+        if not (REL_TOL_FLOOR <= self.rel_tol <= 1.0e-4):
             raise ModelValidationError(
-                f"rel_tol must lie in (0, 1e-4], got {self.rel_tol!r}")
+                f"rel_tol must lie in [{REL_TOL_FLOOR:g}, 1e-4], got "
+                f"{self.rel_tol!r}")
         if not (self.eps_rho > 0.0):
             raise ModelValidationError(f"eps_rho must be positive, got {self.eps_rho!r}")
         if not (self.window_decades > 0.0):

@@ -185,6 +185,15 @@ def test_staircase_near_the_float_limit_reports(capsys, beta_g, p, x_max):
     assert [str(w.message) for w in caught] == []
 
 
+def test_rel_tol_below_the_floor_is_an_error(capsys):
+    # 1e-16 passed validation and ran 3M evals on inverse_log, reporting an
+    # error 50,000x above the tolerance it had accepted
+    code, out, err = run(capsys, "verify", "--dist", "inverse_log", "--beta",
+                         "1", "--rel-tol", "1e-16")
+    assert code == 1 and out == "" and "Traceback" not in err
+    assert err.startswith("error: rel_tol must lie in [1e-13, 1e-4]")
+
+
 def test_overflowed_support_floor_power_is_an_error(capsys):
     # floor^beta = 1e500 raised OverflowError in the h kernel
     code, out, err = run(capsys, "verify", "--dist", "geometric", "--param",

@@ -45,6 +45,7 @@ def test_lambdas_coerced_to_floats():
     {"beta": 1.0, "points_per_decade": 4},
     {"beta": 1.0, "rel_tol": 0.0},
     {"beta": 1.0, "rel_tol": 1e-3},
+    {"beta": 1.0, "rel_tol": 1e-14},
     {"beta": 1.0, "eps_rho": 0.0},
     {"beta": 1.0, "window_decades": 0.0},
     {"beta": 1.0, "spread_tol": 0.0},
