@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from oracles import atom_sum_v, geometric_atoms
 from tailmoments.catalog import (TailModel, load_tabulated, make_geometric_tail,
                                  make_inverse_log, make_log_pareto,
                                  make_pareto, make_st_petersburg)
-from tailmoments.errors import AdmissionError, ModelEvaluationError
+from tailmoments.errors import (AdmissionError, InconsistencyError,
+                               ModelEvaluationError)
 from tailmoments.moments import (build_curve, build_grid, check_admission,
                                  compute_h, compute_u, curve_to_csv)
 from tailmoments.params import AnalysisParams
@@ -66,6 +68,25 @@ def test_v_clamps_tiny_negative_to_zero():
     # at the support floor h = u exactly, and v must come out 0, not -1e-17
     h, _ = compute_h(m, 2.0, 1.0)
     assert h - compute_u(m, 2.0, 1.0) == 0.0
+
+
+def test_curve_clamps_v_inside_its_error_budget():
+    # a tail one ulp above its pieces at the floor: h - u = -2^-52 there,
+    # inside the budget 2 (err + eps h), so v reads 0
+    m = make_pareto(1.5, 1.0)
+    m = replace(m, tail=lambda x, tail=m.tail: tail(x) * (1.0 + 2.0 ** -52))
+    c = build_curve(m, AnalysisParams(beta=2.0, x_max=1e8))
+    assert c.grid[0] == 1.0 and c.h[0] - c.u[0] < 0.0
+    assert c.v[0] == 0.0
+    assert (c.v >= 0.0).all()
+
+
+def test_curve_v_beyond_its_error_budget_is_inconsistent():
+    # a tail that disagrees with its pieces: u = x^2 outgrows the h of the
+    # pieces, and v = h - u is negative far beyond any rounding
+    m = replace(make_pareto(1.5, 1.0), tail=lambda x: 1.0)
+    with pytest.raises(InconsistencyError, match="negative beyond the error budget"):
+        build_curve(m, AnalysisParams(beta=2.0, x_max=1e8))
 
 
 def test_u_is_boundary_term():
@@ -255,18 +276,26 @@ def test_piecewise_curve_above_breakpoints_matches_fresh_computation():
     assert (c.h == fresh).all()
 
 
-def test_smooth_curve_matches_fresh_computation():
-    m = make_pareto(1.5, 1.0)
-    p = AnalysisParams(beta=2.0, x_max=1e8)
-    c = build_curve(m, p)
-    fresh = np.array([compute_h(m, 2.0, float(x))[0] for x in c.grid])
+# pareto takes the exact piece path; inverse_log runs the quadrature
+_SMOOTH_CASES = pytest.mark.parametrize("model, beta, x_max", [
+    (make_pareto(1.5, 1.0), 2.0, 1e8),
+    (make_inverse_log(), 1.0, 1e15),
+    (make_inverse_log(), 2.0, 1e15),
+], ids=["pareto-1.5-b2", "inverse_log-b1", "inverse_log-b2"])
+
+
+@_SMOOTH_CASES
+def test_smooth_curve_matches_fresh_computation(model, beta, x_max):
+    p = AnalysisParams(beta=beta, x_max=x_max)
+    c = build_curve(model, p)
+    fresh = np.array([compute_h(model, beta, float(x))[0] for x in c.grid])
     assert np.allclose(c.h, fresh, rtol=1e-9)
 
 
-def test_curve_quadrature_error_brackets_truth():
-    m = make_pareto(1.5, 1.0)
-    c = build_curve(m, AnalysisParams(beta=2.0, x_max=1e8))
-    truth = np.array([m.closed_form_h(2.0, float(x)) for x in c.grid])
+@_SMOOTH_CASES
+def test_curve_quadrature_error_brackets_truth(model, beta, x_max):
+    c = build_curve(model, AnalysisParams(beta=beta, x_max=x_max))
+    truth = np.array([model.closed_form_h(beta, float(x)) for x in c.grid])
     assert (np.abs(c.h - truth) <= 10.0 * c.quad_error + 1e-13 * truth).all()
 
 
