@@ -283,6 +283,25 @@ def test_registry_rejects_non_numeric_value():
 
 
 # ---------------------------------------------------------------------------
+# test oracles
+
+def test_only_the_catalog_names_the_test_oracles():
+    # closed forms and ground truth exist for tests; no analysis code may
+    # read them, so no other module of the package may name them
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    package = os.path.join(root, "src", "tailmoments")
+    modules = sorted(n for n in os.listdir(package) if n.endswith(".py"))
+    assert "catalog.py" in modules and "moments.py" in modules
+    for module in modules:
+        if module == "catalog.py":
+            continue
+        with open(os.path.join(package, module)) as fh:
+            text = fh.read()
+        for name in ("closed_form_h", "ground_truth", "GroundTruth"):
+            assert name not in text, (module, name)
+
+
+# ---------------------------------------------------------------------------
 # import cost
 
 def test_import_does_not_load_scipy():
