@@ -11,13 +11,13 @@ import time
 import numpy as np
 import pytest
 
+from oracles import atom_sum_v, geometric_atoms
 from tailmoments.asymptotics import (centered_pi_ratio, estimate_rv_index,
                                      gamma_classification, pi_class_test)
 from tailmoments.catalog import (load_tabulated, make_geometric_tail,
                                  make_inverse_log, make_log_pareto,
                                  make_pareto, make_st_petersburg)
 from tailmoments.cli import main
-from oracles import atom_sum_v, geometric_atoms
 from tailmoments.moments import build_curve, compute_h, compute_u
 from tailmoments.params import AnalysisParams
 from tailmoments.verifier import verify

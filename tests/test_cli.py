@@ -186,8 +186,8 @@ def test_staircase_near_the_float_limit_reports(capsys, beta_g, p, x_max):
 
 
 def test_rel_tol_below_the_floor_is_an_error(capsys):
-    # 1e-16 passed validation and ran 3M evals on inverse_log, reporting an
-    # error 50,000x above the tolerance it had accepted
+    # 1e-16 used to pass: at x_max 1e15 inverse_log then took 3M evals and
+    # reported an error 50,000x above the tolerance it had accepted
     code, out, err = run(capsys, "verify", "--dist", "inverse_log", "--beta",
                          "1", "--rel-tol", "1e-16")
     assert code == 1 and out == "" and "Traceback" not in err
