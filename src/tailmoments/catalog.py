@@ -2,9 +2,9 @@
 
 A model is plain data plus a tail function: a survival function
 sf(x) = P(X > x), the support floor below which sf == 1, and, for a tail
-that is a power function between knots, its power pieces. The pieces are
-the one description of a model's kinks. Everything is immutable and
-evaluation is pure, so model instances can be shared freely.
+that is a power function between knots, its power pieces: the one statement
+of its law, off which its tail, its kinks and its moments are read. All is
+immutable and evaluation is pure, so model instances can be shared freely.
 
 Two fields serve tests only: an optional closed-form truncated moment used
 for cross-validation, and a ground-truth record stating the known limiting
@@ -75,10 +75,10 @@ class TailModel:
     pieces(lo, hi), when present, returns float arrays (knots, sfs, exps):
     the knots from the one at or below max(lo, support_floor) up to hi, with
     tail(y) = sfs[i] * (y / knots[i]) ** -exps[i] up to the next knot. The
-    first knot is the support floor. Moments of such a tail are exact sums,
-    and its knots are its only kinks and jumps. A tail without pieces must
-    be continuous above its support floor: the floor is its one kink, and
-    quadrature integrates it from there without a split.
+    first knot is the support floor. Such a tail (_piece_tail) and its
+    moments h and u are read off the pieces, whose knots are its only kinks
+    and jumps. A tail without pieces must be continuous above its support
+    floor: the floor is its one kink, and quadrature integrates it unsplit.
     """
 
     name: str
@@ -102,6 +102,15 @@ class TailModel:
             return []
         knots = self.pieces(lo, hi)[0]
         return knots[knots >= lo].tolist()
+
+
+def _piece_tail(pieces) -> Callable[[float], float]:
+    """The scalar tail that pieces state (TailModel): 1 below the first knot,
+    exactly sfs[i] on a piece with exps[i] == 0, as a 0-th power is 1."""
+    def tail(x: float) -> float:
+        knots, sfs, exps = pieces(x, x)  # ends with the piece of x, if any
+        return float(sfs[-1] * (x / knots[-1]) ** -exps[-1]) if len(knots) else 1.0
+    return tail
 
 
 # ---------------------------------------------------------------------------
@@ -134,11 +143,6 @@ def make_pareto(alpha: float, x_floor: float = 1.0) -> TailModel:
     if not (x_floor > 0.0 and math.isfinite(x_floor)):
         raise ModelValidationError(f"x_floor must be positive, got {x_floor!r}")
 
-    def tail(x: float) -> float:
-        if x <= x_floor:
-            return 1.0
-        return (x / x_floor) ** (-alpha)
-
     def pieces(lo: float, hi: float):
         n = int(hi >= x_floor)
         return (np.full(n, x_floor, dtype=float), np.ones(n),
@@ -157,7 +161,7 @@ def make_pareto(alpha: float, x_floor: float = 1.0) -> TailModel:
     return TailModel(
         name=f"pareto(alpha={alpha:g},x_floor={x_floor:g})",
         support_floor=x_floor,
-        tail=tail,
+        tail=_piece_tail(pieces),
         pieces=pieces,
         closed_form_h=closed_form_h,
         ground_truth=_power_law_truth(alpha),
@@ -180,16 +184,10 @@ def make_geometric_tail(beta_g: float, p: float) -> TailModel:
     # integer parameters would make p ** k exact big ints, and grids object arrays
     beta_g, p = float(beta_g), float(p)
 
-    def tail(x: float) -> float:
-        if x < p:
-            return 1.0
-        return p ** (-beta_g * _floor_log(x, p))
-
     def pieces(lo: float, hi: float):
         # k of the knots p^k from the one at or below max(lo, p) up to hi
         ks = (range(max(1, _floor_log(max(lo, p), p)), _floor_log(hi, p) + 1)
               if hi >= p else range(0))
-        # the same expressions as tail, so sfs[i] == tail(knots[i]) bitwise
         return (np.array([p ** k for k in ks], dtype=float),
                 np.array([p ** (-beta_g * k) for k in ks], dtype=float),
                 np.zeros(len(ks)))
@@ -201,7 +199,7 @@ def make_geometric_tail(beta_g: float, p: float) -> TailModel:
     return TailModel(
         name=f"geometric(beta_g={beta_g:g},p={p:g})",
         support_floor=p,
-        tail=tail,
+        tail=_piece_tail(pieces),
         pieces=pieces,
         ground_truth=GroundTruth(rho_of=rho_of, tail_is_rv=False, pi_member=False),
     )
@@ -290,7 +288,7 @@ def load_tabulated(path: str) -> TailModel:
     (0, 1]. Zero tail values are rejected: log-linear interpolation is
     undefined there (and such a tail has a finite moment anyway). Left of the
     first sample the survival function is 1; right of the last sample it is
-    held constant and an ExtrapolationWarning is issued once per model.
+    held constant, with one ExtrapolationWarning when pieces first go there.
     """
     xs: list[float] = []
     ts: list[float] = []
@@ -330,32 +328,22 @@ def load_tabulated(path: str) -> TailModel:
         raise TableFormatError(f"need at least 2 samples, got {len(xs)}")
 
     knots, sfs = np.asarray(xs), np.asarray(ts)
-    log_xs = np.log(knots)
-    log_ts = np.log(sfs)
     # the log-log slope of each row to the next; held constant past the last
-    exps = np.append(-np.diff(log_ts) / np.diff(log_xs), 0.0)
-    x_first, x_last, t_last = xs[0], xs[-1], ts[-1]
+    exps = np.append(-np.diff(np.log(sfs)) / np.diff(np.log(knots)), 0.0)
     warned = [False]  # one-shot flag; benign under concurrent evaluation
 
-    def tail(x: float) -> float:
-        if x < x_first:
-            return 1.0
-        if x > x_last:
-            if not warned[0]:
-                warned[0] = True
-                warnings.warn(
-                    f"evaluating {name!r} beyond its last sample x={x_last:g}; "
-                    "holding tail constant", ExtrapolationWarning, stacklevel=2)
-            return t_last
-        return float(math.exp(np.interp(math.log(x), log_xs, log_ts)))
-
     def pieces(lo: float, hi: float):
+        if hi > xs[-1] and not warned[0]:
+            warned[0] = True
+            warnings.warn(
+                f"evaluating {name!r} beyond its last sample x={xs[-1]:g}; "
+                "holding tail constant", ExtrapolationWarning, stacklevel=2)
         i = max(int(np.searchsorted(knots, lo, side="right")) - 1, 0)
         j = int(np.searchsorted(knots, hi, side="right"))
         return knots[i:j], sfs[i:j], exps[i:j]
 
     name = f"tabulated({os.path.basename(path)})"
-    return TailModel(name=name, support_floor=x_first, tail=tail, pieces=pieces)
+    return TailModel(name, xs[0], _piece_tail(pieces), pieces)
 
 
 # ---------------------------------------------------------------------------

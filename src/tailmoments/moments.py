@@ -6,12 +6,11 @@ Two quantities drive everything downstream, linked by one identity:
     v(x) = int_[0,x] y^beta dF(y)                  (Stieltjes form)
     v(x) = h(x) - x^beta sf(x)                     (integration by parts)
 
-We compute h exactly where the tail is a power function between knots (a
-staircase, a Pareto tail, a log-linear table), as a running sum of closed-form
-pieces, and by adaptive quadrature otherwise. v follows through the identity,
-with an error budget that keeps the subtraction's health checkable. The
-normalized shares r1 = x^beta sf(x) / h(x) and r2 = v / h always sum to 1 by
-construction.
+Where the tail is a power function between knots (a staircase, a Pareto
+tail, a log-linear table), h and u = x^beta sf(x) are read off its pieces;
+otherwise h is adaptive quadrature and u calls the tail. v follows through
+the identity, with an error budget that keeps the subtraction checkable. The
+shares r1 = u / h and r2 = v / h always sum to 1 by construction.
 """
 
 from __future__ import annotations
@@ -129,6 +128,18 @@ def compute_u(model: TailModel, beta: float, x: float) -> float:
     return x ** beta * model.tail(x)
 
 
+def _boundary(model: TailModel, beta: float, xs: np.ndarray) -> np.ndarray:
+    """u at xs: read off the pieces as h is, else one compute_u per point."""
+    if model.pieces is None:
+        return np.array([compute_u(model, beta, x) for x in xs])
+    knots, sfs, exps = model.pieces(model.support_floor, float(xs[-1]))
+    j = np.searchsorted(knots, xs, side="right") - 1
+    sf, on = np.ones(len(xs)), j >= 0  # sf == 1 below the floor
+    k = j[on]
+    sf[on] = sfs[k] * np.array([q ** -a for q, a in zip(xs[on] / knots[k], exps[k])])
+    return _powers(xs, beta) * sf
+
+
 def _stieltjes(model: TailModel, xs: np.ndarray, hs: np.ndarray,
                us: np.ndarray, errs: np.ndarray) -> np.ndarray:
     """v = h - u pointwise, clamping negatives inside the error budget to 0."""
@@ -220,8 +231,8 @@ def build_curve(model: TailModel, params: AnalysisParams) -> MomentCurve:
 
     One pass: the h kernel runs once along the grid, so h on the curve
     equals compute_h bit for bit for models with pieces and to quadrature
-    accuracy otherwise. u is evaluated once per point, v = h - u
-    is one array expression, and admission is read off the finished curve.
+    accuracy otherwise. u is read off the same pieces, v = h - u is one
+    array expression, and admission is read off the finished curve.
     A curve that overflows (h or u not finite at some grid point) raises
     ModelEvaluationError before admission is judged.
     """
@@ -229,7 +240,7 @@ def build_curve(model: TailModel, params: AnalysisParams) -> MomentCurve:
     grid = build_grid(model, params)
     with np.errstate(over="ignore", invalid="ignore"):
         hs, errs = _accumulate(model, beta, grid, params.rel_tol)
-        us = np.array([compute_u(model, beta, x) for x in grid])
+        us = _boundary(model, beta, grid)
     bad = np.flatnonzero(~(np.isfinite(hs) & np.isfinite(us)))
     if len(bad):
         k = bad[0]

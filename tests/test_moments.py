@@ -71,10 +71,11 @@ def test_v_clamps_tiny_negative_to_zero():
 
 
 def test_curve_clamps_v_inside_its_error_budget():
-    # a tail one ulp above its pieces at the floor: h - u = -2^-52 there,
-    # inside the budget 2 (err + eps h), so v reads 0
+    # a tail without pieces, one ulp above the pareto law: h(1) = 1 below
+    # u(1) by 2^-52, inside the budget 2 (err + eps h), so v reads 0
     m = make_pareto(1.5, 1.0)
-    m = replace(m, tail=lambda x, tail=m.tail: tail(x) * (1.0 + 2.0 ** -52))
+    m = replace(m, pieces=None,
+                tail=lambda x, tail=m.tail: tail(x) * (1.0 + 2.0 ** -52))
     c = build_curve(m, AnalysisParams(beta=2.0, x_max=1e8))
     assert c.grid[0] == 1.0 and c.h[0] - c.u[0] < 0.0
     assert c.v[0] == 0.0
@@ -82,9 +83,10 @@ def test_curve_clamps_v_inside_its_error_budget():
 
 
 def test_curve_v_beyond_its_error_budget_is_inconsistent():
-    # a tail that disagrees with its pieces: u = x^2 outgrows the h of the
-    # pieces, and v = h - u is negative far beyond any rounding
-    m = replace(make_pareto(1.5, 1.0), tail=lambda x: 1.0)
+    # pieces whose sf rises as x^0.5: u = x^2.5 outgrows h = 0.2 + 0.8 x^2.5,
+    # and v = h - u is negative far beyond any rounding
+    m = replace(make_pareto(1.5, 1.0), pieces=lambda lo, hi: (
+        np.ones(1), np.ones(1), np.full(1, -0.5)))
     with pytest.raises(InconsistencyError, match="negative beyond the error budget"):
         build_curve(m, AnalysisParams(beta=2.0, x_max=1e8))
 
