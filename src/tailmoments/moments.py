@@ -129,15 +129,25 @@ def compute_u(model: TailModel, beta: float, x: float) -> float:
 
 
 def _boundary(model: TailModel, beta: float, xs: np.ndarray) -> np.ndarray:
-    """u at xs: read off the pieces as h is, else one compute_u per point."""
+    """u at xs: read off the pieces as h is, else one compute_u per point.
+
+    Where x^beta sf(x) is not finite on a power piece (x^beta past the float
+    range), u is formed as sf_i knot_i^beta (x / knot_i)^(beta - a_i).
+    """
     if model.pieces is None:
         return np.array([compute_u(model, beta, x) for x in xs])
     knots, sfs, exps = model.pieces(model.support_floor, float(xs[-1]))
     j = np.searchsorted(knots, xs, side="right") - 1
-    sf, on = np.ones(len(xs)), j >= 0  # sf == 1 below the floor
-    k = j[on]
-    sf[on] = sfs[k] * np.array([q ** -a for q, a in zip(xs[on] / knots[k], exps[k])])
-    return _powers(xs, beta) * sf
+    on = np.flatnonzero(j >= 0)  # sf == 1 below the floor
+    k, q = j[on], xs[on] / knots[j[on]]
+    sf = np.ones(len(xs))
+    sf[on] = sfs[k] * np.array([y ** -a for y, a in zip(q, exps[k])])
+    us = _powers(xs, beta) * sf
+    big = ~np.isfinite(us[on]) & (exps[k] != 0.0)
+    k, q = k[big], q[big]
+    us[on[big]] = sfs[k] * _powers(knots[k], beta) * np.array(
+        [y ** (beta - a) for y, a in zip(q, exps[k])])
+    return us
 
 
 def _stieltjes(model: TailModel, xs: np.ndarray, hs: np.ndarray,

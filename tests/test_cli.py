@@ -156,14 +156,15 @@ def test_commensurable_scales_leave_rv_verdicts_undecided(capsys):
 
 
 def test_verify_at_float_range_edge_has_no_traceback(capsys):
-    # h(1e300) ~ 1e150 is representable but the quadrature weight e^(2t) is
-    # not: a clean error today, a report once the arithmetic is rescaled
+    # h(1e300) ~ 4e150 and u(1e300) = 1e150 are representable, although
+    # x^2 is not: u is formed from the piece as (x / floor)^(2 - alpha)
     code, out, err = run(capsys, "verify", "--dist", "pareto", "--param",
                          "alpha=1.5", "--beta", "2", "--x-max", "1e300")
     assert "Traceback" not in err
-    assert code in (0, 1)
-    if code == 1:
-        assert err.startswith("error:")
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["regime"] == "interior" and report["consistent"] is True
+    assert report["violations"] == []
 
 
 @pytest.mark.parametrize("beta_g, p, x_max", [

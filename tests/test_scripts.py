@@ -21,11 +21,15 @@ def _run_script(name: str, *args: str) -> subprocess.CompletedProcess:
 def test_verify_catalog_reports_errors_as_rows_at_1e300():
     proc = _run_script("verify_catalog.py", "--x-max", "1e300")
     assert "Traceback" not in proc.stderr
-    assert proc.returncode == 1  # three cases overflow the float range
+    assert proc.returncode == 1  # two cases overflow the float range
     errors = [line for line in proc.stdout.splitlines() if " error: " in line]
-    assert len(errors) == 3
-    assert any(line.startswith("pareto(alpha=1.5") for line in errors)
+    assert len(errors) == 2
     assert any("leaves the float range" in line for line in errors)
+    # u = x^2 sf(x) is formed without x^2, which passes the float range
+    pareto = [line.split() for line in proc.stdout.splitlines()
+              if line.startswith("pareto(alpha=1.5")]
+    assert len(pareto) == 1
+    assert pareto[0][2] == "interior" and pareto[0][-1] == "yes"
     assert "NO" not in proc.stdout.split()
     assert "FAIL" not in proc.stdout and "VIOLATION" not in proc.stdout
 
