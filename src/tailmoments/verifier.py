@@ -19,7 +19,8 @@ The verifier estimates every statement independently, classifies the regime
 from the boundary/Stieltjes mass split, and checks that no decided verdict
 contradicts what the theorem requires in that regime. Estimates that have
 not converged, and regular-variation estimates from scale factors that could
-alias, stay 'undecided' and never count against consistency.
+alias or from a window that misses the kinks of a piecewise law, stay
+'undecided' and never count against consistency.
 """
 
 from __future__ import annotations
@@ -101,7 +102,8 @@ def _verdict(estimate: float, spread: float, trend: float,
     tolerance false. Either call needs decidable evidence; for an RV
     estimate that is a pair of scale factors with incommensurable logs,
     since a log-periodic tail sampled at its own period looks stable at
-    every commensurable scale.
+    every commensurable scale, and a window holding two knots of a law
+    that has several.
     """
     verdict = _UNDECIDED
     if decidable and params.converged(spread, trend):
@@ -135,6 +137,11 @@ def verify(model: TailModel, params: AnalysisParams,
     else:
         check_admission(model, params, curve)
 
+    # a law with kinks across the range but fewer than two in the window
+    # looks like a single power there: its RV estimates are truncated
+    truncated = (len(model.breakpoints(params.x_min, params.x_max)) >= 2
+                 and len(model.breakpoints(*params.window())) < 2)
+
     def rv(values: np.ndarray, index_shift: float = 0.0) -> ConditionVerdict:
         try:
             est = estimate_rv_index(curve.grid, values, params)
@@ -142,7 +149,7 @@ def verify(model: TailModel, params: AnalysisParams,
             return ConditionVerdict(verdict=_UNDECIDED, estimate=None,
                                     spread=math.inf)
         return _verdict(est.rho_hat + index_shift, est.spread, est.trend, params,
-                        has_incommensurable_pair(
+                        not truncated and has_incommensurable_pair(
                             tuple(np.unique(est.per_scale.lam))))
 
     r1_stats = _series_stats(curve.grid, curve.r1, params)

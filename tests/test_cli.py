@@ -167,6 +167,19 @@ def test_verify_at_float_range_edge_has_no_traceback(capsys):
     assert report["violations"] == []
 
 
+def test_window_without_kinks_leaves_rv_verdicts_undecided(capsys):
+    # the 3-decade window [1e302, 1e305] holds no knot of the 10-decade
+    # staircase, whose sf is constant there: no evidence of regular variation
+    code, out, err = run(capsys, "verify", "--dist", "geometric", "--param",
+                         "beta_g=0.5", "--param", "p=1e10", "--beta", "0.5",
+                         "--x-max", "1e305")
+    assert code == 0 and "Traceback" not in err
+    report = json.loads(out)
+    assert report["regime"] == "rho_zero" and report["consistent"] is True
+    for name in ("h_rv", "v_rv", "f_rv"):
+        assert report["conditions"][name]["verdict"] == "undecided", name
+
+
 @pytest.mark.parametrize("beta_g, p, x_max", [
     ("0.5", "3", "1.7e308"),
     ("1", "10", "1.7e308"),
