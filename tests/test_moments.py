@@ -11,8 +11,8 @@ from oracles import atom_sum_v, geometric_atoms
 from tailmoments.catalog import (TailModel, load_tabulated, make_geometric_tail,
                                  make_inverse_log, make_log_pareto,
                                  make_pareto, make_st_petersburg)
-from tailmoments.errors import (AdmissionError, InconsistencyError,
-                               ModelEvaluationError)
+from tailmoments.errors import (AdmissionError, ExtrapolationWarning,
+                               InconsistencyError, ModelEvaluationError)
 from tailmoments.moments import (build_curve, build_grid, check_admission,
                                  compute_h, compute_u, curve_to_csv)
 from tailmoments.params import AnalysisParams
@@ -94,6 +94,48 @@ def test_curve_v_beyond_its_error_budget_is_inconsistent():
 def test_u_is_boundary_term():
     m = make_pareto(2.0, 1.0)
     assert compute_u(m, 3.0, 10.0) == 10.0 ** 3 * 10.0 ** -2.0
+
+
+def _piece_cases(table):
+    """(model, beta, x_max) for each kind of piecewise-power model."""
+    return [(make_pareto(1.5, 1.0), 2.0, 1e300),
+            (make_st_petersburg(), 1.0, 1e300),
+            (make_geometric_tail(0.5, 3.0), 0.5, 1e300),
+            (load_tabulated(table), 1.0, 1e13)]
+
+
+def test_curve_u_is_compute_u_bitwise(power_table):
+    # u on the curve is read off the pieces, and so is the scalar tail
+    for m, beta, x_max in _piece_cases(power_table):
+        c = build_curve(m, AnalysisParams(beta=beta, x_max=x_max))
+        with np.errstate(over="ignore", invalid="ignore"):  # inf * 0
+            ref = np.array([compute_u(m, beta, x) for x in c.grid])
+        finite = np.isfinite(ref)
+        assert finite.sum() > 100, m.name
+        assert (c.u[finite] == ref[finite]).all(), m.name
+
+
+def test_tail_is_sfs_at_every_knot(power_table):
+    for m, _, x_max in _piece_cases(power_table):
+        knots, sfs, _ = m.pieces(m.support_floor, x_max)
+        assert len(knots) >= 1
+        assert [m.tail(k) for k in knots.tolist()] == sfs.tolist(), m.name
+
+
+def test_curve_of_a_piece_model_calls_no_tail(power_table):
+    for m, beta, x_max in _piece_cases(power_table):
+        calls = []
+        counted = replace(m, tail=lambda x, tail=m.tail: calls.append(x) or tail(x))
+        build_curve(counted, AnalysisParams(beta=beta, x_max=x_max))
+        assert calls == [], m.name
+
+
+def test_table_curve_past_its_last_row_warns_once(power_table):
+    m = load_tabulated(power_table)  # rows up to 1e13
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        build_curve(m, AnalysisParams(beta=1.0, x_max=1e15))
+    assert [w.category for w in caught] == [ExtrapolationWarning]
 
 
 @pytest.mark.parametrize("model, beta, x", [
