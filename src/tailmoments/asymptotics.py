@@ -96,12 +96,19 @@ class GammaResult:
     regime: str
 
 
-def centered_pi_ratio(tail, x: float, lam: float) -> float:
-    """(sf(lam x) - sf(x/lam)) / (sf(e x) - sf(x/e)); nan when the base step vanishes."""
-    denom = tail(math.e * x) - tail(x / math.e)
-    if abs(denom) <= _DENOM_FLOOR * max(tail(x), 1e-300):
-        return math.nan
-    return (tail(lam * x) - tail(x / lam)) / denom
+def _centered(sf_up, sf_down, sf_x, sf_ex, sf_xe):
+    """(sf(lam x) - sf(x/lam)) / (sf(e x) - sf(x/e)) from those values."""
+    denom = sf_ex - sf_xe
+    vanishes = np.abs(denom) <= _DENOM_FLOOR * np.maximum(sf_x, 1e-300)
+    return (sf_up - sf_down) / np.where(vanishes, np.nan, denom)
+
+
+def centered_pi_ratio(tail, x, lam: float):
+    """(sf(lam x) - sf(x/lam)) / (sf(e x) - sf(x/e)) at each of the points x;
+    nan where the base step vanishes."""
+    x = np.asarray(x, dtype=float)
+    return _centered(tail(lam * x), tail(x / lam), tail(x), tail(math.e * x),
+                     tail(x / math.e))[()]
 
 
 @functools.cache
@@ -216,9 +223,10 @@ def pi_class_test(model: TailModel, params: AnalysisParams) -> PiTestResult:
     ratio to stay within PI_REL_TOL of ln(lam) across the whole window.
     Points where the base step sf(e x) - sf(x/e) vanishes numerically are
     skipped; if everything is skipped the test is indeterminate (typical of
-    exactly constant or purely atomic tails sampled between atoms). Each
-    distinct tail point is evaluated once. The window's top is clipped so
-    that lam x and e x stay inside the float range.
+    exactly constant or purely atomic tails sampled between atoms). The tail
+    is called once per abscissa array: x, e x, x/e, lam x and x/lam, the
+    last two with a row per lam. The window's top is clipped so that lam x
+    and e x stay inside the float range.
     """
     lo, hi = params.window()
     lo = max(lo, model.support_floor * math.e)  # keep x/e above the floor
@@ -231,16 +239,14 @@ def pi_class_test(model: TailModel, params: AnalysisParams) -> PiTestResult:
     lambdas = [l for l in params.lambdas if not math.isclose(l, math.e)]
     if not lambdas:
         raise IndeterminateError("all scale factors coincide with the base e")
-    tail = functools.cache(model.tail)
-    n_skipped = 0
-    per_lambda: dict[float, float] = {}
-    for lam in lambdas:
-        log_lam = math.log(lam)
-        r = np.array([centered_pi_ratio(tail, float(x), lam) for x in xs])
-        used = ~np.isnan(r)
-        n_skipped += int(len(r) - used.sum())
-        if used.any():
-            per_lambda[lam] = float(np.max(np.abs(r[used] - log_lam) / log_lam))
+    tail, lams = model.tail, np.array(lambdas)[:, None]
+    base = tail(xs), tail(math.e * xs), tail(xs / math.e)  # sf at x, e x, x/e
+    r = _centered(tail(lams * xs), tail(xs / lams), *base)  # a row per lam
+    used = ~np.isnan(r)
+    n_skipped = int(r.size - used.sum())
+    per_lambda = {lam: float(np.max(np.abs(row[ok] - math.log(lam))
+                                    / math.log(lam)))
+                  for lam, row, ok in zip(lambdas, r, used) if ok.any()}
     if not per_lambda:
         raise IndeterminateError(
             f"centered ratio undefined everywhere in [{lo:g}, {hi:g}] "
@@ -249,14 +255,18 @@ def pi_class_test(model: TailModel, params: AnalysisParams) -> PiTestResult:
     is_member = max_rel <= PI_REL_TOL
 
     # auxiliary-function samples from forward e-steps; sign fixes the gauge c
-    diffs = np.array([tail(float(x)) - tail(math.e * float(x)) for x in xs])
+    diffs = base[0] - base[1]
     nonzero = diffs[diffs != 0.0]
     c_hat = 1.0 if not len(nonzero) or nonzero[-1] >= 0.0 else -1.0
     ell = diffs / c_hat
     pos = ell > 0.0
     ell_index_hat = None
     if pos.sum() >= _MIN_PAIRS:
-        ell_index_hat = float(np.polyfit(np.log(xs[pos]), np.log(ell[pos]), 1)[0])
+        # the least-squares slope by hand: np.polyfit's LAPACK call would
+        # touch ~1 MB of buffers, the only LAPACK use of a report
+        lx, ly = np.log(xs[pos]), np.log(ell[pos])
+        lx -= lx.mean()
+        ell_index_hat = float(np.sum(lx * (ly - ly.mean())) / np.sum(lx * lx))
     return PiTestResult(is_member=is_member, c_hat=c_hat,
                         per_lambda_residuals=per_lambda,
                         n_skipped=n_skipped, window=(lo, hi),

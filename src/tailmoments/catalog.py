@@ -70,8 +70,9 @@ class GroundTruth:
 class TailModel:
     """A survival function plus the structure the integrators rely on.
 
-    tail(x) must be defined for every x > 0, non-increasing, with values in
-    [0, 1] and tail(x) == 1 for x < support_floor.
+    tail maps a float array of points x > 0 to the same-shape array of
+    sf(x) (a scalar to a scalar), one call for a whole curve's points: it is
+    non-increasing, with values in [0, 1] and 1 below support_floor.
     pieces(lo, hi), when present, returns float arrays (knots, sfs, exps):
     the knots from the one at or below max(lo, support_floor) up to hi, with
     tail(y) = sfs[i] * (y / knots[i]) ** -exps[i] up to the next knot. The
@@ -104,12 +105,25 @@ class TailModel:
         return knots[knots >= lo].tolist()
 
 
-def _piece_tail(pieces) -> Callable[[float], float]:
-    """The scalar tail that pieces state (TailModel): 1 below the first knot,
-    exactly sfs[i] on a piece with exps[i] == 0, as a 0-th power is 1."""
-    def tail(x: float) -> float:
-        knots, sfs, exps = pieces(x, x)  # ends with the piece of x, if any
-        return float(sfs[-1] * (x / knots[-1]) ** -exps[-1]) if len(knots) else 1.0
+def _piece_sf(knots: np.ndarray, sfs: np.ndarray, exps: np.ndarray,
+              xs: np.ndarray) -> np.ndarray:
+    """sf at the points xs read off pieces (TailModel): 1 below the first
+    knot, exactly sfs[i] on a flat piece, else sfs[i] times the scalar power
+    (x / knots[i]) ** -exps[i], which numpy's vector power can miss by a bit."""
+    j = np.searchsorted(knots, xs, side="right") - 1
+    sf = np.append(sfs, 1.0)[j]  # j = -1 below the first knot reads the 1
+    on = np.append(exps, 0.0)[j] != 0.0
+    sf[on] *= [q ** -a for q, a in zip((xs[on] / knots[j[on]]).tolist(),
+                                       exps[j[on]].tolist())]
+    return sf
+
+
+def _piece_tail(pieces) -> Callable[[np.ndarray], np.ndarray]:
+    """The tail that pieces state, with one pieces call per array."""
+    def tail(x):
+        xs = np.asarray(x, dtype=float)
+        knots, sfs, exps = pieces(float(xs.min()), float(xs.max()))
+        return _piece_sf(knots, sfs, exps, np.atleast_1d(xs)).reshape(xs.shape)[()]
     return tail
 
 
@@ -224,10 +238,8 @@ def make_inverse_log() -> TailModel:
     function belongs to the de Haan class with auxiliary 1/(ln x)^2.
     """
 
-    def tail(x: float) -> float:
-        if x <= _E:
-            return 1.0
-        return 1.0 / math.log(x)
+    def tail(x):
+        return 1.0 / np.log(np.maximum(x, _E))  # ln e == 1.0 exactly
 
     def closed_form_h(beta: float, x: float) -> float:
         if x <= _E:
@@ -264,10 +276,10 @@ def make_log_pareto(alpha: float, a: float = 0.0) -> TailModel:
             f"a / alpha = {a / alpha:g} is too large: the support floor "
             "e^(a/alpha) or its normalisation leaves the float range") from None
 
-    def tail(x: float) -> float:
-        if x <= x0:
-            return 1.0
-        return min(1.0, c * x ** (-alpha) * math.log(x) ** a)
+    def tail(x):
+        y = np.maximum(x, x0)
+        return np.where(y > x0, np.minimum(1.0, c * y ** -alpha * np.log(y) ** a),
+                        1.0)[()]
 
     return TailModel(
         name=f"log_pareto(alpha={alpha:g},a={a:g})",

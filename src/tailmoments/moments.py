@@ -8,9 +8,10 @@ Two quantities drive everything downstream, linked by one identity:
 
 Where the tail is a power function between knots (a staircase, a Pareto
 tail, a log-linear table), h and u = x^beta sf(x) are read off its pieces;
-otherwise h is adaptive quadrature and u calls the tail. v follows through
-the identity, with an error budget that keeps the subtraction checkable. The
-shares r1 = u / h and r2 = v / h always sum to 1 by construction.
+otherwise h is one Gauss–Kronrod pass over every grid step plus a cumsum,
+and u is one array call of the tail. v follows through the identity, with
+an error budget that keeps the subtraction checkable. The shares r1 = u / h
+and r2 = v / h always sum to 1 by construction.
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import TailModel
+from .catalog import TailModel, _piece_sf
 from .errors import AdmissionError, InconsistencyError, ModelEvaluationError
 from .params import AnalysisParams
-from .quadrature import integrate_tail_piece
+from .quadrature import integrate_tail
 
 _EPS = 2.0 ** -52
 #: admission proxy: the moment must keep growing across the analysis span
@@ -70,8 +71,8 @@ def _accumulate(model: TailModel, beta: float, xs,
     The one h kernel: h(x) = x^beta up to the support floor. Above it, h at
     each knot of a model with pieces is the in-order np.cumsum of the whole
     pieces below, and a point adds its partial piece, whatever the other
-    points. Otherwise the tail is continuous above the floor, and each step
-    adds a quadrature increment from the last point.
+    points. Otherwise the tail is continuous above the floor, and h is the
+    cumsum of one quadrature pass over the steps from the floor.
     """
     xs = np.asarray(xs, dtype=float)
     floor = model.support_floor
@@ -93,14 +94,12 @@ def _accumulate(model: TailModel, beta: float, xs,
         h = at_knot[j[n:]] + seg[n:]
         err = knot_err[j[n:]] + (2.0 * _EPS * (np.abs(seg[n:]) + h) + seg_err[n:])
         return np.append(hs, h), np.append(errs, err)
-    h, err = np.empty(len(xs)), np.empty(len(xs))
-    ax, ah, ae = floor, h0, _EPS * h0
-    for i, x in enumerate(xs.tolist()):
-        seg, seg_err = integrate_tail_piece(model.tail, beta, ax, x, rel_tol)
-        h[i] = ah + seg
-        err[i] = ae + seg_err + _EPS * h[i]
-        ax, ah, ae = x, h[i], err[i]
-    return np.append(hs, h), np.append(errs, err)
+    if not len(xs):
+        return hs, errs
+    vals, val_errs = integrate_tail(model.tail, beta, np.append(floor, xs),
+                                    rel_tol)
+    h = h0 + vals
+    return np.append(hs, h), np.append(errs, _EPS * h0 + val_errs + _EPS * h)
 
 
 def compute_h(model: TailModel, beta: float, x: float,
@@ -108,7 +107,7 @@ def compute_h(model: TailModel, beta: float, x: float,
     """Truncated moment h(x) = beta * int_0^x y^(beta-1) sf(y) dy, with error.
 
     The h kernel run at x alone: closed form below the floor, exact sums of
-    power pieces for models that have them, one adaptive quadrature from the
+    power pieces for models that have them, one quadrature step from the
     floor otherwise. Returns (value, error_bound); an h past the float range
     raises ModelEvaluationError.
     """
@@ -129,24 +128,20 @@ def compute_u(model: TailModel, beta: float, x: float) -> float:
 
 
 def _boundary(model: TailModel, beta: float, xs: np.ndarray) -> np.ndarray:
-    """u at xs: read off the pieces as h is, else one compute_u per point.
+    """u at xs: x^beta times sf, read off the pieces as h is, else one call.
 
     Where x^beta sf(x) is not finite on a power piece (x^beta past the float
     range), u is formed as sf_i knot_i^beta (x / knot_i)^(beta - a_i).
     """
     if model.pieces is None:
-        return np.array([compute_u(model, beta, x) for x in xs])
+        return _powers(xs, beta) * model.tail(xs)
     knots, sfs, exps = model.pieces(model.support_floor, float(xs[-1]))
+    us = _powers(xs, beta) * _piece_sf(knots, sfs, exps, xs)
     j = np.searchsorted(knots, xs, side="right") - 1
-    on = np.flatnonzero(j >= 0)  # sf == 1 below the floor
-    k, q = j[on], xs[on] / knots[j[on]]
-    sf = np.ones(len(xs))
-    sf[on] = sfs[k] * np.array([y ** -a for y, a in zip(q, exps[k])])
-    us = _powers(xs, beta) * sf
-    big = ~np.isfinite(us[on]) & (exps[k] != 0.0)
-    k, q = k[big], q[big]
-    us[on[big]] = sfs[k] * _powers(knots[k], beta) * np.array(
-        [y ** (beta - a) for y, a in zip(q, exps[k])])
+    big = np.flatnonzero(~np.isfinite(us) & (np.append(exps, 0.0)[j] != 0.0))
+    k = j[big]
+    us[big] = sfs[k] * _powers(knots[k], beta) * np.array(
+        [y ** (beta - a) for y, a in zip(xs[big] / knots[k], exps[k])])
     return us
 
 

@@ -2,6 +2,7 @@ import math
 import warnings
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -229,7 +230,7 @@ def test_grid_contains_support_floor():
     # the floor is a kink even for a model without pieces, so the admission
     # point max(x_min, floor) is always on the grid
     m = TailModel(name="floor-only", support_floor=7.5,
-                  tail=lambda x: 1.0 if x <= 7.5 else 7.5 / x)
+                  tail=lambda x: np.where(x <= 7.5, 1.0, 7.5 / x))
     grid = build_grid(m, AnalysisParams(beta=2.0, x_max=1e4))
     assert 7.5 in grid
 
@@ -341,6 +342,46 @@ def test_curve_quadrature_error_brackets_truth(model, beta, x_max):
     c = build_curve(model, AnalysisParams(beta=beta, x_max=x_max))
     truth = np.array([model.closed_form_h(beta, float(x)) for x in c.grid])
     assert (np.abs(c.h - truth) <= 10.0 * c.quad_error + 1e-13 * truth).all()
+
+
+def _mp_inverse_log_h(model, beta, x):
+    """h(x) of inverse_log to 40 digits: e^beta + beta (li(x^beta) - li(e^beta))."""
+    x, b = mpmath.mpf(x), mpmath.mpf(beta)
+    if x <= mpmath.e:
+        return x ** b
+    return mpmath.e ** b + b * (mpmath.li(x ** b) - mpmath.li(mpmath.e ** b))
+
+
+def _mp_log_pareto_h(model, beta, x):
+    """h(x) of log_pareto(0.5, 1) at beta = 1 to 40 digits, from the floor
+    x0 = e^2 and the normalisation c = x0^0.5 / ln x0 as the model rounds
+    them: beta c int y^-0.5 ln y dy = c y^0.5 (2 ln y - 4)."""
+    x0 = model.support_floor
+    c = mpmath.mpf(x0 ** 0.5 / math.log(x0))
+    x, x0 = mpmath.mpf(x), mpmath.mpf(x0)
+    if x <= x0:
+        return x
+
+    def antiderivative(y):
+        return c * mpmath.sqrt(y) * (2 * mpmath.log(y) - 4)
+
+    return x0 + antiderivative(x) - antiderivative(x0)
+
+
+@pytest.mark.parametrize("model, beta, x_max, exact_h", [
+    (make_inverse_log(), 1.0, 1e300, _mp_inverse_log_h),
+    (make_inverse_log(), 2.0, 1e150, _mp_inverse_log_h),
+    (make_log_pareto(0.5, 1.0), 1.0, 1e300, _mp_log_pareto_h),
+], ids=["inverse_log-b1-1e300", "inverse_log-b2-1e150", "log_pareto-b1-1e300"])
+def test_curve_quadrature_error_bounds_the_mpmath_truth(model, beta, x_max,
+                                                       exact_h):
+    # no factor and no slack: the bound must hold as reported
+    c = build_curve(model, AnalysisParams(beta=beta, x_max=x_max))
+    with mpmath.workdps(40):
+        for i in np.linspace(0, len(c.grid) - 1, 30).astype(int).tolist():
+            x = float(c.grid[i])
+            truth = exact_h(model, beta, x)
+            assert abs(mpmath.mpf(float(c.h[i])) - truth) <= c.quad_error[i], x
 
 
 def test_curve_inadmissible_model_raises():

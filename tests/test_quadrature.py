@@ -1,10 +1,15 @@
 import math
+from dataclasses import replace
 
+import mpmath
+import numpy as np
 import pytest
 
-from tailmoments.catalog import TailModel
+from tailmoments import quadrature
+from tailmoments.catalog import TailModel, make_inverse_log
 from tailmoments.errors import ConvergenceError, ModelEvaluationError
-from tailmoments.moments import compute_h
+from tailmoments.moments import build_curve, compute_h
+from tailmoments.params import AnalysisParams
 from tailmoments.quadrature import _MAX_INTERVALS, integrate_tail_piece
 
 
@@ -29,9 +34,9 @@ def test_error_estimate_is_honest():
 
 
 def test_tighter_tolerance_reduces_error():
-    _, err_loose = integrate_tail_piece(lambda y: 1 / math.log(y), 1.0,
+    _, err_loose = integrate_tail_piece(lambda y: 1 / np.log(y), 1.0,
                                         3.0, 1e6, rel_tol=1e-6)
-    _, err_tight = integrate_tail_piece(lambda y: 1 / math.log(y), 1.0,
+    _, err_tight = integrate_tail_piece(lambda y: 1 / np.log(y), 1.0,
                                         3.0, 1e6, rel_tol=1e-12)
     assert err_tight < err_loose
 
@@ -57,7 +62,7 @@ def test_non_finite_integrand_rejected():
 def test_budget_exhaustion_raises_with_partial_estimate():
     # ~160k oscillations per log-unit cannot be resolved within the budget
     def hostile(y):
-        return 0.5 * (1.0 + math.sin(1e6 * math.log(y)))
+        return 0.5 * (1.0 + np.sin(1e6 * np.log(y)))
 
     with pytest.raises(ConvergenceError) as exc:
         integrate_tail_piece(hostile, 1.0, 1.0, math.e, rel_tol=1e-12)
@@ -91,6 +96,82 @@ def test_tail_is_read_at_the_left_end_itself():
     a = 8.667
     assert math.exp(math.log(a)) < a
     m = TailModel(name="jump-at-floor", support_floor=a,
-                  tail=lambda y: 1.0 if y < a else 0.3)
+                  tail=lambda y: np.where(y < a, 1.0, 0.3))
     h, err = compute_h(m, 1.0, 86.67)
     assert abs(h - (a + 0.3 * (86.67 - a))) <= err
+
+
+# QUADPACK dqk15 to 33 digits: Kronrod nodes in [0, 1], their weights, and
+# the 7-point Gauss weights of the nodes of odd index
+_DQK15_XGK = ("0.991455371120812639206854697526329",
+              "0.949107912342758524526189684047851",
+              "0.864864423359769072789712788640926",
+              "0.741531185599394439863864773280788",
+              "0.586087235467691130294144845693013",
+              "0.405845151377397166906606412076961",
+              "0.207784955007898467600689403773245",
+              "0")
+_DQK15_WGK = ("0.022935322010529224963732008058970",
+              "0.063092092629978553290700663189204",
+              "0.104790010322250183839876322541518",
+              "0.140653259715525918745189590510238",
+              "0.169004726639267902826583426598550",
+              "0.190350578064785409913256402421014",
+              "0.204432940075298892414161999234649",
+              "0.209482141084727828012999174891714")
+_DQK15_WG = ("0.129484966168869693270611432679082",
+             "0.279705391489276667901467771423780",
+             "0.381830050505118944950369775488975",
+             "0.417959183673469387755102040816327")
+
+
+def test_gauss_kronrod_constants_integrate_polynomials_exactly():
+    with mpmath.workdps(40):
+        mpf = mpmath.mpf
+        xgk = [mpf(v) for v in _DQK15_XGK]
+        kronrod = [(x, mpf(w)) for x, w in zip(xgk, _DQK15_WGK)]
+        gauss = [(xgk[2 * i + 1], mpf(w)) for i, w in enumerate(_DQK15_WG)]
+        for half, degree in ((kronrod, 22), (gauss, 13)):
+            rule = half + [(-x, w) for x, w in half[:-1]]  # mirror; 0 once
+            for k in range(degree + 3):
+                exact = mpf(2) / (k + 1) if k % 2 == 0 else 0
+                miss = abs(sum(w * x ** k for x, w in rule) - exact)
+                # exact up to the degree (odd powers by symmetry), and not
+                # beyond it
+                assert miss < 1e-26 if k <= degree or k % 2 else miss > 1e-12, k
+    # the module's float constants are those digits, each rounded once
+    nodes = [-float(v) for v in _DQK15_XGK[:-1]] + [float(v) for v in
+                                                    _DQK15_XGK[::-1]]
+    assert quadrature._NODES.tolist() == nodes
+    kron = [float(v) for v in _DQK15_WGK[:-1]] + [float(v) for v in
+                                                  _DQK15_WGK[::-1]]
+    assert quadrature._WEIGHTS[:, 0].tolist() == kron
+    half = [float(_DQK15_WG[i // 2]) if i % 2 else 0.0 for i in range(8)]
+    assert quadrature._WEIGHTS[:, 1].tolist() == half[:-1] + half[::-1]
+
+
+def test_error_bound_covers_the_rounding_of_the_end_logs():
+    # ln 100 and ln 100.0023 round by up to half an ulp of 4.6 each, which
+    # moves the integral by beta y^beta sf(y) eps |ln y|; the bound once
+    # left it out and reported 5.4e-19 against an error of 7.1e-14
+    a, b = 100.0, 100.0023
+    value, err = integrate_tail_piece(lambda y: 1.0, 1.0, a, b)
+    assert err >= abs(value - (b - a))
+
+
+def test_curve_of_a_smooth_tail_calls_the_tail_a_handful_of_times():
+    # inverse_log at 1e300 has 4,794 grid steps above its floor: 71,910
+    # Gauss-Kronrod nodes plus the 4,802 grid points for u, 76,712 points
+    # in 11 calls (10 blocks of steps, one grid); one call per step or per
+    # point, as the scalar contract made, is thousands of calls
+    model = make_inverse_log()
+    sizes = []
+
+    def counting_tail(x):
+        sizes.append(np.size(x))
+        return model.tail(x)
+
+    build_curve(replace(model, tail=counting_tail),
+                AnalysisParams(beta=1.0, x_max=1e300))
+    assert len(sizes) <= 16
+    assert 70_000 < sum(sizes) < 80_000
