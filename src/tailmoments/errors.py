@@ -42,7 +42,7 @@ class AdmissionError(TailMomentsError):
 
 
 class ConvergenceError(TailMomentsError):
-    """Adaptive quadrature exhausted its subdivision budget.
+    """Quadrature exhausted its interval budget or its bisection depth.
 
     The best available estimate and its error bound are attached so callers
     that can tolerate a degraded answer may still use it.
