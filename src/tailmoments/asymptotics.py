@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -47,9 +48,9 @@ class RVEstimate:
 
     converged requires both a small spread across scale points and no drift
     between the near and far halves of the window. per_scale is a record
-    array with one row per log-ratio observation, fields x, lam, estimate
-    = log(f(lam x) / f(x)) / log(lam), and interpolated (False when lam x
-    is a grid node).
+    array with one row per log-ratio observation, lam by lam and x
+    ascending, fields x, lam, estimate = log(f(lam x) / f(x)) / log(lam),
+    and interpolated (False when lam x is a grid node).
     """
 
     rho_hat: float
@@ -130,16 +131,48 @@ def has_incommensurable_pair(lambdas: tuple[float, ...]) -> bool:
     return False
 
 
-def _window(xs: np.ndarray, params: AnalysisParams):
-    """(lo, hi, mask): the tail window clipped to the samples, and xs inside it."""
+def _window(xs: np.ndarray, params: AnalysisParams) -> tuple[float, float]:
+    """The tail window clipped to the increasing samples xs."""
     lo, hi = params.window()
-    lo = max(lo, float(xs[0]))
-    hi = min(hi, float(xs[-1]))
-    return lo, hi, (xs >= lo) & (xs <= hi)
+    return max(lo, float(xs[0])), min(hi, float(xs[-1]))
 
 
-def estimate_rv_index(xs: np.ndarray, fs: np.ndarray,
-                      params: AnalysisParams) -> RVEstimate:
+#: what estimate_rv_index reads off increasing positive xs and params
+ScalePlan = namedtuple("ScalePlan", "lo hi span log_xs x_at node log_target "
+                                    "log_lam rows")
+
+
+def scale_plan(xs: np.ndarray, params: AnalysisParams) -> ScalePlan:
+    """The scale plan of increasing samples xs, for every lambda at once.
+
+    Pairs (lam, x) run lam by lam over window points x with lam x <= hi.
+    Reads stay in xs[span]: the window, and the node above a hi off-node.
+    x_at and node index x and lam x's node in the span; log_target is
+    math.log of each off-node lam x. rows is per_scale but for estimate.
+    """
+    lo, hi = _window(xs, params)
+    span = slice(int(np.searchsorted(xs, lo)), int(np.searchsorted(xs, hi)) + 1)
+    xs_w, lams = xs[span], np.array(params.lambdas)
+    with np.errstate(over="ignore"):  # lam x past the float range: outside
+        targets = lams[:, None] * xs_w
+    k, x_at = np.nonzero(targets <= hi)
+    target = targets[k, x_at]
+    j = np.searchsorted(xs_w, target)  # xs_w[j - 1] < target <= xs_w[j]
+    node = np.full(len(j), -1)
+    for m in (np.minimum(j, len(xs_w) - 1), np.maximum(j - 1, 0)):  # j - 1 wins
+        node = np.where(np.abs(xs_w[m] - target) <= 1e-9 * target, m, node)
+    rows = np.empty(len(j), [("x", float), ("lam", float),
+                             ("estimate", float), ("interpolated", bool)])
+    rows["x"], rows["lam"], rows["interpolated"] = xs_w[x_at], lams[k], node < 0
+    # math.log, not np.log: numpy's vector log can differ in the last bit
+    log_target = np.array([math.log(t) for t in target[node < 0].tolist()])
+    log_lam = np.array([math.log(lam) for lam in params.lambdas])[k]
+    return ScalePlan(lo, hi, span, np.log(xs_w), x_at, node, log_target,
+                     log_lam, rows)
+
+
+def estimate_rv_index(xs: np.ndarray, fs: np.ndarray, params: AnalysisParams,
+                      plan: ScalePlan | None = None) -> RVEstimate:
     """Estimate the regular-variation index of samples fs over increasing xs.
 
     For each scale factor lam in params.lambdas and each window point x with
@@ -147,45 +180,34 @@ def estimate_rv_index(xs: np.ndarray, fs: np.ndarray,
     lam*x within relative 1e-9 of a grid node reads that node's sample;
     otherwise f(lam x) is log-log interpolated and the pair is flagged.
     Pools everything into rho_hat and judges convergence by spread and trend.
+    Non-positive samples are dropped. A plan from scale_plan(xs, params) is
+    read when each such sample lies below the window and a sample short of
+    it; otherwise the positive samples are planned, to the same estimate.
     """
     xs = np.asarray(xs, dtype=float)
     fs = np.asarray(fs, dtype=float)
     if len(xs) != len(fs) or len(xs) < 2:
         raise InsufficientDataError("need matching xs/fs arrays of length >= 2")
-    # zeros (e.g. v at the support floor) carry no log-ratio information
-    pos = fs > 0.0
-    xs, fs = xs[pos], fs[pos]
-    if len(xs) < 2:
-        raise InsufficientDataError("fewer than 2 strictly positive samples")
-    lo, hi, in_window = _window(xs, params)
-    log_xs = np.log(xs)
-    log_fs = np.log(fs)
-    last = len(xs) - 1
-    parts = []
-    for lam in params.lambdas:
-        with np.errstate(over="ignore"):  # lam x past the float range: outside
-            i = np.flatnonzero(in_window & (xs * lam <= hi))
-        target = xs[i] * lam
-        j = np.searchsorted(xs, target)  # xs[j - 1] < target <= xs[j]
-        node = np.full(len(i), -1)
-        for k in (np.minimum(j, last), np.maximum(j - 1, 0)):  # j - 1 wins
-            node = np.where(np.abs(xs[k] - target) <= 1e-9 * target, k, node)
-        off = node < 0
-        # math.log, not np.log: numpy's vector log can differ in the last bit
-        log_target = log_fs[node]
-        log_target[off] = np.interp([math.log(t) for t in target[off]],
-                                    log_xs, log_fs)
-        parts.append((xs[i], np.full(len(i), lam),
-                      (log_target - log_fs[i]) / math.log(lam), off))
-    x, lam, estimate, interpolated = map(np.concatenate, zip(*parts))
-    if len(x) < _MIN_PAIRS:
-        raise InsufficientDataError(
-            f"only {len(x)} scale pairs fit the window [{lo:g}, {hi:g}]; "
-            f"need {_MIN_PAIRS}")
-    rho_hat, spread, trend = _stats(x, estimate, lo, hi)
-    per_scale = np.rec.fromarrays((x, lam, estimate, interpolated),
-                                  names=("x", "lam", "estimate", "interpolated"))
-    return RVEstimate(rho_hat=rho_hat, per_scale=per_scale,
+    read = fs[max(plan.span.start - 1, 0):plan.span.stop] if plan else fs[:0]
+    if len(read) < 2 or not (read > 0.0).all():
+        # zeros (e.g. v at the support floor) carry no log-ratio information
+        pos = fs > 0.0
+        xs, fs = xs[pos], fs[pos]
+        if len(xs) < 2:
+            raise InsufficientDataError("fewer than 2 strictly positive samples")
+        plan = scale_plan(xs, params)
+    lo, hi, rows = plan.lo, plan.hi, plan.rows
+    if len(rows) < _MIN_PAIRS:
+        raise InsufficientDataError(f"only {len(rows)} scale pairs fit the window"
+                                    f" [{lo:g}, {hi:g}]; need {_MIN_PAIRS}")
+    log_fs = np.log(fs[plan.span])
+    log_f = log_fs[plan.node]
+    log_f[rows["interpolated"]] = np.interp(plan.log_target, plan.log_xs, log_fs)
+    estimate = (log_f - log_fs[plan.x_at]) / plan.log_lam
+    rho_hat, spread, trend = _stats(rows["x"], estimate, lo, hi)
+    per_scale = rows.copy()
+    per_scale["estimate"] = estimate
+    return RVEstimate(rho_hat=rho_hat, per_scale=per_scale.view(np.recarray),
                       converged=params.converged(spread, trend), spread=spread,
                       trend=trend, window=(lo, hi))
 
@@ -208,7 +230,8 @@ def _stats(xs: np.ndarray, ys: np.ndarray, lo: float, hi: float):
 def _series_stats(xs: np.ndarray, ys: np.ndarray, params: AnalysisParams):
     """(mean, spread, trend, mask) of ys restricted to the window, whose
     samples mask selects."""
-    lo, hi, mask = _window(xs, params)
+    lo, hi = _window(xs, params)
+    mask = (xs >= lo) & (xs <= hi)
     n = int(mask.sum())
     if n < 2:
         raise InsufficientDataError(

@@ -23,7 +23,7 @@ from dataclasses import asdict, fields
 
 import numpy as np
 
-from .asymptotics import estimate_rv_index
+from .asymptotics import estimate_rv_index, scale_plan
 from .catalog import MODEL_REGISTRY, build_model, model_parameters
 from .errors import InsufficientDataError, TailMomentsError
 from .moments import build_curve, curve_to_csv
@@ -187,9 +187,9 @@ def _cmd_curve(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _estimate_entry(curve, values, params) -> dict:
+def _estimate_entry(curve, values, params, plan) -> dict:
     try:
-        est = estimate_rv_index(curve.grid, values, params)
+        est = estimate_rv_index(curve.grid, values, params, plan)
     except InsufficientDataError as exc:
         return {"error": str(exc)}
     return {"rho_hat": est.rho_hat, "converged": est.converged,
@@ -201,9 +201,9 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     model = build_model(args.dist, **_parse_model_params(args.param))
     params = _params_from_args(args)
     curve = build_curve(model, params)
-    ests = {"h": _estimate_entry(curve, curve.h, params),
-            "v": _estimate_entry(curve, curve.v, params),
-            "u": _estimate_entry(curve, curve.u, params)}
+    plan = scale_plan(curve.grid, params)
+    ests = {name: _estimate_entry(curve, getattr(curve, name), params, plan)
+            for name in ("h", "v", "u")}
     tail_index = (ests["u"]["rho_hat"] - params.beta
                   if "rho_hat" in ests["u"] else None)
     text = render_json({"model": curve.model_name, "beta": params.beta,

@@ -41,17 +41,18 @@ def _powers(xs: np.ndarray, beta: float) -> np.ndarray:
     return np.array([x ** beta for x in xs], dtype=float)
 
 
-def _power_pieces(lo, lo_pow, hi, sf, a, beta):
+def _power_pieces(lo, lo_pow, hi, hi_pow, sf, a, beta):
     """beta * int_lo^hi y^(beta-1) sf (y/lo)^-a dy elementwise, with the
-    roundoff each adds beyond a sum's. lo_pow is lo^beta. a = 0 gives the
-    staircase sf * (hi^beta - lo^beta); otherwise sf lo^beta beta expm1((beta
-    - a) ln(hi/lo)) / (beta - a), ln(hi/lo) at a = beta, which overflows only
-    with its value. expm1 scales the log's rounding by (beta - a) ln(hi/lo).
+    roundoff each adds beyond a sum's; lo_pow, hi_pow are lo^beta, hi^beta.
+    a = 0 gives the staircase sf * (hi_pow - lo_pow); otherwise sf lo^beta
+    beta expm1((beta - a) ln(hi/lo)) / (beta - a), ln(hi/lo) at a = beta,
+    which overflows only with its value. expm1 scales the log's rounding by
+    (beta - a) ln(hi/lo).
     """
     seg = np.empty(len(lo))
     err = np.zeros(len(lo))
     flat = a == 0.0
-    seg[flat] = sf[flat] * (_powers(hi[flat], beta) - lo_pow[flat])
+    seg[flat] = sf[flat] * (hi_pow[flat] - lo_pow[flat])
     p = ~flat
     c = beta - a[p]
     log_q = np.log(hi[p] / lo[p])
@@ -64,9 +65,9 @@ def _power_pieces(lo, lo_pow, hi, sf, a, beta):
     return seg, err
 
 
-def _accumulate(model: TailModel, beta: float, xs,
-                rel_tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """h and its error bound at every point of the increasing sequence xs.
+def _accumulate(model: TailModel, beta: float, xs, rel_tol: float,
+                xs_pow=None) -> tuple[np.ndarray, np.ndarray]:
+    """h and its error bound at each of the increasing xs (x^beta: xs_pow).
 
     The one h kernel: h(x) = x^beta up to the support floor. Above it, h at
     each knot of a model with pieces is the in-order np.cumsum of the whole
@@ -75,19 +76,21 @@ def _accumulate(model: TailModel, beta: float, xs,
     cumsum of one quadrature pass over the steps from the floor.
     """
     xs = np.asarray(xs, dtype=float)
+    xs_pow = _powers(xs, beta) if xs_pow is None else xs_pow
     floor = model.support_floor
     head = int(np.searchsorted(xs, floor, side="right"))
-    hs = _powers(xs[:head], beta)
+    hs = xs_pow[:head]
     errs = _EPS * hs
-    xs = xs[head:]
+    xs, xs_pow = xs[head:], xs_pow[head:]
     h0 = np.float64(floor) ** beta  # overflows to inf, not OverflowError
     if model.pieces is not None and len(xs):
         knots, sfs, exps = model.pieces(floor, float(xs[-1]))
         n = len(knots) - 1  # whole pieces knot j -> j + 1, then one per point
         j = np.append(np.arange(n), np.searchsorted(knots, xs, side="right") - 1)
-        seg, seg_err = _power_pieces(knots[j], _powers(knots, beta)[j],
-                                     np.append(knots[1:], xs), sfs[j], exps[j],
-                                     beta)
+        pows = _powers(knots, beta)
+        seg, seg_err = _power_pieces(knots[j], pows[j], np.append(knots[1:], xs),
+                                     np.append(pows[1:], xs_pow), sfs[j],
+                                     exps[j], beta)
         at_knot = np.cumsum(np.append(h0, seg[:n]))
         knot_err = np.cumsum(np.append(
             _EPS * h0, 2.0 * _EPS * (np.abs(seg[:n]) + at_knot[1:]) + seg_err[:n]))
@@ -127,16 +130,17 @@ def compute_u(model: TailModel, beta: float, x: float) -> float:
     return x ** beta * model.tail(x)
 
 
-def _boundary(model: TailModel, beta: float, xs: np.ndarray) -> np.ndarray:
-    """u at xs: x^beta times sf, read off the pieces as h is, else one call.
+def _boundary(model: TailModel, beta: float, xs: np.ndarray,
+              xs_pow: np.ndarray) -> np.ndarray:
+    """u at xs: xs_pow = x^beta times sf, off the pieces as h is, or one call.
 
     Where x^beta sf(x) is not finite on a power piece (x^beta past the float
     range), u is formed as sf_i knot_i^beta (x / knot_i)^(beta - a_i).
     """
     if model.pieces is None:
-        return _powers(xs, beta) * model.tail(xs)
+        return xs_pow * model.tail(xs)
     knots, sfs, exps = model.pieces(model.support_floor, float(xs[-1]))
-    us = _powers(xs, beta) * _piece_sf(knots, sfs, exps, xs)
+    us = xs_pow * _piece_sf(knots, sfs, exps, xs)
     j = np.searchsorted(knots, xs, side="right") - 1
     big = np.flatnonzero(~np.isfinite(us) & (np.append(exps, 0.0)[j] != 0.0))
     k = j[big]
@@ -209,7 +213,8 @@ def build_grid(model: TailModel, params: AnalysisParams) -> np.ndarray:
     for near in (above, np.maximum(above - 1, 0)):
         keep[near[np.abs(grid[near] - kinks) <= _SNAP * kinks]] = False
     keep[[0, -1]] = True
-    return np.union1d(grid[keep], kinks)
+    merged = np.sort(np.append(grid[keep], kinks))  # union1d imports numpy.ma
+    return merged[np.append(True, merged[1:] != merged[:-1])]
 
 
 @dataclass(frozen=True)
@@ -244,8 +249,9 @@ def build_curve(model: TailModel, params: AnalysisParams) -> MomentCurve:
     beta = params.beta
     grid = build_grid(model, params)
     with np.errstate(over="ignore", invalid="ignore"):
-        hs, errs = _accumulate(model, beta, grid, params.rel_tol)
-        us = _boundary(model, beta, grid)
+        grid_pow = _powers(grid, beta)  # x^beta once per grid point
+        hs, errs = _accumulate(model, beta, grid, params.rel_tol, grid_pow)
+        us = _boundary(model, beta, grid, grid_pow)
     bad = np.flatnonzero(~(np.isfinite(hs) & np.isfinite(us)))
     if len(bad):
         k = bad[0]

@@ -32,7 +32,7 @@ import numpy as np
 
 from .asymptotics import (GammaResult, PiTestResult, _series_stats,
                           estimate_rv_index, gamma_classification,
-                          has_incommensurable_pair, pi_class_test)
+                          has_incommensurable_pair, pi_class_test, scale_plan)
 from .catalog import TailModel
 from .errors import IndeterminateError, InsufficientDataError
 from .moments import MomentCurve, build_curve, check_admission
@@ -141,16 +141,17 @@ def verify(model: TailModel, params: AnalysisParams,
     # looks like a single power there: its RV estimates are truncated
     truncated = (len(model.breakpoints(params.x_min, params.x_max)) >= 2
                  and len(model.breakpoints(*params.window())) < 2)
+    plan = scale_plan(curve.grid, params)  # shared by h, v and u
 
     def rv(values: np.ndarray, index_shift: float = 0.0) -> ConditionVerdict:
         try:
-            est = estimate_rv_index(curve.grid, values, params)
+            est = estimate_rv_index(curve.grid, values, params, plan)
         except InsufficientDataError:
             return ConditionVerdict(verdict=_UNDECIDED, estimate=None,
                                     spread=math.inf)
         return _verdict(est.rho_hat + index_shift, est.spread, est.trend, params,
                         not truncated and has_incommensurable_pair(
-                            tuple(np.unique(est.per_scale.lam))))
+                            tuple(sorted(set(est.per_scale.lam.tolist())))))
 
     r1_stats = _series_stats(curve.grid, curve.r1, params)
     r1_mean, r1_spread, r1_trend, _ = r1_stats

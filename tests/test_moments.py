@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tailmoments.moments as moments
 from oracles import atom_sum_v, geometric_atoms
 from tailmoments.catalog import (TailModel, load_tabulated, make_geometric_tail,
                                  make_inverse_log, make_log_pareto,
@@ -129,6 +130,19 @@ def test_curve_of_a_piece_model_calls_no_tail(power_table):
         counted = replace(m, tail=lambda x, tail=m.tail: calls.append(x) or tail(x))
         build_curve(counted, AnalysisParams(beta=beta, x_max=x_max))
         assert calls == [], m.name
+
+
+def test_curve_takes_each_scalar_power_once(monkeypatch):
+    # x^beta once per grid point and once per knot: the staircase's h and u
+    # both read them
+    model, params = make_st_petersburg(), AnalysisParams(beta=1.0, x_max=1e300)
+    powers, scalar_powers = [], moments._powers
+    monkeypatch.setattr(moments, "_powers",
+                        lambda xs, beta: powers.append(len(xs))
+                        or scalar_powers(xs, beta))
+    curve = build_curve(model, params)
+    knots = model.pieces(model.support_floor, params.x_max)[0]
+    assert 0 < sum(powers) <= len(curve.grid) + len(knots)
 
 
 def test_table_curve_past_its_last_row_warns_once(power_table):

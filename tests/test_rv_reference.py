@@ -3,7 +3,8 @@
 reference_pairs is that loop, kept verbatim in spirit: one (x, lam) pair at
 a time, an exact-match search over the neighbours j-1, j, j+1 of the
 target, and one np.interp call per off-grid target. Everything the array
-code reports must match it bit for bit.
+code reports must match it bit for bit, whether it plans its own samples
+or reads a scale plan shared by several series on the same xs.
 """
 
 from __future__ import annotations
@@ -16,7 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tailmoments.asymptotics import _MIN_PAIRS, _stats, estimate_rv_index
+import tailmoments.asymptotics as asymptotics
+from tailmoments.asymptotics import (_MIN_PAIRS, _stats, estimate_rv_index,
+                                     scale_plan)
 from tailmoments.errors import InsufficientDataError
 from tailmoments.params import AnalysisParams
 
@@ -113,6 +116,17 @@ def test_array_estimator_matches_scalar_pair_loop(case):
     assert _bits((est.rho_hat, est.spread, est.trend)) == _bits((rho_hat, spread, trend))
     assert _bits(est.window) == _bits((lo, hi))
     assert est.converged == params.converged(spread, trend)
+    shared = replace(params, lambdas=lambdas)
+    _assert_same(estimate_rv_index(xs, fs, shared, scale_plan(xs, shared)), est)
+
+
+def _assert_same(a, b):
+    """Two RVEstimates agree bit for bit, per_scale included."""
+    assert a.per_scale.dtype == b.per_scale.dtype
+    assert a.per_scale.tobytes() == b.per_scale.tobytes()
+    assert _bits((a.rho_hat, a.spread, a.trend, *a.window)) == _bits(
+        (b.rho_hat, b.spread, b.trend, *b.window))
+    assert a.converged == b.converged
 
 
 def test_off_grid_target_logs_match_the_scalar_loop():
@@ -128,3 +142,59 @@ def test_off_grid_target_logs_match_the_scalar_loop():
     est = estimate_rv_index(xs, fs, replace(params, lambdas=(2.0,)))
     assert any(x == t / 2 and interpolated for x, _, _, interpolated in points)
     assert _bits(est.per_scale.estimate) == _bits(p[2] for p in points)
+
+
+def _grid_and_series():
+    """A 16-per-decade grid with dyadic nodes, and three series over it."""
+    xs = np.unique(np.concatenate((10.0 ** (np.arange(97) / 16.0),
+                                   2.0 ** np.arange(20))))
+    return xs, (xs ** 0.7, 2.0 ** np.floor(np.log2(xs)),
+                xs ** 0.5 * np.exp(0.3 * np.sin(np.log(xs))))
+
+
+@pytest.mark.parametrize("zeros, shares", [
+    ("none", True), ("below", True), ("clear", True), ("next", False),
+    ("at", False), ("inside", False), ("top", False)])
+def test_shared_plan_matches_independent_calls(monkeypatch, zeros, shares):
+    xs, series = _grid_and_series()
+    # the window starts between nodes, so a series whose first positive
+    # sample is the first window point has a window of its own
+    params = AnalysisParams(beta=1.0, x_min=1.0, x_max=1e6, window_decades=2.03)
+    a = int(np.searchsorted(xs, params.window()[0]))  # the first window point
+    assert xs[a] != params.window()[0]
+    plan = scale_plan(xs, params)
+    plans = []
+    monkeypatch.setattr(asymptotics, "scale_plan",
+                        lambda *args: plans.append(1) or scale_plan(*args))
+    for fs in series:
+        fs = fs.copy()
+        # zeros in xs[:a - 1] leave a positive sample below the window
+        fs[{"none": [], "below": slice(0, a - 2), "clear": slice(0, a - 1),
+            "next": slice(0, a), "at": a, "inside": a + 5,
+            "top": -1}[zeros]] = 0.0
+        est = estimate_rv_index(xs, fs, params)
+        plans.clear()
+        _assert_same(estimate_rv_index(xs, fs, params, plan), est)
+        assert plans == ([] if shares else [1])
+        lo, hi, points = reference_pairs(xs, fs, params, params.lambdas)
+        assert _bits(est.per_scale.estimate) == _bits(p[2] for p in points)
+        assert _bits(est.window) == _bits((lo, hi))
+
+
+def test_window_top_between_nodes_reads_the_node_above():
+    # x_max falls between grid nodes, so hi is not a node: targets just
+    # below hi interpolate between the last node under hi and the one above
+    xs, series = _grid_and_series()
+    hi = float(xs[-5]) * 1.07
+    params = AnalysisParams(beta=1.0, x_min=1.0, x_max=hi, window_decades=2.0)
+    plan = scale_plan(xs, params)
+    assert plan.hi == hi and hi not in xs
+    assert xs[plan.span][-1] > hi > xs[plan.span][-2]
+    below = float(xs[xs < hi][-1])
+    for fs in series:
+        lo, _, points = reference_pairs(xs, fs, params, params.lambdas)
+        assert any(interp and x * lam > below for x, lam, _, interp in points)
+        for est in (estimate_rv_index(xs, fs, params),
+                    estimate_rv_index(xs, fs, params, plan)):
+            assert _bits(est.per_scale.estimate) == _bits(p[2] for p in points)
+            assert _bits(est.window) == _bits((lo, hi))

@@ -1,7 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import tailmoments.asymptotics as asymptotics
+import tailmoments.verifier as verifier
 from tailmoments.asymptotics import GammaResult, PiTestResult
 from tailmoments.catalog import (load_tabulated, make_geometric_tail,
                                  make_inverse_log, make_log_pareto,
@@ -109,6 +114,45 @@ def test_verify_is_deterministic():
     a = verify(make_inverse_log(), p)
     b = verify(make_inverse_log(), p)
     assert a == b
+
+
+@pytest.mark.parametrize("model", [make_st_petersburg(), make_inverse_log()],
+                         ids=lambda m: m.name)
+def test_verify_builds_one_scale_plan_per_report(monkeypatch, model):
+    # h, v and u share one grid; v's zeros at the support floor lie far
+    # below the window, so all three estimates read one plan
+    plans, estimates = [], []
+    plan, estimate = asymptotics.scale_plan, verifier.estimate_rv_index
+    counting_plan = lambda *args: plans.append(1) or plan(*args)
+    for module in (asymptotics, verifier):
+        monkeypatch.setattr(module, "scale_plan", counting_plan)
+    monkeypatch.setattr(verifier, "estimate_rv_index",
+                        lambda *args: estimates.append(1) or estimate(*args))
+    report = verify(model, AnalysisParams(beta=1.0, x_max=1e12))
+    assert report.consistent is True
+    assert (len(plans), len(estimates)) == (1, 3)
+
+
+def test_a_report_leaves_numpy_ma_unimported():
+    # np.union1d and np.unique import numpy.ma on first use, which costs
+    # ~10 ms and ~1.6 MB in every process that builds a curve
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(root, "src"), env.get("PYTHONPATH")) if p)
+    code = (
+        "import sys, tailmoments as t\n"
+        "for dist, beta, kw in (('st_petersburg', 1, {}), ('inverse_log', 1, {}),"
+        " ('pareto', 2, {'alpha': '1.5'}), ('log_pareto', 1,"
+        " {'alpha': '0.5', 'a': '1'}), ('geometric', 0.5,"
+        " {'beta_g': '0.5', 'p': '3'})):\n"
+        "    model = t.build_model(dist, **kw)\n"
+        "    params = t.AnalysisParams(beta=beta, x_max=1e12)\n"
+        "    t.verify(model, params, t.build_curve(model, params))\n"
+        "print('numpy.ma' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60, env=env, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def test_tabulated_power_tail_verifies_interior(power_table):
