@@ -123,11 +123,18 @@ def test_verify_builds_one_scale_plan_per_report(monkeypatch, model):
     # below the window, so all three estimates read one plan
     plans, estimates = [], []
     plan, estimate = asymptotics.scale_plan, verifier.estimate_rv_index
-    counting_plan = lambda *args: plans.append(1) or plan(*args)
+
+    def counting_plan(*args):
+        plans.append(args)
+        return plan(*args)
+
+    def counting_estimate(*args):
+        estimates.append(args)
+        return estimate(*args)
+
     for module in (asymptotics, verifier):
         monkeypatch.setattr(module, "scale_plan", counting_plan)
-    monkeypatch.setattr(verifier, "estimate_rv_index",
-                        lambda *args: estimates.append(1) or estimate(*args))
+    monkeypatch.setattr(verifier, "estimate_rv_index", counting_estimate)
     report = verify(model, AnalysisParams(beta=1.0, x_max=1e12))
     assert report.consistent is True
     assert (len(plans), len(estimates)) == (1, 3)
