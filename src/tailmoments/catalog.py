@@ -76,15 +76,16 @@ class TailModel:
     pieces(lo, hi), when present, returns float arrays (knots, sfs, exps):
     the knots from the one at or below max(lo, support_floor) up to hi, with
     tail(y) = sfs[i] * (y / knots[i]) ** -exps[i] up to the next knot. The
-    first knot is the support floor. Such a tail (_piece_tail) and its
-    moments h and u are read off the pieces, whose knots are its only kinks
-    and jumps. A tail without pieces must be continuous above its support
-    floor: the floor is its one kink, and quadrature integrates it unsplit.
+    first knot is the support floor; a knot's float does not depend on lo.
+    A curve reads pieces once, from the floor to x_max; its tail, h and u
+    come off them, and their knots are the only kinks and jumps. A tail
+    without pieces must be continuous above its floor: the floor is its one
+    kink, and quadrature integrates it unsplit.
     """
 
     name: str
     support_floor: float
-    tail: Callable[[float], float]
+    tail: Callable[[np.ndarray], np.ndarray]
     pieces: Callable[[float, float],
                      tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None
     closed_form_h: Callable[[float, float], float] | None = None  # (beta, x)
@@ -106,11 +107,11 @@ class TailModel:
 
 
 def _piece_sf(knots: np.ndarray, sfs: np.ndarray, exps: np.ndarray,
-              xs: np.ndarray) -> np.ndarray:
-    """sf at the points xs read off pieces (TailModel): 1 below the first
-    knot, exactly sfs[i] on a flat piece, else sfs[i] times the scalar power
-    (x / knots[i]) ** -exps[i], which numpy's vector power can miss by a bit."""
-    j = np.searchsorted(knots, xs, side="right") - 1
+              xs: np.ndarray, j: np.ndarray | None = None) -> np.ndarray:
+    """sf at the points xs on pieces j (TailModel; found here unless given):
+    1 below the first knot, exactly sfs[i] on a flat piece, else sfs[i] times
+    the scalar power (x / knots[i]) ** -exps[i], which numpy's can miss."""
+    j = np.searchsorted(knots, xs, side="right") - 1 if j is None else j
     sf = np.append(sfs, 1.0)[j]  # j = -1 below the first knot reads the 1
     on = np.append(exps, 0.0)[j] != 0.0
     sf[on] *= [q ** -a for q, a in zip((xs[on] / knots[j[on]]).tolist(),

@@ -36,9 +36,25 @@ _SNAP = 1e-9
 
 def _powers(xs: np.ndarray, beta: float) -> np.ndarray:
     """x ** beta by the scalar power (numpy's vector power can differ in the
-    last bit, and staircase sums are pinned to it); inf past the float range.
-    """
-    return np.array([x ** beta for x in xs], dtype=float)
+    last bit, and staircase sums are pinned to it), exactly x at beta = 1;
+    inf past the float range."""
+    return np.array(xs if beta == 1.0 else [x ** beta for x in xs], dtype=float)
+
+
+def _read_law(model: TailModel, beta: float, xs: np.ndarray, pieces=None):
+    """x^beta at the increasing xs and the law over them, None without pieces:
+    the pieces (from the floor to xs[-1] unless given), each point's piece
+    (-1 below the first knot) and x^beta at each knot, a point's if it is one."""
+    xs_pow = _powers(xs, beta)
+    if model.pieces is None:
+        return xs_pow, None
+    knots, sfs, exps = pieces or model.pieces(model.support_floor, float(xs[-1]))
+    pos = np.searchsorted(xs, knots)  # xs[pos - 1] < knot <= xs[pos]
+    j = np.cumsum(np.bincount(pos, minlength=len(xs) + 1))[:len(xs)] - 1
+    near = np.minimum(pos, len(xs) - 1)
+    pows, off = xs_pow[near], xs[near] != knots
+    pows[off] = _powers(knots[off], beta)
+    return xs_pow, (knots, sfs, exps, j, pows)
 
 
 def _power_pieces(lo, lo_pow, hi, hi_pow, sf, a, beta):
@@ -66,8 +82,8 @@ def _power_pieces(lo, lo_pow, hi, hi_pow, sf, a, beta):
 
 
 def _accumulate(model: TailModel, beta: float, xs, rel_tol: float,
-                xs_pow=None) -> tuple[np.ndarray, np.ndarray]:
-    """h and its error bound at each of the increasing xs (x^beta: xs_pow).
+                xs_pow=None, law=None) -> tuple[np.ndarray, np.ndarray]:
+    """h and its error bound at the increasing xs (xs_pow, law: _read_law).
 
     The one h kernel: h(x) = x^beta up to the support floor. Above it, h at
     each knot of a model with pieces is the in-order np.cumsum of the whole
@@ -76,18 +92,17 @@ def _accumulate(model: TailModel, beta: float, xs, rel_tol: float,
     cumsum of one quadrature pass over the steps from the floor.
     """
     xs = np.asarray(xs, dtype=float)
-    xs_pow = _powers(xs, beta) if xs_pow is None else xs_pow
+    xs_pow, law = _read_law(model, beta, xs) if xs_pow is None else (xs_pow, law)
     floor = model.support_floor
     head = int(np.searchsorted(xs, floor, side="right"))
     hs = xs_pow[:head]
     errs = _EPS * hs
     xs, xs_pow = xs[head:], xs_pow[head:]
     h0 = np.float64(floor) ** beta  # overflows to inf, not OverflowError
-    if model.pieces is not None and len(xs):
-        knots, sfs, exps = model.pieces(floor, float(xs[-1]))
+    if law is not None and len(xs):
+        knots, sfs, exps, j, pows = law
         n = len(knots) - 1  # whole pieces knot j -> j + 1, then one per point
-        j = np.append(np.arange(n), np.searchsorted(knots, xs, side="right") - 1)
-        pows = _powers(knots, beta)
+        j = np.append(np.arange(n), j[head:])
         seg, seg_err = _power_pieces(knots[j], pows[j], np.append(knots[1:], xs),
                                      np.append(pows[1:], xs_pow), sfs[j],
                                      exps[j], beta)
@@ -126,25 +141,26 @@ def compute_h(model: TailModel, beta: float, x: float,
 
 
 def compute_u(model: TailModel, beta: float, x: float) -> float:
-    """Boundary term u(x) = x^beta * sf(x)."""
-    return x ** beta * model.tail(x)
+    """Boundary term u(x) = x^beta * sf(x), the curve's u kernel at x."""
+    xs = np.array([x], dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(_boundary(model, beta, xs, *_read_law(model, beta, xs))[0])
 
 
 def _boundary(model: TailModel, beta: float, xs: np.ndarray,
-              xs_pow: np.ndarray) -> np.ndarray:
-    """u at xs: xs_pow = x^beta times sf, off the pieces as h is, or one call.
+              xs_pow: np.ndarray, law) -> np.ndarray:
+    """u at xs: xs_pow = x^beta times sf, off the law as h is, or one call.
 
     Where x^beta sf(x) is not finite on a power piece (x^beta past the float
     range), u is formed as sf_i knot_i^beta (x / knot_i)^(beta - a_i).
     """
-    if model.pieces is None:
+    if law is None:
         return xs_pow * model.tail(xs)
-    knots, sfs, exps = model.pieces(model.support_floor, float(xs[-1]))
-    us = xs_pow * _piece_sf(knots, sfs, exps, xs)
-    j = np.searchsorted(knots, xs, side="right") - 1
+    knots, sfs, exps, j, pows = law
+    us = xs_pow * _piece_sf(knots, sfs, exps, xs, j)
     big = np.flatnonzero(~np.isfinite(us) & (np.append(exps, 0.0)[j] != 0.0))
     k = j[big]
-    us[big] = sfs[k] * _powers(knots[k], beta) * np.array(
+    us[big] = sfs[k] * pows[k] * np.array(
         [y ** (beta - a) for y, a in zip(xs[big] / knots[k], exps[k])])
     return us
 
@@ -189,24 +205,25 @@ def check_admission(model: TailModel, params: AnalysisParams,
             f"{ADMISSION_GROWTH:g} times h({x_lo:g}) = {h_lo:g}")
 
 
-def build_grid(model: TailModel, params: AnalysisParams) -> np.ndarray:
+def build_grid(model: TailModel, params: AnalysisParams,
+               knots=None) -> np.ndarray:
     """Geometric grid over [x_min, x_max] merged with the model's kinks.
 
     points_per_decade sets the density. The kinks are the knots of the
-    model's pieces and the support floor inside the range, and each is kept
-    exactly. An interior grid point within relative 1e-9 of a kink gives way
-    to it instead of forming a near-duplicate pair; x_min and x_max stay.
-    Integration steps between neighbours therefore never cross a kink, and
-    the admission point max(x_min, support floor) is a grid point. The merge
-    is one vectorised sort, O((n + k) log(n + k)) for n grid points and k
-    kinks.
+    model's pieces (knots if given, else model.breakpoints) and the support
+    floor inside the range, and each is kept exactly. An interior grid point
+    within relative 1e-9 of a kink gives way to it instead of forming a
+    near-duplicate pair; x_min and x_max stay. Integration steps between
+    neighbours therefore never cross a kink, and the admission point
+    max(x_min, support floor) is a grid point. The merge is one vectorised
+    sort, O((n + k) log(n + k)) for n grid points and k kinks.
     """
     lo, hi = params.x_min, params.x_max
     n = int(math.ceil(math.log10(hi / lo) * params.points_per_decade))
     grid = lo * 10.0 ** (np.arange(n + 1) / params.points_per_decade)
     grid[-1] = hi
-    kinks = np.append(np.asarray(model.breakpoints(lo, hi), dtype=float),
-                      model.support_floor)
+    kinks = np.append(np.asarray(model.breakpoints(lo, hi) if knots is None
+                                 else knots, dtype=float), model.support_floor)
     kinks = kinks[(kinks >= lo) & (kinks <= hi)]
     above = np.searchsorted(grid, kinks)  # grid[above - 1] < kink <= grid[above]
     keep = np.ones(len(grid), dtype=bool)
@@ -239,19 +256,20 @@ class MomentCurve:
 def build_curve(model: TailModel, params: AnalysisParams) -> MomentCurve:
     """Evaluate h, v, u and the shares r1, r2 across the analysis grid.
 
-    One pass: the h kernel runs once along the grid, so h on the curve
-    equals compute_h bit for bit for models with pieces and to quadrature
-    accuracy otherwise. u is read off the same pieces, v = h - u is one
-    array expression, and admission is read off the finished curve.
+    One pass: the law is read once and the h kernel runs once along the grid,
+    so h on the curve equals compute_h bit for bit for models with pieces
+    and to quadrature accuracy otherwise. u is read off the same law, v =
+    h - u is one array expression, and admission is read off the curve.
     A curve that overflows (h or u not finite at some grid point) raises
     ModelEvaluationError before admission is judged.
     """
     beta = params.beta
-    grid = build_grid(model, params)
+    pieces = model.pieces and model.pieces(model.support_floor, params.x_max)
+    grid = build_grid(model, params, pieces and pieces[0])
     with np.errstate(over="ignore", invalid="ignore"):
-        grid_pow = _powers(grid, beta)  # x^beta once per grid point
-        hs, errs = _accumulate(model, beta, grid, params.rel_tol, grid_pow)
-        us = _boundary(model, beta, grid, grid_pow)
+        grid_pow, law = _read_law(model, beta, grid, pieces)  # x^beta once each
+        hs, errs = _accumulate(model, beta, grid, params.rel_tol, grid_pow, law)
+        us = _boundary(model, beta, grid, grid_pow, law)
     bad = np.flatnonzero(~(np.isfinite(hs) & np.isfinite(us)))
     if len(bad):
         k = bad[0]

@@ -137,10 +137,10 @@ def verify(model: TailModel, params: AnalysisParams,
     else:
         check_admission(model, params, curve)
 
-    # a law with kinks across the range but fewer than two in the window
+    # a law with fewer than two kinks in the window but more across the range
     # looks like a single power there: its RV estimates are truncated
-    truncated = (len(model.breakpoints(params.x_min, params.x_max)) >= 2
-                 and len(model.breakpoints(*params.window())) < 2)
+    truncated = (len(model.breakpoints(*params.window())) < 2
+                 and len(model.breakpoints(params.x_min, params.x_max)) >= 2)
     plan = scale_plan(curve.grid, params)  # shared by h, v and u
 
     def rv(values: np.ndarray, index_shift: float = 0.0) -> ConditionVerdict:

@@ -18,6 +18,7 @@ from tailmoments.errors import (AdmissionError, ExtrapolationWarning,
 from tailmoments.moments import (build_curve, build_grid, check_admission,
                                  compute_h, compute_u, curve_to_csv)
 from tailmoments.params import AnalysisParams
+from tailmoments.verifier import verify
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +144,43 @@ def test_curve_takes_each_scalar_power_once(monkeypatch):
     curve = build_curve(model, params)
     knots = model.pieces(model.support_floor, params.x_max)[0]
     assert 0 < sum(powers) <= len(curve.grid) + len(knots)
+
+
+def test_curve_takes_no_scalar_power_for_a_knot_on_the_grid(monkeypatch):
+    # all 628 knots 3^k up to 1e300 are grid points, whose powers the law
+    # reuses: one scalar power per grid point and none besides
+    model, params = make_geometric_tail(0.5, 3.0), AnalysisParams(beta=0.5,
+                                                                 x_max=1e300)
+    powers, scalar_powers = [], moments._powers
+    monkeypatch.setattr(moments, "_powers",
+                        lambda xs, beta: powers.append(len(xs))
+                        or scalar_powers(xs, beta))
+    curve = build_curve(model, params)
+    assert sum(powers) == len(curve.grid)
+
+
+def test_curve_and_report_read_the_law_once(power_table):
+    # build_curve reads the pieces once, from the floor to x_max; verify asks
+    # only the window, which holds two knots or more of these laws
+    for m, beta, x_max in _piece_cases(power_table)[1:]:
+        calls = []
+        counted = replace(m, pieces=lambda lo, hi, pieces=m.pieces:
+                          calls.append((lo, hi)) or pieces(lo, hi))
+        params = AnalysisParams(beta=beta, x_max=x_max)
+        curve = build_curve(counted, params)
+        assert calls == [(m.support_floor, x_max)], m.name
+        verify(counted, params, curve)
+        assert calls[1:] == [params.window()], m.name
+
+
+def test_u_past_the_float_range_of_x_beta_is_read_off_its_piece():
+    # 1e200 ** 2 overflows, but u = 1e200 ** 2 * 1e200 ** -1.5 = 1e100 does
+    # not: compute_u forms it on the piece, as the curve does
+    m = make_pareto(1.5, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert compute_u(m, 2.0, 1e200) == 1e100
+        assert compute_u(m, 2.0, np.float64(1e200)) == 1e100
 
 
 def test_table_curve_past_its_last_row_warns_once(power_table):
@@ -434,6 +472,61 @@ def test_pareto_moment_matches_closed_form_everywhere(alpha, gap):
     for x in (3.7, 123.4, 1e6):
         h, err = compute_h(m, beta, x, rel_tol=1e-10)
         assert math.isclose(h, m.closed_form_h(beta, x), rel_tol=1e-8)
+
+
+@st.composite
+def _points_and_knots(draw):
+    """Increasing points, and knots on them, between them, below the first
+    and above the last."""
+    xs = np.unique(draw(st.lists(st.floats(1.0, 1e6), min_size=1,
+                                 max_size=40)))
+    on = draw(st.lists(st.sampled_from(xs.tolist()), max_size=10))
+    off = draw(st.lists(st.floats(0.1, 1e7), max_size=10))
+    return xs, np.unique(np.array(on + off, dtype=float))
+
+
+@given(case=_points_and_knots(),
+       beta=st.sampled_from((0.5, 1.0, 2.0)) | st.floats(0.1, 3.0))
+@settings(max_examples=200, deadline=None)
+def test_law_reads_each_piece_and_knot_power_off_the_points(case, beta):
+    xs, knots = case
+    m = TailModel(name="knots", support_floor=0.05, tail=lambda x: 1.0,
+                  pieces=lambda lo, hi: (knots, np.ones(len(knots)),
+                                         np.zeros(len(knots))))
+    xs_pow, (_, _, _, j, pows) = moments._read_law(m, beta, xs)
+    assert xs_pow.tobytes() == moments._powers(xs, beta).tobytes()
+    assert (j == np.searchsorted(knots, xs, side="right") - 1).all()
+    assert pows.tobytes() == moments._powers(knots, beta).tobytes()
+
+
+@given(case=st.sampled_from([(make_st_petersburg(), 2.0),
+                             (make_geometric_tail(0.5, 3.0), 1.0),
+                             (make_geometric_tail(0.5, 3.0), 0.7),
+                             (make_pareto(1.5, 1.0), 2.0)]),
+       decades=st.floats(0.0, 40.0))
+@settings(max_examples=25, deadline=None)
+def test_curve_above_the_floor_is_compute_h_and_u_bitwise(case, decades):
+    # x_min above the floor: the pieces below it still count in h
+    m, beta = case
+    x_min = m.support_floor * 10.0 ** decades
+    c = build_curve(m, AnalysisParams(beta=beta, x_min=x_min,
+                                      x_max=x_min * 1e8))
+    fresh = [compute_h(m, beta, x) for x in c.grid.tolist()]
+    assert c.h.tobytes() == np.array([h for h, _ in fresh]).tobytes()
+    assert c.quad_error.tobytes() == np.array([e for _, e in fresh]).tobytes()
+    assert c.u.tobytes() == np.array([compute_u(m, beta, x)
+                                      for x in c.grid.tolist()]).tobytes()
+
+
+@given(xs=st.lists(st.floats(5e-324, np.finfo(float).max), max_size=50))
+@settings(max_examples=50, deadline=None)
+def test_power_one_is_the_scalar_power_bitwise(xs):
+    # x ** 1 is x exactly: positive finite doubles, subnormals and every
+    # power of 2 among them
+    xs = np.array(xs + [2.0 ** k for k in range(-1074, 1024)]
+                  + [5e-324, 1e-310, np.nextafter(2.0 ** -1022, 0.0)])
+    ref = np.array([np.float64(x) ** 1.0 for x in xs])
+    assert moments._powers(xs, 1.0).tobytes() == ref.tobytes()
 
 
 @given(n=st.integers(1, 300), k=st.integers(0, 15))
