@@ -110,7 +110,8 @@ def _piece_sf(knots: np.ndarray, sfs: np.ndarray, exps: np.ndarray,
               xs: np.ndarray, j: np.ndarray | None = None) -> np.ndarray:
     """sf at the points xs on pieces j (TailModel; found here unless given):
     1 below the first knot, exactly sfs[i] on a flat piece, else sfs[i] times
-    the scalar power (x / knots[i]) ** -exps[i], which numpy's can miss."""
+    the scalar power (x / knots[i]) ** -exps[i] (numpy's vector power can
+    miss it by a bit)."""
     j = np.searchsorted(knots, xs, side="right") - 1 if j is None else j
     sf = np.append(sfs, 1.0)[j]  # j = -1 below the first knot reads the 1
     on = np.append(exps, 0.0)[j] != 0.0
