@@ -20,7 +20,6 @@ from .asymptotics import (GammaResult, PiTestResult, RVEstimate,
                           centered_pi_ratio, estimate_rv_index,
                           gamma_classification, has_incommensurable_pair,
                           pi_class_test)
-from .quadrature import integrate_tail_piece
 from .verifier import (ConditionVerdict, EquivalenceCheck, TheoremReport,
                        check_asymptotic_equivalences, verify)
 
@@ -37,7 +36,7 @@ __all__ = [
     "centered_pi_ratio", "check_admission", "check_asymptotic_equivalences",
     "compute_h", "compute_u", "curve_to_csv",
     "estimate_rv_index", "gamma_classification", "has_incommensurable_pair",
-    "integrate_tail_piece", "load_tabulated",
+    "load_tabulated",
     "make_geometric_tail", "make_inverse_log", "make_log_pareto",
     "make_pareto", "make_st_petersburg", "pi_class_test",
     "verify",

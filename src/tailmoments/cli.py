@@ -92,28 +92,9 @@ def _parse_model_params(pairs: list[str]) -> dict[str, str]:
     return out
 
 
-def _add_model_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--dist", required=True,
-                     help="model family name (see 'list')")
-    sub.add_argument("--param", action="append", default=[], metavar="KEY=VALUE",
-                     help="model parameter, repeatable")
-
-
 #: AnalysisParams fields with a flag of the same name, type and default
 _ANALYSIS_FIELDS = [f for f in fields(AnalysisParams)
                     if f.name not in ("beta", "lambdas")]
-
-
-def _add_analysis_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--beta", type=float, required=True,
-                     help="moment order, must be positive")
-    sub.add_argument("--lambda", dest="lambdas", type=float, action="append",
-                     metavar="LAMBDA",
-                     help="scale factor for index estimation, repeatable "
-                          "(default: 2, e, 3, 8)")
-    for f in _ANALYSIS_FIELDS:
-        sub.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
-                         default=f.default)
 
 
 def _params_from_args(args: argparse.Namespace) -> AnalysisParams:
@@ -132,22 +113,26 @@ def build_parser() -> argparse.ArgumentParser:
     p_list = subs.add_parser("list", help="list registered model families")
     p_list.add_argument("--format", choices=("json", "text"), default="text")
 
-    p_curve = subs.add_parser("curve", help="tabulate h, v, u, r1, r2")
-    _add_model_args(p_curve)
-    _add_analysis_args(p_curve)
-    p_curve.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_curve.add_argument("--output", default=None, metavar="PATH")
-
-    p_est = subs.add_parser("estimate",
-                            help="regular-variation indices of h, v, u")
-    _add_model_args(p_est)
-    _add_analysis_args(p_est)
-    p_est.add_argument("--output", default=None, metavar="PATH")
-
-    p_ver = subs.add_parser("verify", help="full theorem consistency report")
-    _add_model_args(p_ver)
-    _add_analysis_args(p_ver)
-    p_ver.add_argument("--output", default=None, metavar="PATH")
+    for name, text in (("curve", "tabulate h, v, u, r1, r2"),
+                       ("estimate", "regular-variation indices of h, v, u"),
+                       ("verify", "full theorem consistency report")):
+        sub = subs.add_parser(name, help=text)
+        sub.add_argument("--dist", required=True,
+                         help="model family name (see 'list')")
+        sub.add_argument("--param", action="append", default=[],
+                         metavar="KEY=VALUE", help="model parameter, repeatable")
+        sub.add_argument("--beta", type=float, required=True,
+                         help="moment order, must be positive")
+        sub.add_argument("--lambda", dest="lambdas", type=float,
+                         action="append", metavar="LAMBDA",
+                         help="scale factor for index estimation, repeatable "
+                              "(default: 2, e, 3, 8)")
+        for f in _ANALYSIS_FIELDS:
+            sub.add_argument("--" + f.name.replace("_", "-"),
+                             type=type(f.default), default=f.default)
+        if name == "curve":
+            sub.add_argument("--format", choices=("csv", "json"), default="csv")
+        sub.add_argument("--output", default=None, metavar="PATH")
     return parser
 
 
@@ -217,14 +202,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     model = build_model(args.dist, **_parse_model_params(args.param))
     params = _params_from_args(args)
     report = verify(model, params)
-    pi = None
-    if report.pi_result is not None:
-        pi = {"is_member": report.pi_result.is_member,
-              "c_hat": report.pi_result.c_hat,
-              "max_residual_rel": report.pi_result.max_residual_rel,
-              "n_skipped": report.pi_result.n_skipped,
-              "window": list(report.pi_result.window),
-              "ell_index_hat": report.pi_result.ell_index_hat}
+    pi = report.pi_result and asdict(report.pi_result)
+    if pi:
+        del pi["per_lambda_residuals"]
     text = render_json({
         "model": report.model_name,
         "beta": report.beta,

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import TailModel, _piece_sf
-from .errors import AdmissionError, InconsistencyError, ModelEvaluationError
+from .errors import (AdmissionError, InconsistencyError, ModelEvaluationError,
+                     ModelValidationError)
 from .params import AnalysisParams
 from .quadrature import integrate_tail
 
@@ -63,13 +64,12 @@ def _power_pieces(lo, lo_pow, hi, hi_pow, sf, a, beta):
     a = 0 gives the staircase sf * (hi_pow - lo_pow); otherwise sf lo^beta
     beta expm1((beta - a) ln(hi/lo)) / (beta - a), ln(hi/lo) at a = beta,
     which overflows only with its value. expm1 scales the log's rounding by
-    (beta - a) ln(hi/lo).
+    (beta - a) ln(hi/lo). A power piece may form inf - inf before it is
+    replaced, so callers ignore over and invalid.
     """
-    seg = np.empty(len(lo))
+    seg = sf * (hi_pow - lo_pow)  # every piece as if flat
     err = np.zeros(len(lo))
-    flat = a == 0.0
-    seg[flat] = sf[flat] * (hi_pow[flat] - lo_pow[flat])
-    p = ~flat
+    p = np.flatnonzero(a)
     c = beta - a[p]
     log_q = np.log(hi[p] / lo[p])
     crit = c == 0.0
@@ -81,8 +81,8 @@ def _power_pieces(lo, lo_pow, hi, hi_pow, sf, a, beta):
     return seg, err
 
 
-def _accumulate(model: TailModel, beta: float, xs, rel_tol: float,
-                xs_pow=None, law=None) -> tuple[np.ndarray, np.ndarray]:
+def _accumulate(model: TailModel, beta: float, xs: np.ndarray, rel_tol: float,
+                xs_pow: np.ndarray, law) -> tuple[np.ndarray, np.ndarray]:
     """h and its error bound at the increasing xs (xs_pow, law: _read_law).
 
     The one h kernel: h(x) = x^beta up to the support floor. Above it, h at
@@ -91,8 +91,6 @@ def _accumulate(model: TailModel, beta: float, xs, rel_tol: float,
     points. Otherwise the tail is continuous above the floor, and h is the
     cumsum of one quadrature pass over the steps from the floor.
     """
-    xs = np.asarray(xs, dtype=float)
-    xs_pow, law = _read_law(model, beta, xs) if xs_pow is None else (xs_pow, law)
     floor = model.support_floor
     head = int(np.searchsorted(xs, floor, side="right"))
     hs = xs_pow[:head]
@@ -131,8 +129,10 @@ def compute_h(model: TailModel, beta: float, x: float,
     """
     if not (x > 0.0 and math.isfinite(x)):
         raise ModelEvaluationError(f"x must be a positive finite real, got {x!r}")
+    xs = np.array([x], dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        hs, errs = _accumulate(model, beta, [x], rel_tol)
+        hs, errs = _accumulate(model, beta, xs, rel_tol,
+                               *_read_law(model, beta, xs))
     if not math.isfinite(hs[-1]):
         raise ModelEvaluationError(
             f"h({x:g}) of model {model.name!r} at order {beta:g} leaves the "
@@ -212,16 +212,20 @@ def build_grid(model: TailModel, params: AnalysisParams,
     points_per_decade sets the density. The kinks are the knots of the
     model's pieces (knots if given, else model.breakpoints) and the support
     floor inside the range, and each is kept exactly. An interior grid point
-    within relative 1e-9 of a kink gives way to it instead of forming a
-    near-duplicate pair; x_min and x_max stay. Integration steps between
-    neighbours therefore never cross a kink, and the admission point
+    within relative 1e-9 of a kink or of x_max (or past it) gives way instead
+    of forming a near-duplicate pair; x_min and x_max stay. Integration steps
+    between neighbours therefore never cross a kink, and the admission point
     max(x_min, support floor) is a grid point. The merge is one vectorised
-    sort, O((n + k) log(n + k)) for n grid points and k kinks.
+    sort, O((n + k) log(n + k)) for n grid points and k kinks. A span whose
+    x_max / x_min overflows raises ModelValidationError.
     """
     lo, hi = params.x_min, params.x_max
+    if not math.isfinite(hi / lo):
+        raise ModelValidationError(
+            f"the span [{lo!r}, {hi!r}] is wider than the float range")
     n = int(math.ceil(math.log10(hi / lo) * params.points_per_decade))
-    grid = lo * 10.0 ** (np.arange(n + 1) / params.points_per_decade)
-    grid[-1] = hi
+    grid = lo * 10.0 ** (np.arange(1, n) / params.points_per_decade)
+    grid = np.concatenate(([lo], grid[grid < hi * (1.0 - _SNAP)], [hi]))
     kinks = np.append(np.asarray(model.breakpoints(lo, hi) if knots is None
                                  else knots, dtype=float), model.support_floor)
     kinks = kinks[(kinks >= lo) & (kinks <= hi)]

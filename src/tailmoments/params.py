@@ -81,6 +81,10 @@ class AnalysisParams:
         return max(0.1 * self.beta, 3.0 * self.eps_rho)
 
     def window(self) -> tuple[float, float]:
-        """Tail window [x_max / 10**window_decades, x_max], clipped at x_min."""
-        lo = max(self.x_min, self.x_max / 10.0 ** self.window_decades)
+        """Tail window [x_max / 10**window_decades, x_max], clipped at x_min:
+        a window wider than the float range is the whole span."""
+        try:
+            lo = max(self.x_min, self.x_max / 10.0 ** self.window_decades)
+        except OverflowError:  # 10**window_decades past the float range
+            lo = self.x_min
         return lo, self.x_max

@@ -12,7 +12,6 @@ never read at an end, where the floor's jump sits.
 
 from __future__ import annotations
 
-import math
 from typing import Callable
 
 import numpy as np
@@ -120,14 +119,3 @@ def integrate_tail(tail: Callable, beta: float, xs,
                                  + abs(t[0]) * lo_pow))
     return values, errs
 
-
-def integrate_tail_piece(tail: Callable, beta: float, a: float, b: float,
-                         rel_tol: float = 1e-10) -> tuple[float, float]:
-    """Integral of beta * y^(beta-1) * tail(y) over [a, b] and its error
-    bound: integrate_tail on the one step [a, b]."""
-    if not (0.0 < a <= b) or not math.isfinite(b):
-        raise ModelEvaluationError(f"invalid integration bounds [{a!r}, {b!r}]")
-    if a == b:
-        return 0.0, 0.0
-    values, errs = integrate_tail(tail, beta, [a, b], rel_tol)
-    return float(values[0]), float(errs[0])

@@ -167,6 +167,29 @@ def test_verify_at_float_range_edge_has_no_traceback(capsys):
     assert report["violations"] == []
 
 
+def test_span_past_the_float_range_is_a_validation_error(capsys):
+    # x_max / x_min overflows: the grid once died on int(inf)
+    code, out, err = run(capsys, "verify", "--dist", "pareto", "--param",
+                         "alpha=1.5", "--beta", "2", "--x-min", "1e-300",
+                         "--x-max", "1e300")
+    assert code == 1 and out == ""
+    assert "OverflowError" not in err and "span [1e-300, 1e+300]" in err
+
+
+def test_window_wider_than_the_float_range_is_the_whole_span(capsys):
+    # 10**400 overflows; the window is then [x_min, x_max], as at 12 decades
+    args = ("verify", "--dist", "pareto", "--param", "alpha=1.5", "--beta",
+            "2", "--window-decades")
+    code, out, err = run(capsys, *args, "400")
+    assert "OverflowError" not in err
+    code_12, out_12, err_12 = run(capsys, *args, "12")
+    assert (code, err) == (code_12, err_12)
+    report, report_12 = json.loads(out), json.loads(out_12)
+    assert report["params"].pop("window_decades") == 400.0
+    assert report_12["params"].pop("window_decades") == 12.0
+    assert report == report_12
+
+
 def test_window_without_kinks_leaves_rv_verdicts_undecided(capsys):
     # the 3-decade window [1e302, 1e305] holds no knot of the 10-decade
     # staircase, whose sf is constant there: no evidence of regular variation

@@ -24,9 +24,10 @@ from hypothesis import strategies as st
 
 from tailmoments.catalog import (load_tabulated, make_geometric_tail,
                                  make_pareto, make_st_petersburg)
-from tailmoments.moments import _accumulate, build_curve, build_grid, compute_h
+from tailmoments.moments import (_accumulate, _read_law, build_curve,
+                                 build_grid, compute_h)
 from tailmoments.params import AnalysisParams
-from tailmoments.quadrature import integrate_tail_piece
+from tailmoments.quadrature import integrate_tail
 
 _EPS = 2.0 ** -52
 
@@ -127,7 +128,8 @@ def test_power_piece_error_bound_brackets_exact_h(alpha, beta, x_max):
     # (beta - alpha) ln x reaches 345 here, and expm1 multiplies the
     # rounding of the log by it: the bound must carry that term
     xs = np.geomspace(1.0, x_max, 500)
-    hs, errs = _accumulate(make_pareto(alpha), beta, xs, 1e-10)
+    model = make_pareto(alpha)
+    hs, errs = _accumulate(model, beta, xs, 1e-10, *_read_law(model, beta, xs))
     exact = np.array([_exact_pareto_h(alpha, beta, x) for x in xs.tolist()])
     assert (np.abs(hs - exact) <= errs).all()
 
@@ -183,7 +185,8 @@ def test_table_kernel_agrees_with_quadrature_and_closed_form_sums(case):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # past the last row
         knots, sfs, exps = model.pieces(model.support_floor, float(xs[-1]))
-        hs, errs = _accumulate(model, beta, xs, 1e-10)
+        hs, errs = _accumulate(model, beta, xs, 1e-10,
+                               *_read_law(model, beta, xs))
     assert np.isfinite(hs).all() and (np.diff(hs) >= 0.0).all()
     floor = model.support_floor
     for x, h, err in zip(xs.tolist(), hs, errs):
@@ -202,9 +205,8 @@ def test_table_kernel_agrees_with_quadrature_and_closed_form_sums(case):
 
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # past the last row
-                value, value_err = integrate_tail_piece(sf, beta, lo, hi,
-                                                        1e-12)
-            quad += value
-            quad_err += value_err
+                value, value_err = integrate_tail(sf, beta, [lo, hi], 1e-12)
+            quad += value[0]
+            quad_err += value_err[0]
         assert abs(h - math.fsum(closed)) <= err, (x, h, math.fsum(closed), err)
         assert abs(h - quad) <= err + quad_err, (x, h, quad, err, quad_err)

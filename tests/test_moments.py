@@ -5,7 +5,7 @@ from dataclasses import replace
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import tailmoments.moments as moments
@@ -14,7 +14,8 @@ from tailmoments.catalog import (TailModel, load_tabulated, make_geometric_tail,
                                  make_inverse_log, make_log_pareto,
                                  make_pareto, make_st_petersburg)
 from tailmoments.errors import (AdmissionError, ExtrapolationWarning,
-                               InconsistencyError, ModelEvaluationError)
+                               InconsistencyError, ModelEvaluationError,
+                               ModelValidationError)
 from tailmoments.moments import (build_curve, build_grid, check_admission,
                                  compute_h, compute_u, curve_to_csv)
 from tailmoments.params import AnalysisParams
@@ -327,6 +328,60 @@ def test_grid_density_scales_with_points_per_decade():
     p8 = AnalysisParams(beta=1.0, x_max=1e6, points_per_decade=8)
     p32 = AnalysisParams(beta=1.0, x_max=1e6, points_per_decade=32)
     assert len(build_grid(m, p32)) > 3 * len(build_grid(m, p8))
+
+
+def test_grid_ends_exactly_at_x_max():
+    # 10**(17/11) by numpy's vector power lands one ulp past this x_max, and
+    # the grid once ended ...847, ...85
+    x_max = 187.38174228603847
+    grid = build_grid(make_pareto(1.5), AnalysisParams(
+        beta=2.0, x_max=x_max, points_per_decade=11))
+    assert grid[-1] == x_max and x_max - grid[-2] > 1e-9 * x_max
+
+
+#: every positive finite double, subnormals included
+_DOUBLES = st.floats(min_value=5e-324, max_value=1.7976931348623157e308)
+
+
+@st.composite
+def _spans(draw):
+    """(x_min, x_max, ppd): any two doubles, or x_max the geometric grid
+    point x_min * 10**(k/ppd) as build_grid forms it, or a float neighbour."""
+    ppd = draw(st.integers(8, 64))
+    x_min = draw(_DOUBLES)
+    if draw(st.booleans()):
+        x_min, x_max = sorted((x_min, draw(_DOUBLES)))
+    else:
+        k = draw(st.integers(1, 400))
+        with np.errstate(over="ignore"):
+            x_max = float((x_min * 10.0 ** (np.arange(1, k + 1) / ppd))[-1])
+        x_max = float(np.nextafter(x_max, draw(st.sampled_from(
+            (0.0, x_max, math.inf)))))
+    assume(x_min < x_max < math.inf)
+    return x_min, x_max, ppd
+
+
+@given(span=_spans(), window=st.floats(0.0, 1000.0, exclude_min=True),
+       model=st.sampled_from((make_pareto(1.5), make_inverse_log())))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_grid_and_window_stay_inside_any_span(span, window, model):
+    x_min, x_max, ppd = span
+    p = AnalysisParams(beta=1.0, x_min=x_min, x_max=x_max,
+                       points_per_decade=ppd, window_decades=window)
+    lo, hi = p.window()
+    assert x_min <= lo <= hi == x_max
+    if not math.isfinite(x_max / x_min):
+        with pytest.raises(ModelValidationError, match="span"):
+            build_grid(model, p)
+        return
+    grid = build_grid(model, p)
+    assert grid[0] == x_min and grid[-1] == x_max
+    assert (np.diff(grid) > 0).all()
+    # a point that is no kink keeps more than 1e-9 from both neighbours
+    kinks = [*model.breakpoints(x_min, x_max), model.support_floor]
+    free = np.flatnonzero(~np.isin(grid[1:-1], kinks)) + 1
+    assert (grid[free] - grid[free - 1] > 1e-9 * grid[free - 1]).all()
+    assert (grid[free + 1] - grid[free] > 1e-9 * grid[free + 1]).all()
 
 
 # ---------------------------------------------------------------------------

@@ -10,53 +10,45 @@ from tailmoments.catalog import TailModel, make_inverse_log
 from tailmoments.errors import ConvergenceError, ModelEvaluationError
 from tailmoments.moments import build_curve, compute_h
 from tailmoments.params import AnalysisParams
-from tailmoments.quadrature import _MAX_INTERVALS, integrate_tail_piece
+from tailmoments.quadrature import _MAX_INTERVALS, integrate_tail
+
+
+def _one_step(tail, beta, a, b, rel_tol=1e-10):
+    """integrate_tail over the single step [a, b], as floats."""
+    values, errs = integrate_tail(tail, beta, [a, b], rel_tol)
+    return float(values[0]), float(errs[0])
 
 
 def test_constant_tail_gives_power_difference():
     # int_a^b beta y^(beta-1) dy = b^beta - a^beta
-    value, err = integrate_tail_piece(lambda y: 1.0, 2.0, 1.0, 10.0)
+    value, err = _one_step(lambda y: 1.0, 2.0, 1.0, 10.0)
     assert math.isclose(value, 99.0, rel_tol=1e-12)
     assert abs(value - 99.0) <= max(err, 1e-9)
 
 
 def test_pure_power_tail_closed_form():
     # tail y^-1.5, beta 2: int beta y^(beta-1-1.5) dy = 2/0.5 (b^0.5 - a^0.5)
-    value, _ = integrate_tail_piece(lambda y: y ** -1.5, 2.0, 1.0, 100.0)
+    value, _ = _one_step(lambda y: y ** -1.5, 2.0, 1.0, 100.0)
     assert math.isclose(value, 4.0 * (10.0 - 1.0), rel_tol=1e-10)
 
 
 def test_error_estimate_is_honest():
     exact = 4.0 * (10.0 - 1.0)
-    value, err = integrate_tail_piece(lambda y: y ** -1.5, 2.0, 1.0, 100.0,
-                                      rel_tol=1e-8)
+    value, err = _one_step(lambda y: y ** -1.5, 2.0, 1.0, 100.0, rel_tol=1e-8)
     assert abs(value - exact) <= 10.0 * err + 1e-12 * exact
 
 
 def test_tighter_tolerance_reduces_error():
-    _, err_loose = integrate_tail_piece(lambda y: 1 / np.log(y), 1.0,
-                                        3.0, 1e6, rel_tol=1e-6)
-    _, err_tight = integrate_tail_piece(lambda y: 1 / np.log(y), 1.0,
-                                        3.0, 1e6, rel_tol=1e-12)
+    _, err_loose = _one_step(lambda y: 1 / np.log(y), 1.0, 3.0, 1e6,
+                             rel_tol=1e-6)
+    _, err_tight = _one_step(lambda y: 1 / np.log(y), 1.0, 3.0, 1e6,
+                             rel_tol=1e-12)
     assert err_tight < err_loose
-
-
-def test_empty_interval_is_zero():
-    assert integrate_tail_piece(lambda y: 1.0, 1.0, 5.0, 5.0) == (0.0, 0.0)
-
-
-def test_invalid_bounds_rejected():
-    with pytest.raises(ModelEvaluationError):
-        integrate_tail_piece(lambda y: 1.0, 1.0, 10.0, 5.0)
-    with pytest.raises(ModelEvaluationError):
-        integrate_tail_piece(lambda y: 1.0, 1.0, 0.0, 5.0)
-    with pytest.raises(ModelEvaluationError):
-        integrate_tail_piece(lambda y: 1.0, 1.0, 1.0, math.inf)
 
 
 def test_non_finite_integrand_rejected():
     with pytest.raises(ModelEvaluationError):
-        integrate_tail_piece(lambda y: math.nan, 1.0, 1.0, 10.0)
+        _one_step(lambda y: math.nan, 1.0, 1.0, 10.0)
 
 
 def test_budget_exhaustion_raises_with_partial_estimate():
@@ -65,7 +57,7 @@ def test_budget_exhaustion_raises_with_partial_estimate():
         return 0.5 * (1.0 + np.sin(1e6 * np.log(y)))
 
     with pytest.raises(ConvergenceError) as exc:
-        integrate_tail_piece(hostile, 1.0, 1.0, math.e, rel_tol=1e-12)
+        _one_step(hostile, 1.0, 1.0, math.e, rel_tol=1e-12)
     assert exc.value.estimate is not None
     assert exc.value.err >= 0.0
 
@@ -75,8 +67,8 @@ def test_order_past_the_interval_budget_fails_before_evaluating():
     # least one interval, so past the budget the run cannot converge
     below = 4.6 * _MAX_INTERVALS / 10.0 - 1.0
     # the weight e^(beta t) underflows to 0 here: one interval per segment
-    assert integrate_tail_piece(lambda y: 1.0, below, math.exp(-20.0),
-                                math.exp(-10.0)) == (0.0, 0.0)
+    assert _one_step(lambda y: 1.0, below, math.exp(-20.0),
+                     math.exp(-10.0)) == (0.0, 0.0)
     calls = []
 
     def tail(y):
@@ -85,7 +77,7 @@ def test_order_past_the_interval_budget_fails_before_evaluating():
 
     for beta in (below + 2.0, 1e300):
         with pytest.raises(ConvergenceError, match="interval budget"):
-            integrate_tail_piece(tail, beta, math.exp(-20.0), math.exp(-10.0))
+            _one_step(tail, beta, math.exp(-20.0), math.exp(-10.0))
     assert calls == []
 
 
@@ -155,7 +147,7 @@ def test_error_bound_covers_the_rounding_of_the_end_logs():
     # moves the integral by beta y^beta sf(y) eps |ln y|; the bound once
     # left it out and reported 5.4e-19 against an error of 7.1e-14
     a, b = 100.0, 100.0023
-    value, err = integrate_tail_piece(lambda y: 1.0, 1.0, a, b)
+    value, err = _one_step(lambda y: 1.0, 1.0, a, b)
     assert err >= abs(value - (b - a))
 
 
