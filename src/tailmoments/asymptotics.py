@@ -50,7 +50,8 @@ class RVEstimate:
     between the near and far halves of the window. per_scale is a record
     array with one row per log-ratio observation, lam by lam and x
     ascending, fields x, lam, estimate = log(f(lam x) / f(x)) / log(lam),
-    and interpolated (False when lam x is a grid node).
+    and interpolated (False when lam x is a grid node). lambdas are the
+    distinct lam of per_scale, ascending.
     """
 
     rho_hat: float
@@ -59,6 +60,7 @@ class RVEstimate:
     spread: float
     trend: float
     window: tuple[float, float]
+    lambdas: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -139,7 +141,7 @@ def _window(xs: np.ndarray, params: AnalysisParams) -> tuple[float, float]:
 
 #: what estimate_rv_index reads off increasing positive xs and params
 ScalePlan = namedtuple("ScalePlan", "lo hi span log_xs x_at node log_target "
-                                    "log_lam rows")
+                                    "log_lam rows lambdas")
 
 
 def scale_plan(xs: np.ndarray, params: AnalysisParams) -> ScalePlan:
@@ -148,7 +150,8 @@ def scale_plan(xs: np.ndarray, params: AnalysisParams) -> ScalePlan:
     Pairs (lam, x) run lam by lam over window points x with lam x <= hi.
     Reads stay in xs[span]: the window, and the node above a hi off-node.
     x_at and node index x and lam x's node in the span; log_target is
-    math.log of each off-node lam x. rows is per_scale but for estimate.
+    math.log of each off-node lam x. rows is per_scale but for estimate,
+    and lambdas the distinct lam that have pairs, ascending.
     """
     lo, hi = _window(xs, params)
     span = slice(int(np.searchsorted(xs, lo)), int(np.searchsorted(xs, hi)) + 1)
@@ -165,10 +168,11 @@ def scale_plan(xs: np.ndarray, params: AnalysisParams) -> ScalePlan:
                              ("estimate", float), ("interpolated", bool)])
     rows["x"], rows["lam"], rows["interpolated"] = xs_w[x_at], lams[k], node < 0
     # math.log, not np.log: numpy's vector log can differ in the last bit
-    log_target = np.array([math.log(t) for t in target[node < 0].tolist()])
+    log_target = np.fromiter(map(math.log, target[node < 0].tolist()), float)
     log_lam = np.array([math.log(lam) for lam in params.lambdas])[k]
+    paired = lams[np.bincount(k, minlength=len(lams)) > 0]
     return ScalePlan(lo, hi, span, np.log(xs_w), x_at, node, log_target,
-                     log_lam, rows)
+                     log_lam, rows, tuple(sorted(set(paired.tolist()))))
 
 
 def estimate_rv_index(xs: np.ndarray, fs: np.ndarray, params: AnalysisParams,
@@ -209,7 +213,7 @@ def estimate_rv_index(xs: np.ndarray, fs: np.ndarray, params: AnalysisParams,
     per_scale["estimate"] = estimate
     return RVEstimate(rho_hat=rho_hat, per_scale=per_scale.view(np.recarray),
                       converged=params.converged(spread, trend), spread=spread,
-                      trend=trend, window=(lo, hi))
+                      trend=trend, window=(lo, hi), lambdas=plan.lambdas)
 
 
 def _stats(xs: np.ndarray, ys: np.ndarray, lo: float, hi: float):
@@ -257,7 +261,8 @@ def pi_class_test(model: TailModel, params: AnalysisParams) -> PiTestResult:
     if not lo < hi:
         raise IndeterminateError(
             f"window [{lo:g}, {hi:g}] is empty for model {model.name!r}")
-    n_pts = int(math.ceil(math.log10(hi / lo) * params.points_per_decade)) + 1
+    decades = math.log10(hi) - math.log10(lo)  # hi / lo may overflow
+    n_pts = int(math.ceil(decades * params.points_per_decade)) + 1
     xs = np.geomspace(lo, hi, max(n_pts, 2))
     lambdas = [l for l in params.lambdas if not math.isclose(l, math.e)]
     if not lambdas:

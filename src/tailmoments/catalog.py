@@ -19,6 +19,7 @@ import csv
 import inspect
 import math
 import os
+import sys
 import warnings
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -29,6 +30,10 @@ from .errors import (ExtrapolationWarning, ModelValidationError,
                      TableFormatError)
 
 _E = math.e
+#: ln of the largest double: a power whose exp * ln(base) passes it overflows
+_LN_MAX = math.log(sys.float_info.max)
+#: within this of _LN_MAX the guard's rounding could misjudge an overflow
+_LN_BAND = 1e-6
 
 
 def _floor_log(x: float, base: float) -> int:
@@ -106,17 +111,64 @@ class TailModel:
         return knots[knots >= lo].tolist()
 
 
+def _pow_loop(base: np.ndarray, exp) -> np.ndarray:
+    """Python's float base ** exp per element, in numpy's object-dtype loop."""
+    return np.power(base.astype(object), exp if np.ndim(exp) == 0
+                    else exp.astype(object)).astype(float)
+
+
+def _scalar_pow(base: np.ndarray, exp) -> np.ndarray:
+    """base ** exp elementwise, bit for bit the scalar power np.float64(x) ** b.
+
+    That is the C library's pow, which the staircase sums and the goldens are
+    pinned to; numpy's vector power can differ in the last bit. Python's float
+    ** is the same pow, and numpy's object-dtype loop calls it from C, one
+    element at a time. exp is a float or an array shaped like base. A power
+    past the float range is inf, as for a numpy float: it is read off
+    exp * ln(base) where that lies well past ln(DBL_MAX), and taken from the
+    OverflowError of a call in the narrow band around it.
+    """
+    base = np.asarray(base, dtype=float)
+    scalar = np.ndim(exp) == 0
+    exp = float(exp) if scalar else np.asarray(exp, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t = np.log(base) * exp  # a guard only: its bits reach no result
+    low = ~(t >= _LN_MAX - _LN_BAND)  # a NaN product (0 * inf) too
+    if low.all():
+        return _pow_loop(base, exp)
+    out = np.full(base.shape, np.inf)
+    out[low] = _pow_loop(base[low], exp if scalar else exp[low])
+    for i in np.flatnonzero(np.abs(t - _LN_MAX) < _LN_BAND):
+        try:
+            out[i] = float(base[i]) ** (exp if scalar else float(exp[i]))
+        except OverflowError:
+            pass
+    return out
+
+
+def _ratio_pow(xs: np.ndarray, knots: np.ndarray,
+               exps: np.ndarray) -> np.ndarray:
+    """(x / knot) ** exp elementwise by _scalar_pow; where the quotient
+    overflows, exp(exp * (ln x - ln knot)), which may still be a float."""
+    with np.errstate(over="ignore"):
+        q = xs / knots
+        out = _scalar_pow(q, exps)
+        big = np.flatnonzero(np.isinf(q))
+        out[big] = np.exp(exps[big] * (np.log(xs[big]) - np.log(knots[big])))
+    return out
+
+
 def _piece_sf(knots: np.ndarray, sfs: np.ndarray, exps: np.ndarray,
               xs: np.ndarray, j: np.ndarray | None = None) -> np.ndarray:
     """sf at the points xs on pieces j (TailModel; found here unless given):
     1 below the first knot, exactly sfs[i] on a flat piece, else sfs[i] times
-    the scalar power (x / knots[i]) ** -exps[i] (numpy's vector power can
-    miss it by a bit)."""
+    (x / knots[i]) ** -exps[i], the scalar power of _ratio_pow. That power
+    is at most 1 and underflows to 0 only with its value; a quotient past
+    the float range is read through its logarithm."""
     j = np.searchsorted(knots, xs, side="right") - 1 if j is None else j
     sf = np.append(sfs, 1.0)[j]  # j = -1 below the first knot reads the 1
     on = np.append(exps, 0.0)[j] != 0.0
-    sf[on] *= [q ** -a for q, a in zip((xs[on] / knots[j[on]]).tolist(),
-                                       exps[j[on]].tolist())]
+    sf[on] *= _ratio_pow(xs[on], knots[j[on]], -exps[j[on]])
     return sf
 
 
@@ -197,15 +249,17 @@ def make_geometric_tail(beta_g: float, p: float) -> TailModel:
         raise ModelValidationError(f"beta_g must be positive, got {beta_g!r}")
     if not (p > 1.0 and math.isfinite(p)):
         raise ModelValidationError(f"p must exceed 1, got {p!r}")
-    # integer parameters would make p ** k exact big ints, and grids object arrays
+    # integer parameters would make _floor_log's powers exact big ints
     beta_g, p = float(beta_g), float(p)
 
     def pieces(lo: float, hi: float):
         # k of the knots p^k from the one at or below max(lo, p) up to hi
-        ks = (range(max(1, _floor_log(max(lo, p), p)), _floor_log(hi, p) + 1)
-              if hi >= p else range(0))
-        return (np.array([p ** k for k in ks], dtype=float),
-                np.array([p ** (-beta_g * k) for k in ks], dtype=float),
+        # k as floats equal to the ints: p ** k is the same pow either way
+        ks = (np.arange(max(1, _floor_log(max(lo, p), p)),
+                        _floor_log(hi, p) + 1, dtype=float)
+              if hi >= p else np.zeros(0))
+        ps = np.full(len(ks), p)
+        return (_scalar_pow(ps, ks), _scalar_pow(ps, -beta_g * ks),
                 np.zeros(len(ks)))
 
     def rho_of(beta: float) -> float | None:

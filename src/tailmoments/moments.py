@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import TailModel, _piece_sf
+from .catalog import TailModel, _piece_sf, _ratio_pow, _scalar_pow
 from .errors import (AdmissionError, InconsistencyError, ModelEvaluationError,
                      ModelValidationError)
 from .params import AnalysisParams
@@ -36,10 +36,10 @@ _SNAP = 1e-9
 
 
 def _powers(xs: np.ndarray, beta: float) -> np.ndarray:
-    """x ** beta by the scalar power (numpy's vector power can differ in the
-    last bit, and staircase sums are pinned to it), exactly x at beta = 1;
-    inf past the float range."""
-    return np.array(xs if beta == 1.0 else [x ** beta for x in xs], dtype=float)
+    """x ** beta by the scalar power, catalog._scalar_pow (numpy's vector
+    power can differ in the last bit, and staircase sums are pinned to it):
+    exactly x at beta = 1, and inf past the float range."""
+    return np.array(xs, dtype=float) if beta == 1.0 else _scalar_pow(xs, beta)
 
 
 def _read_law(model: TailModel, beta: float, xs: np.ndarray, pieces=None):
@@ -63,7 +63,8 @@ def _power_pieces(lo, lo_pow, hi, hi_pow, sf, a, beta):
     roundoff each adds beyond a sum's; lo_pow, hi_pow are lo^beta, hi^beta.
     a = 0 gives the staircase sf * (hi_pow - lo_pow); otherwise sf lo^beta
     beta expm1((beta - a) ln(hi/lo)) / (beta - a), ln(hi/lo) at a = beta,
-    which overflows only with its value. expm1 scales the log's rounding by
+    which overflows only with its value; ln(hi/lo) is ln hi - ln lo where
+    hi/lo passes the float range. expm1 scales the log's rounding by
     (beta - a) ln(hi/lo). A power piece may form inf - inf before it is
     replaced, so callers ignore over and invalid.
     """
@@ -71,7 +72,10 @@ def _power_pieces(lo, lo_pow, hi, hi_pow, sf, a, beta):
     err = np.zeros(len(lo))
     p = np.flatnonzero(a)
     c = beta - a[p]
-    log_q = np.log(hi[p] / lo[p])
+    q = hi[p] / lo[p]
+    log_q = np.log(q)
+    big = np.flatnonzero(np.isinf(q))
+    log_q[big] = np.log(hi[p[big]]) - np.log(lo[p[big]])
     crit = c == 0.0
     growth = np.where(crit, log_q, np.expm1(c * log_q) / np.where(crit, 1.0, c))
     base = sf[p] * lo_pow[p]
@@ -152,7 +156,9 @@ def _boundary(model: TailModel, beta: float, xs: np.ndarray,
     """u at xs: xs_pow = x^beta times sf, off the law as h is, or one call.
 
     Where x^beta sf(x) is not finite on a power piece (x^beta past the float
-    range), u is formed as sf_i knot_i^beta (x / knot_i)^(beta - a_i).
+    range), u is formed as sf_i knot_i^beta (x / knot_i)^(beta - a_i), the
+    scalar power of catalog._ratio_pow: inf where it overflows, and read
+    through ln x - ln knot_i where the quotient does.
     """
     if law is None:
         return xs_pow * model.tail(xs)
@@ -160,8 +166,7 @@ def _boundary(model: TailModel, beta: float, xs: np.ndarray,
     us = xs_pow * _piece_sf(knots, sfs, exps, xs, j)
     big = np.flatnonzero(~np.isfinite(us) & (np.append(exps, 0.0)[j] != 0.0))
     k = j[big]
-    us[big] = sfs[k] * pows[k] * np.array(
-        [y ** (beta - a) for y, a in zip(xs[big] / knots[k], exps[k])])
+    us[big] = sfs[k] * pows[k] * _ratio_pow(xs[big], knots[k], beta - exps[k])
     return us
 
 

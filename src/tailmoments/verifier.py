@@ -150,8 +150,7 @@ def verify(model: TailModel, params: AnalysisParams,
             return ConditionVerdict(verdict=_UNDECIDED, estimate=None,
                                     spread=math.inf)
         return _verdict(est.rho_hat + index_shift, est.spread, est.trend, params,
-                        not truncated and has_incommensurable_pair(
-                            tuple(sorted(set(est.per_scale.lam.tolist())))))
+                        not truncated and has_incommensurable_pair(est.lambdas))
 
     r1_stats = _series_stats(curve.grid, curve.r1, params)
     r1_mean, r1_spread, r1_trend, _ = r1_stats

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -141,6 +142,21 @@ def test_pareto_is_not_de_haan_member():
     assert not res.is_member
     # for a pure power the centered ratio is sinh(alpha ln lam)/sinh(alpha)
     assert res.max_residual_rel > 0.5
+
+
+def test_pi_test_of_a_window_past_the_float_range():
+    # hi / lo and x / x_floor overflow; the ratio of a pure power does not
+    # depend on its floor, nor does the verdict
+    params = AnalysisParams(beta=0.5, x_min=1e-300, x_max=1e300,
+                            window_decades=400)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = pi_class_test(make_pareto(0.5, x_floor=1e-300), params)
+    ref = pi_class_test(make_pareto(0.5), params)
+    assert not res.is_member
+    assert res.window[1] / res.window[0] == math.inf
+    assert math.isclose(res.max_residual_rel, ref.max_residual_rel,
+                        rel_tol=0.0, abs_tol=1e-9)
 
 
 def test_pareto_centered_ratio_matches_sinh_formula():

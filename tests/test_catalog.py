@@ -2,9 +2,13 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import geometric_atoms
 from tailmoments.catalog import (MODEL_REGISTRY, _floor_log, build_model,
@@ -127,6 +131,32 @@ def test_geometric_integer_parameters_match_floats():
     c_int, c_float = build_curve(as_int, p), build_curve(as_float, p)
     assert c_int.h.tobytes() == c_float.h.tobytes()
     assert repr(verify(as_int, p, c_int)) == repr(verify(as_float, p, c_float))
+
+
+@given(beta_g=st.floats(0.05, 8.0), p=st.floats(1.1, 100.0) | st.integers(2, 50),
+       lo=st.floats(1e-3, 1e300), decades=st.floats(0.0, 300.0))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_geometric_pieces_are_the_scalar_powers_bitwise(beta_g, p, lo, decades):
+    # knots p ** k and levels p ** (-beta_g k), k the ints, one pow each
+    hi = min(lo * 10.0 ** decades, 1e300)
+    pf, bf = float(p), float(beta_g)
+    ks = (range(max(1, _floor_log(max(lo, pf), pf)), _floor_log(hi, pf) + 1)
+          if hi >= pf else range(0))
+    knots, sfs, exps = make_geometric_tail(beta_g, p).pieces(lo, hi)
+    assert knots.tobytes() == np.array([pf ** k for k in ks]).tobytes()
+    assert sfs.tobytes() == np.array([pf ** (-bf * k) for k in ks]).tobytes()
+    assert exps.tobytes() == np.zeros(len(ks)).tobytes()
+
+
+def test_power_tail_past_the_quotient_range_is_read_through_logs():
+    # 2e8 / 1e-300 overflows, but sf(2e8) = (2e8 / 1e-300) ** -0.5 ~ 7e-155
+    m = make_pareto(0.5, x_floor=1e-300)
+    x = np.array([1e-300, 1.0, 2e8, 1e300])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sf = m.tail(x)
+    exact = [(mpmath.mpf(v) / mpmath.mpf(1e-300)) ** -0.5 for v in x.tolist()]
+    assert all(math.isclose(a, b, rel_tol=1e-13) for a, b in zip(sf, exact))
 
 
 def test_geometric_rejects_bad_params():

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 import tailmoments.moments as moments
 from oracles import atom_sum_v, geometric_atoms
-from tailmoments.catalog import (TailModel, load_tabulated, make_geometric_tail,
-                                 make_inverse_log, make_log_pareto,
+from tailmoments.catalog import (TailModel, _scalar_pow, load_tabulated,
+                                 make_geometric_tail, make_inverse_log,
+                                 make_log_pareto,
                                  make_pareto, make_st_petersburg)
 from tailmoments.errors import (AdmissionError, ExtrapolationWarning,
                                InconsistencyError, ModelEvaluationError,
@@ -582,6 +583,84 @@ def test_power_one_is_the_scalar_power_bitwise(xs):
                   + [5e-324, 1e-310, np.nextafter(2.0 ** -1022, 0.0)])
     ref = np.array([np.float64(x) ** 1.0 for x in xs])
     assert moments._powers(xs, 1.0).tobytes() == ref.tobytes()
+
+
+_DBL_MAX = float(np.finfo(float).max)
+_POSITIVE = st.floats(5e-324, _DBL_MAX)  # any positive double, subnormals too
+
+
+def _numpy_float_powers(xs, exps):
+    """np.float64(x) ** b one point at a time: the scalar power, inf past
+    the float range."""
+    with np.errstate(over="ignore"):
+        return np.array([np.float64(x) ** np.float64(b)
+                         for x, b in zip(xs, np.broadcast_to(exps, len(xs)))])
+
+
+def _overflow_edge(beta):
+    """DBL_MAX ** (1 / beta), where x ** beta leaves the float range (DBL_MAX
+    where it never does), and its eight float neighbours either side."""
+    with np.errstate(over="ignore"):
+        down = up = min(float(np.float64(_DBL_MAX) ** (1.0 / beta)), _DBL_MAX)
+        xs = [down]
+        for _ in range(8):
+            down, up = np.nextafter(down, 0.0), np.nextafter(up, np.inf)
+            xs += [float(down), min(float(up), _DBL_MAX)]
+    return xs
+
+
+@given(xs=st.lists(_POSITIVE, max_size=50),
+       beta=st.floats(0.0, 8.0, exclude_min=True)
+       | st.sampled_from((0.5, 1.0, 2.0, 8.0)))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_scalar_powers_are_numpy_float_powers_bitwise(xs, beta):
+    # the helper and _powers: libm's pow, bit for bit and inf included, on
+    # either side of the overflow edge, where the helper calls pow itself
+    xs = np.array(xs + _overflow_edge(beta) + [5e-324, 1.0, _DBL_MAX])
+    ref = _numpy_float_powers(xs, beta).tobytes()
+    assert _scalar_pow(xs, beta).tobytes() == ref
+    assert moments._powers(xs, beta).tobytes() == ref
+
+
+@given(pairs=st.lists(st.tuples(_POSITIVE, st.floats(-8.0, 8.0)), max_size=50),
+       beta=st.floats(0.0, 8.0, exclude_min=True))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_scalar_pow_takes_each_points_exponent_bitwise(pairs, beta):
+    # per-point exponents, as a power piece's -a_i and beta - a_i are
+    edge = _overflow_edge(beta)
+    xs = np.array([x for x, _ in pairs] + edge)
+    exps = np.array([b for _, b in pairs] + [beta] * len(edge))
+    assert (_scalar_pow(xs, exps).tobytes()
+            == _numpy_float_powers(xs, exps).tobytes())
+
+
+def test_curve_past_the_quotient_range_matches_closed_form():
+    # x / x_floor passes the float range from x ~ 2e8 on, where h ~ 1e-146:
+    # the power pieces read ln x - ln x_floor there, with no warning
+    m = make_pareto(0.5, x_floor=1e-300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        c = build_curve(m, AnalysisParams(beta=1.0, x_min=1e-5, x_max=1e300))
+    with np.errstate(over="ignore"):
+        assert (c.grid / m.support_floor == np.inf).sum() > 1000
+    cf = np.array([m.closed_form_h(1.0, x) for x in c.grid.tolist()])
+    assert (np.abs(c.h - cf) <= c.quad_error).all()
+    assert (c.u > 0.0).all()
+
+
+def test_u_and_h_past_the_quotient_range_are_read_through_logs():
+    # 1e300 ** 1.1 and 1e300 / 1e-250 both overflow; u = x^1.1 / (x/x_i)
+    # = 1e-220 and h ~ 1.1e-219 do not
+    m, beta, x = make_pareto(1.0, x_floor=1e-250), 1.1, 1e300
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u = compute_u(m, beta, x)
+        h, err = compute_h(m, beta, x)
+    big, floor = mpmath.mpf(x), mpmath.mpf(m.support_floor)
+    assert math.isclose(u, big ** beta * floor / big, rel_tol=1e-12)
+    c = beta - 1.0
+    exact = floor ** beta + beta * floor * (big ** c - floor ** c) / c
+    assert abs(h - exact) <= err
 
 
 @given(n=st.integers(1, 300), k=st.integers(0, 15))

@@ -14,7 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tailmoments.asymptotics as asymptotics
@@ -142,6 +142,46 @@ def test_off_grid_target_logs_match_the_scalar_loop():
     est = estimate_rv_index(xs, fs, replace(params, lambdas=(2.0,)))
     assert any(x == t / 2 and interpolated for x, _, _, interpolated in points)
     assert _bits(est.per_scale.estimate) == _bits(p[2] for p in points)
+
+
+#: numpy's vectorised log and math.log differ in the last bit here on
+#: common builds
+_HARD_LOG = float.fromhex("0x1.5b319b5800f0fp+1")
+
+
+def _hard_log_case():
+    xs = np.unique(np.concatenate((_HARD_LOG * np.geomspace(0.125, 8.0, 24),
+                                   [_HARD_LOG / 2])))
+    params = AnalysisParams(beta=1.0, x_min=float(xs[0]), x_max=float(xs[-1]),
+                            window_decades=4.0)
+    return xs, xs, params, (2.0, 3.0)
+
+
+@given(case=_cases())
+@example(case=_hard_log_case())
+@settings(max_examples=200, deadline=None)
+def test_plan_log_targets_are_math_log_bitwise(case):
+    xs, _, params, lambdas = case
+    plan = scale_plan(xs, replace(params, lambdas=lambdas))
+    off = plan.rows[plan.rows["interpolated"]]
+    want = [math.log(x * lam) for x, lam in zip(off["x"].tolist(),
+                                                off["lam"].tolist())]
+    assert _bits(plan.log_target) == _bits(want)
+
+
+@given(case=_cases())
+@settings(max_examples=200, deadline=None)
+def test_estimate_lambdas_are_those_of_its_pairs(case):
+    # read off the plan, shared or, for samples with zeros, the estimate's own
+    xs, fs, params, lambdas = case
+    params = replace(params, lambdas=lambdas)
+    plan = scale_plan(xs, params)
+    assert plan.lambdas == tuple(sorted(set(plan.rows["lam"].tolist())))
+    try:
+        est = estimate_rv_index(xs, fs, params, plan)
+    except InsufficientDataError:
+        return
+    assert est.lambdas == tuple(sorted(set(est.per_scale.lam.tolist())))
 
 
 def _grid_and_series():

@@ -140,6 +140,25 @@ def test_verify_builds_one_scale_plan_per_report(monkeypatch, model):
     assert (len(plans), len(estimates)) == (1, 3)
 
 
+def test_verify_judges_each_estimate_by_its_own_lambdas(monkeypatch):
+    # v is 0 up to the support floor 2, inside this window: its estimate
+    # plans its own samples, and its pairs decide for it
+    plans, estimates, judged = [], [], []
+    plan, estimate = asymptotics.scale_plan, verifier.estimate_rv_index
+    monkeypatch.setattr(asymptotics, "scale_plan",
+                        lambda *args: plans.append(1) or plan(*args))
+    monkeypatch.setattr(verifier, "estimate_rv_index",
+                        lambda *args: estimates.append(estimate(*args))
+                        or estimates[-1])
+    monkeypatch.setattr(verifier, "has_incommensurable_pair",
+                        lambda lambdas: judged.append(lambdas) or True)
+    verify(make_st_petersburg(), AnalysisParams(beta=1.0, x_max=1e12,
+                                                window_decades=12.0))
+    assert len(plans) == 1 and len(estimates) == 3  # v's own plan
+    assert judged == [tuple(sorted(set(est.per_scale.lam.tolist())))
+                      for est in estimates]
+
+
 def test_a_report_leaves_numpy_ma_unimported():
     # np.union1d and np.unique import numpy.ma on first use, which costs
     # ~10 ms and ~1.6 MB in every process that builds a curve
