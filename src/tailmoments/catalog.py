@@ -134,7 +134,7 @@ def _scalar_pow(base: np.ndarray, exp) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         t = np.log(base) * exp  # a guard only: its bits reach no result
     low = ~(t >= _LN_MAX - _LN_BAND)  # a NaN product (0 * inf) too
-    if low.all():
+    if low.all():  # the common case, spared the masks' copies
         return _pow_loop(base, exp)
     out = np.full(base.shape, np.inf)
     out[low] = _pow_loop(base[low], exp if scalar else exp[low])

@@ -12,8 +12,8 @@ import tailmoments.moments as moments
 from oracles import atom_sum_v, geometric_atoms
 from tailmoments.catalog import (TailModel, _scalar_pow, load_tabulated,
                                  make_geometric_tail, make_inverse_log,
-                                 make_log_pareto,
-                                 make_pareto, make_st_petersburg)
+                                 make_log_pareto, make_pareto,
+                                 make_st_petersburg)
 from tailmoments.errors import (AdmissionError, ExtrapolationWarning,
                                InconsistencyError, ModelEvaluationError,
                                ModelValidationError)

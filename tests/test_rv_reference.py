@@ -129,32 +129,31 @@ def _assert_same(a, b):
     assert a.converged == b.converged
 
 
-def test_off_grid_target_logs_match_the_scalar_loop():
-    # numpy's vectorised log and math.log can differ in the last bit, and do
-    # at this target on common builds; the steep power carries that bit into
-    # the estimate, so the array code must take target logs as the loop did
-    t = float.fromhex("0x1.5b319b5800f0fp+1")
-    xs = np.unique(np.concatenate((t * np.geomspace(0.125, 8.0, 24), [t / 2])))
-    fs = (xs / t) ** 50.0
-    params = AnalysisParams(beta=1.0, x_min=float(xs[0]), x_max=float(xs[-1]),
-                            window_decades=4.0)
-    _, _, points = reference_pairs(xs, fs, params, (2.0,))
-    est = estimate_rv_index(xs, fs, replace(params, lambdas=(2.0,)))
-    assert any(x == t / 2 and interpolated for x, _, _, interpolated in points)
-    assert _bits(est.per_scale.estimate) == _bits(p[2] for p in points)
-
-
 #: numpy's vectorised log and math.log differ in the last bit here on
 #: common builds
 _HARD_LOG = float.fromhex("0x1.5b319b5800f0fp+1")
 
 
 def _hard_log_case():
+    """A grid on which lam = 2 takes the node _HARD_LOG / 2 to the off-node
+    target _HARD_LOG, as a case of _cases."""
     xs = np.unique(np.concatenate((_HARD_LOG * np.geomspace(0.125, 8.0, 24),
                                    [_HARD_LOG / 2])))
     params = AnalysisParams(beta=1.0, x_min=float(xs[0]), x_max=float(xs[-1]),
                             window_decades=4.0)
     return xs, xs, params, (2.0, 3.0)
+
+
+def test_off_grid_target_logs_match_the_scalar_loop():
+    # the steep power carries the last bit of the log of the target t into
+    # the estimate, so the array code must take target logs as the loop did
+    t = _HARD_LOG
+    xs, _, params, _ = _hard_log_case()
+    fs = (xs / t) ** 50.0
+    _, _, points = reference_pairs(xs, fs, params, (2.0,))
+    est = estimate_rv_index(xs, fs, replace(params, lambdas=(2.0,)))
+    assert any(x == t / 2 and interpolated for x, _, _, interpolated in points)
+    assert _bits(est.per_scale.estimate) == _bits(p[2] for p in points)
 
 
 @given(case=_cases())
