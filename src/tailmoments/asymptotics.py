@@ -168,7 +168,9 @@ def scale_plan(xs: np.ndarray, params: AnalysisParams) -> ScalePlan:
                              ("estimate", float), ("interpolated", bool)])
     rows["x"], rows["lam"], rows["interpolated"] = xs_w[x_at], lams[k], node < 0
     # math.log, not np.log: numpy's vector log can differ in the last bit
-    log_target = np.fromiter(map(math.log, target[node < 0].tolist()), float)
+    off = target[node < 0]
+    log_target = np.fromiter(map(math.log, memoryview(off)), float,
+                             count=len(off))
     log_lam = np.array([math.log(lam) for lam in params.lambdas])[k]
     paired = lams[np.bincount(k, minlength=len(lams)) > 0]
     return ScalePlan(lo, hi, span, np.log(xs_w), x_at, node, log_target,
@@ -232,15 +234,16 @@ def _stats(xs: np.ndarray, ys: np.ndarray, lo: float, hi: float):
 
 
 def _series_stats(xs: np.ndarray, ys: np.ndarray, params: AnalysisParams):
-    """(mean, spread, trend, mask) of ys restricted to the window, whose
-    samples mask selects."""
+    """(mean, spread, trend, win) of ys restricted to the window, the slice
+    win of the increasing xs."""
     lo, hi = _window(xs, params)
-    mask = (xs >= lo) & (xs <= hi)
-    n = int(mask.sum())
+    win = slice(int(np.searchsorted(xs, lo)),
+                int(np.searchsorted(xs, hi, side="right")))
+    n = len(xs[win])
     if n < 2:
         raise InsufficientDataError(
             f"only {n} samples inside window [{lo:g}, {hi:g}]")
-    return (*_stats(xs[mask], ys[mask], lo, hi), mask)
+    return (*_stats(xs[win], ys[win], lo, hi), win)
 
 
 def pi_class_test(model: TailModel, params: AnalysisParams) -> PiTestResult:
@@ -314,10 +317,8 @@ def gamma_classification(curve, params: AnalysisParams,
     beta = params.beta
     if r1_stats is None:
         r1_stats = _series_stats(curve.grid, curve.r1, params)
-    r1_mean, spread, trend, mask = r1_stats
-    us = curve.u[mask]
-    vs = curve.v[mask]
-    r1s = curve.r1[mask]
+    r1_mean, spread, trend, win = r1_stats
+    us, vs, r1s = curve.u[win], curve.v[win], curve.r1[win]
     rho_mean = beta * r1_mean
     rho_max = beta * float(r1s.max())
     rho_min = beta * float(r1s.min())

@@ -22,6 +22,7 @@ import os
 import sys
 import warnings
 from dataclasses import dataclass, replace
+from itertools import repeat
 from typing import Callable
 
 import numpy as np
@@ -112,27 +113,30 @@ class TailModel:
 
 
 def _pow_loop(base: np.ndarray, exp) -> np.ndarray:
-    """Python's float base ** exp per element, in numpy's object-dtype loop."""
-    return np.power(base.astype(object), exp if np.ndim(exp) == 0
-                    else exp.astype(object)).astype(float)
+    """math.pow(b, exp) per element of the 1-d array base, streamed over its
+    buffer; exp is a float or an array shaped like base."""
+    exps = repeat(exp) if np.ndim(exp) == 0 else memoryview(exp)
+    return np.fromiter(map(math.pow, memoryview(base), exps), float,
+                       count=len(base))
 
 
 def _scalar_pow(base: np.ndarray, exp) -> np.ndarray:
     """base ** exp elementwise, bit for bit the scalar power np.float64(x) ** b.
 
     That is the C library's pow, which the staircase sums and the goldens are
-    pinned to; numpy's vector power can differ in the last bit. Python's float
-    ** is the same pow, and numpy's object-dtype loop calls it from C, one
-    element at a time. exp is a float or an array shaped like base. A power
-    past the float range is inf, as for a numpy float: it is read off
-    exp * ln(base) where that lies well past ln(DBL_MAX), and taken from the
-    OverflowError of a call in the narrow band around it.
+    pinned to; numpy's vector power can differ in the last bit. math.pow and
+    Python's float ** call the same pow for positive finite bases, one
+    element at a time. base is 1-d; exp is a float or an array shaped like
+    base. A power past the float range is inf, as for a numpy float: it is
+    read off exp * ln(base) where that lies well past ln(DBL_MAX), and taken
+    from the OverflowError of a call in the narrow band around it.
     """
     base = np.asarray(base, dtype=float)
     scalar = np.ndim(exp) == 0
     exp = float(exp) if scalar else np.asarray(exp, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        t = np.log(base) * exp  # a guard only: its bits reach no result
+        t = np.log(base)  # t = exp ln(base), a guard only: no result reads it
+        t *= exp
     low = ~(t >= _LN_MAX - _LN_BAND)  # a NaN product (0 * inf) too
     if low.all():  # the common case, spared the masks' copies
         return _pow_loop(base, exp)
@@ -140,7 +144,7 @@ def _scalar_pow(base: np.ndarray, exp) -> np.ndarray:
     out[low] = _pow_loop(base[low], exp if scalar else exp[low])
     for i in np.flatnonzero(np.abs(t - _LN_MAX) < _LN_BAND):
         try:
-            out[i] = float(base[i]) ** (exp if scalar else float(exp[i]))
+            out[i] = math.pow(base[i], exp if scalar else exp[i])
         except OverflowError:
             pass
     return out
@@ -167,8 +171,9 @@ def _piece_sf(knots: np.ndarray, sfs: np.ndarray, exps: np.ndarray,
     the float range is read through its logarithm."""
     j = np.searchsorted(knots, xs, side="right") - 1 if j is None else j
     sf = np.append(sfs, 1.0)[j]  # j = -1 below the first knot reads the 1
-    on = np.append(exps, 0.0)[j] != 0.0
-    sf[on] *= _ratio_pow(xs[on], knots[j[on]], -exps[j[on]])
+    on = (np.append(exps, 0.0) != 0.0)[j]
+    k = j[on]
+    sf[on] *= _ratio_pow(xs[on], knots[k], -exps[k])
     return sf
 
 

@@ -29,6 +29,8 @@ from .params import AnalysisParams
 from .quadrature import integrate_tail
 
 _EPS = 2.0 ** -52
+#: the least subnormal: a result that underflows is off by at most this
+_ETA = 2.0 ** -1074
 #: admission proxy: the moment must keep growing across the analysis span
 ADMISSION_GROWTH = 10.0
 #: a kink this close (relative) to a grid point takes its place
@@ -38,8 +40,8 @@ _SNAP = 1e-9
 def _powers(xs: np.ndarray, beta: float) -> np.ndarray:
     """x ** beta by the scalar power, catalog._scalar_pow (numpy's vector
     power can differ in the last bit, and staircase sums are pinned to it):
-    exactly x at beta = 1, and inf past the float range."""
-    return np.array(xs, dtype=float) if beta == 1.0 else _scalar_pow(xs, beta)
+    xs itself at beta = 1, which is exact, and inf past the float range."""
+    return np.asarray(xs, dtype=float) if beta == 1.0 else _scalar_pow(xs, beta)
 
 
 def _read_law(model: TailModel, beta: float, xs: np.ndarray, pieces=None):
@@ -51,38 +53,103 @@ def _read_law(model: TailModel, beta: float, xs: np.ndarray, pieces=None):
         return xs_pow, None
     knots, sfs, exps = pieces or model.pieces(model.support_floor, float(xs[-1]))
     pos = np.searchsorted(xs, knots)  # xs[pos - 1] < knot <= xs[pos]
-    j = np.cumsum(np.bincount(pos, minlength=len(xs) + 1))[:len(xs)] - 1
+    run = np.append(pos, len(xs))  # points on piece i - 1, i = 0 .. K
+    run[1:] -= pos
+    j = np.repeat(np.arange(-1, len(knots)), run)
     near = np.minimum(pos, len(xs) - 1)
     pows, off = xs_pow[near], xs[near] != knots
     pows[off] = _powers(knots[off], beta)
     return xs_pow, (knots, sfs, exps, j, pows)
 
 
-def _power_pieces(lo, lo_pow, hi, hi_pow, sf, a, beta):
-    """beta * int_lo^hi y^(beta-1) sf (y/lo)^-a dy elementwise, with the
-    roundoff each adds beyond a sum's; lo_pow, hi_pow are lo^beta, hi^beta.
-    a = 0 gives the staircase sf * (hi_pow - lo_pow); otherwise sf lo^beta
-    beta expm1((beta - a) ln(hi/lo)) / (beta - a), ln(hi/lo) at a = beta,
-    which overflows only with its value; ln(hi/lo) is ln hi - ln lo where
-    hi/lo passes the float range. expm1 scales the log's rounding by
-    (beta - a) ln(hi/lo). A power piece may form inf - inf before it is
-    replaced, so callers ignore over and invalid.
+def _power_pieces(law, j, xs, xs_pow, beta):
+    """beta * int_lo^hi y^(beta-1) sf (y/lo)^-a dy on each whole piece of the
+    law (_read_law), then from the knot of piece j up to each point of xs,
+    whose powers are xs_pow, with the roundoff each adds beyond a sum's.
+    A flat piece (a = 0) gives sf * (hi^beta - lo^beta); otherwise
+    sf lo^beta beta expm1((beta - a) ln(hi/lo)) / (beta - a), ln(hi/lo) at
+    a = beta, which overflows only with its value; ln(hi/lo) is
+    ln hi - ln lo where hi/lo passes the float range. expm1 scales the log's
+    rounding by (beta - a) ln(hi/lo). A power piece whose lo^beta underflowed
+    under a positive sf is read through logs (_log_pieces). A power piece may
+    form inf - inf before it is replaced, so callers ignore over and invalid.
     """
-    seg = sf * (hi_pow - lo_pow)  # every piece as if flat
-    err = np.zeros(len(lo))
-    p = np.flatnonzero(a)
-    c = beta - a[p]
-    q = hi[p] / lo[p]
-    log_q = np.log(q)
-    big = np.flatnonzero(np.isinf(q))
-    log_q[big] = np.log(hi[p[big]]) - np.log(lo[p[big]])
-    crit = c == 0.0
-    growth = np.where(crit, log_q, np.expm1(c * log_q) / np.where(crit, 1.0, c))
-    base = sf[p] * lo_pow[p]
-    seg[p] = base * beta * growth
-    err[p] = _EPS * ((4.0 + 2.0 * np.abs(c * log_q) + np.maximum(c, 0.0))
-                     * np.abs(seg[p]) + beta * base)
+    knots, sfs, exps, _, pows = law
+    j = np.append(np.arange(len(knots) - 1), j)  # piece i runs to knot i + 1
+    seg = pows[j]  # every piece as if flat
+    np.subtract(np.append(pows[1:], xs_pow), seg, out=seg)
+    seg *= sfs[j]
+    err = np.zeros(len(j))
+    p = np.flatnonzero((exps != 0.0)[j])
+    if not len(p):
+        return seg, err
+    k = j[p]
+    hi = np.append(knots[1:], xs)
+    log_q = hi[p]
+    log_q /= knots[k]
+    big = np.flatnonzero(np.isinf(log_q))
+    hi = hi[p[big]]
+    np.log(log_q, out=log_q)
+    log_q[big] = np.log(hi) - np.log(knots[k[big]])
+    c = exps[k]
+    np.subtract(beta, c, out=c)
+    cl = c * log_q
+    growth = np.expm1(cl)
+    with np.errstate(invalid="ignore"):
+        growth /= c  # 0 / 0 at a = beta, where the log replaces it
+    crit = np.flatnonzero(c == 0.0)
+    growth[crit] = log_q[crit]
+    under = np.flatnonzero(((pows == 0.0) & (sfs > 0.0))[k])
+    if len(under):  # lo^beta underflowed: read these pieces through logs
+        logged = _log_pieces(sfs[k[under]], knots[k[under]], c[under],
+                             cl[under], log_q[under], beta)
+    base = sfs[k] * pows[k]
+    base *= beta
+    growth *= base
+    seg[p] = growth
+    # eps ((4 + 2 |c L| + max(c, 0)) |seg| + beta base)
+    np.abs(cl, out=cl)
+    cl *= 2.0
+    cl += 4.0
+    cl += np.maximum(c, 0.0, out=c)
+    cl *= np.abs(growth, out=growth)
+    cl += base
+    cl *= _EPS
+    err[p] = cl
+    if len(under):
+        seg[p[under]], err[p[under]] = logged
     return seg, err
+
+
+def _log_pieces(sf, lo, c, cl, log_q, beta):
+    """The power pieces sf lo^beta beta g with g = expm1(c L) / c (L at
+    c = 0), L = log_q = ln(hi/lo) and cl = c L, formed as the exp of
+    ln sf + beta ln lo + ln beta + ln g where lo^beta underflows and the
+    piece need not. ln g is max(cL, 0) + ln(-expm1(-|cL|)) - ln|c|, which
+    neither overflows nor cancels for either sign of c. Returns the pieces
+    and their error bounds: each log's rounding, scaled by exp, and one
+    subnormal step for a piece that underflows after all.
+    """
+    crit = c == 0.0
+    ln_c = np.log(np.abs(np.where(crit, 1.0, c)))
+    with np.errstate(divide="ignore", invalid="ignore"):  # ln 0 at hi = lo
+        ln_g = np.where(crit, np.log(log_q), np.maximum(cl, 0.0) - ln_c
+                        + np.log(-np.expm1(-np.abs(cl))))
+        ln_sf, ln_lo = np.log(sf), beta * np.log(lo)
+        seg = np.exp(ln_sf + ln_lo + math.log(beta) + ln_g)
+        size = (np.abs(ln_sf) + np.abs(ln_lo) + abs(math.log(beta))
+                + 2.0 * np.abs(cl) + np.abs(ln_c) + np.abs(ln_g))
+    return seg, _EPS * (8.0 + 2.0 * size) * seg + _ETA
+
+
+def _head(xs_pow: np.ndarray, head: int) -> tuple[np.ndarray, np.ndarray]:
+    """Room for h and its error bound at every point, set to x^beta and its
+    rounding on the first head. Taken once the kernel's temporaries are gone,
+    so the curve's arrays do not sit under freed memory."""
+    h, err = np.empty(len(xs_pow)), np.empty(len(xs_pow))
+    h[:head] = xs_pow[:head]
+    np.multiply(_EPS, h[:head], out=err[:head])
+    return h, err
 
 
 def _accumulate(model: TailModel, beta: float, xs: np.ndarray, rel_tol: float,
@@ -97,29 +164,35 @@ def _accumulate(model: TailModel, beta: float, xs: np.ndarray, rel_tol: float,
     """
     floor = model.support_floor
     head = int(np.searchsorted(xs, floor, side="right"))
-    hs = xs_pow[:head]
-    errs = _EPS * hs
-    xs, xs_pow = xs[head:], xs_pow[head:]
+    if head == len(xs):
+        return _head(xs_pow, head)
     h0 = np.float64(floor) ** beta  # overflows to inf, not OverflowError
-    if law is not None and len(xs):
-        knots, sfs, exps, j, pows = law
-        n = len(knots) - 1  # whole pieces knot j -> j + 1, then one per point
-        j = np.append(np.arange(n), j[head:])
-        seg, seg_err = _power_pieces(knots[j], pows[j], np.append(knots[1:], xs),
-                                     np.append(pows[1:], xs_pow), sfs[j],
-                                     exps[j], beta)
-        at_knot = np.cumsum(np.append(h0, seg[:n]))
-        knot_err = np.cumsum(np.append(
-            _EPS * h0, 2.0 * _EPS * (np.abs(seg[:n]) + at_knot[1:]) + seg_err[:n]))
-        h = at_knot[j[n:]] + seg[n:]
-        err = knot_err[j[n:]] + (2.0 * _EPS * (np.abs(seg[n:]) + h) + seg_err[n:])
-        return np.append(hs, h), np.append(errs, err)
-    if not len(xs):
-        return hs, errs
-    vals, val_errs = integrate_tail(model.tail, beta, np.append(floor, xs),
-                                    rel_tol)
-    h = h0 + vals
-    return np.append(hs, h), np.append(errs, _EPS * h0 + val_errs + _EPS * h)
+    up, up_pow = xs[head:], xs_pow[head:]
+    if law is None:
+        vals, val_errs = integrate_tail(model.tail, beta, np.append(floor, up),
+                                        rel_tol)
+        h, err = _head(xs_pow, head)
+        np.add(h0, vals, out=h[head:])
+        np.add(_EPS * h0, val_errs, out=err[head:])
+        err[head:] += np.multiply(_EPS, h[head:], out=vals)
+        return h, err
+    j, n = law[3][head:], len(law[0]) - 1  # n whole pieces, then the points
+    seg, seg_err = _power_pieces(law, j, up, up_pow, beta)
+    at_knot = np.cumsum(np.append(h0, seg[:n]))
+    knot_err = np.cumsum(np.append(
+        _EPS * h0, 2.0 * _EPS * (np.abs(seg[:n]) + at_knot[1:]) + seg_err[:n]))
+    h, err = _head(xs_pow, head)
+    h_up, seg = h[head:], seg[n:]
+    np.take(at_knot, j, out=h_up, mode="clip")  # j is in range
+    h_up += seg
+    # err = knot_err + (2 eps (|seg| + h) + seg_err)
+    np.abs(seg, out=seg)
+    seg += h_up
+    seg *= 2.0 * _EPS
+    seg += seg_err[n:]
+    np.take(knot_err, j, out=err[head:], mode="clip")
+    err[head:] += seg
+    return h, err
 
 
 def compute_h(model: TailModel, beta: float, x: float,
@@ -163,8 +236,10 @@ def _boundary(model: TailModel, beta: float, xs: np.ndarray,
     if law is None:
         return xs_pow * model.tail(xs)
     knots, sfs, exps, j, pows = law
-    us = xs_pow * _piece_sf(knots, sfs, exps, xs, j)
-    big = np.flatnonzero(~np.isfinite(us) & (np.append(exps, 0.0)[j] != 0.0))
+    us = _piece_sf(knots, sfs, exps, xs, j)
+    us *= xs_pow
+    big = np.flatnonzero(~np.isfinite(us))
+    big = big[np.append(exps, 0.0)[j[big]] != 0.0]
     k = j[big]
     us[big] = sfs[k] * pows[k] * _ratio_pow(xs[big], knots[k], beta - exps[k])
     return us
@@ -174,14 +249,16 @@ def _stieltjes(model: TailModel, xs: np.ndarray, hs: np.ndarray,
                us: np.ndarray, errs: np.ndarray) -> np.ndarray:
     """v = h - u pointwise, clamping negatives inside the error budget to 0."""
     vs = hs - us
-    bound = 2.0 * (errs + _EPS * hs)
-    bad = np.flatnonzero(vs < -bound)
+    neg = np.flatnonzero(vs < 0.0)
+    bound = 2.0 * (errs[neg] + _EPS * hs[neg])
+    bad = np.flatnonzero(vs[neg] < -bound)
     if len(bad):
-        i = bad[0]
+        i = neg[bad[0]]
         raise InconsistencyError(
             f"v({xs[i]:g}) = {float(vs[i])!r} is negative beyond the error "
-            f"budget {bound[i]:g} for model {model.name!r}")
-    return np.where(vs < 0.0, 0.0, vs)
+            f"budget {bound[bad[0]]:g} for model {model.name!r}")
+    vs[neg] = 0.0
+    return vs
 
 
 def check_admission(model: TailModel, params: AnalysisParams,
@@ -220,27 +297,41 @@ def build_grid(model: TailModel, params: AnalysisParams,
     within relative 1e-9 of a kink or of x_max (or past it) gives way instead
     of forming a near-duplicate pair; x_min and x_max stay. Integration steps
     between neighbours therefore never cross a kink, and the admission point
-    max(x_min, support floor) is a grid point. The merge is one vectorised
-    sort, O((n + k) log(n + k)) for n grid points and k kinks. A span whose
-    x_max / x_min overflows raises ModelValidationError.
+    max(x_min, support floor) is a grid point. The sorted kinks are merged
+    into the grid in O(n + k) for n grid points and k kinks, and repeated
+    points are kept once. A span whose x_max / x_min overflows raises
+    ModelValidationError.
     """
     lo, hi = params.x_min, params.x_max
     if not math.isfinite(hi / lo):
         raise ModelValidationError(
             f"the span [{lo!r}, {hi!r}] is wider than the float range")
     n = int(math.ceil(math.log10(hi / lo) * params.points_per_decade))
-    grid = lo * 10.0 ** (np.arange(1, n) / params.points_per_decade)
-    grid = np.concatenate(([lo], grid[grid < hi * (1.0 - _SNAP)], [hi]))
+    grid = np.arange(n + 1.0)
+    inner = grid[:n]  # lo 10^(k / ppd), increasing in k; then room for hi
+    inner /= params.points_per_decade
+    np.power(10.0, inner, out=inner)
+    inner *= lo
+    last = 1 + int(np.searchsorted(grid[1:n], hi * (1.0 - _SNAP)))
+    grid[last] = hi
+    grid = grid[:last + 1]
     kinks = np.append(np.asarray(model.breakpoints(lo, hi) if knots is None
                                  else knots, dtype=float), model.support_floor)
-    kinks = kinks[(kinks >= lo) & (kinks <= hi)]
+    kinks = np.sort(kinks[(kinks >= lo) & (kinks <= hi)])
     above = np.searchsorted(grid, kinks)  # grid[above - 1] < kink <= grid[above]
     keep = np.ones(len(grid), dtype=bool)
     for near in (above, np.maximum(above - 1, 0)):
         keep[near[np.abs(grid[near] - kinks) <= _SNAP * kinks]] = False
     keep[[0, -1]] = True
-    merged = np.sort(np.append(grid[keep], kinks))  # union1d imports numpy.ma
-    return merged[np.append(True, merged[1:] != merged[:-1])]
+    grid = grid[keep]
+    at = np.searchsorted(grid, kinks) + np.arange(len(kinks))  # merged slots
+    merged = np.empty(len(grid) + len(kinks))
+    merged[at] = kinks
+    keep = np.ones(len(merged), dtype=bool)
+    keep[at] = False
+    merged[keep] = grid
+    new = merged[1:] != merged[:-1]
+    return merged if new.all() else merged[np.append(True, new)]
 
 
 @dataclass(frozen=True)
@@ -279,6 +370,7 @@ def build_curve(model: TailModel, params: AnalysisParams) -> MomentCurve:
         grid_pow, law = _read_law(model, beta, grid, pieces)  # x^beta once each
         hs, errs = _accumulate(model, beta, grid, params.rel_tol, grid_pow, law)
         us = _boundary(model, beta, grid, grid_pow, law)
+    del grid_pow, law  # freed before the curve's last arrays are taken
     bad = np.flatnonzero(~(np.isfinite(hs) & np.isfinite(us)))
     if len(bad):
         k = bad[0]
@@ -286,7 +378,9 @@ def build_curve(model: TailModel, params: AnalysisParams) -> MomentCurve:
             f"the moment curve of model {model.name!r} at order {beta:g} "
             f"leaves the float range at x = {grid[k]:g}: h = {hs[k]:g}, "
             f"u = {us[k]:g}")
-    r1 = us / hs
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r1 = us / hs
+    r1[hs == 0.0] = 1.0  # h underflowed, and u is within its budget of h
     curve = MomentCurve(model_name=model.name, beta=beta, grid=grid, h=hs,
                         v=_stieltjes(model, grid, hs, us, errs), u=us, r1=r1,
                         r2=1.0 - r1, quad_error=errs)
