@@ -168,9 +168,7 @@ def scale_plan(xs: np.ndarray, params: AnalysisParams) -> ScalePlan:
                              ("estimate", float), ("interpolated", bool)])
     rows["x"], rows["lam"], rows["interpolated"] = xs_w[x_at], lams[k], node < 0
     # math.log, not np.log: numpy's vector log can differ in the last bit
-    off = target[node < 0]
-    log_target = np.fromiter(map(math.log, memoryview(off)), float,
-                             count=len(off))
+    log_target = np.fromiter(map(math.log, memoryview(target[node < 0])), float)
     log_lam = np.array([math.log(lam) for lam in params.lambdas])[k]
     paired = lams[np.bincount(k, minlength=len(lams)) > 0]
     return ScalePlan(lo, hi, span, np.log(xs_w), x_at, node, log_target,
@@ -237,8 +235,7 @@ def _series_stats(xs: np.ndarray, ys: np.ndarray, params: AnalysisParams):
     """(mean, spread, trend, win) of ys restricted to the window, the slice
     win of the increasing xs."""
     lo, hi = _window(xs, params)
-    win = slice(int(np.searchsorted(xs, lo)),
-                int(np.searchsorted(xs, hi, side="right")))
+    win = slice(np.searchsorted(xs, lo), np.searchsorted(xs, hi, "right"))
     n = len(xs[win])
     if n < 2:
         raise InsufficientDataError(

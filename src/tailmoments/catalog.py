@@ -135,8 +135,7 @@ def _scalar_pow(base: np.ndarray, exp) -> np.ndarray:
     scalar = np.ndim(exp) == 0
     exp = float(exp) if scalar else np.asarray(exp, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        t = np.log(base)  # t = exp ln(base), a guard only: no result reads it
-        t *= exp
+        t = np.log(base) * exp  # a guard only: its bits reach no result
     low = ~(t >= _LN_MAX - _LN_BAND)  # a NaN product (0 * inf) too
     if low.all():  # the common case, spared the masks' copies
         return _pow_loop(base, exp)
@@ -172,8 +171,7 @@ def _piece_sf(knots: np.ndarray, sfs: np.ndarray, exps: np.ndarray,
     j = np.searchsorted(knots, xs, side="right") - 1 if j is None else j
     sf = np.append(sfs, 1.0)[j]  # j = -1 below the first knot reads the 1
     on = (np.append(exps, 0.0) != 0.0)[j]
-    k = j[on]
-    sf[on] *= _ratio_pow(xs[on], knots[k], -exps[k])
+    sf[on] *= _ratio_pow(xs[on], knots[j[on]], -exps[j[on]])
     return sf
 
 

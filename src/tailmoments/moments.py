@@ -29,8 +29,6 @@ from .params import AnalysisParams
 from .quadrature import integrate_tail
 
 _EPS = 2.0 ** -52
-#: the least subnormal: a result that underflows is off by at most this
-_ETA = 2.0 ** -1074
 #: admission proxy: the moment must keep growing across the analysis span
 ADMISSION_GROWTH = 10.0
 #: a kink this close (relative) to a grid point takes its place
@@ -64,15 +62,15 @@ def _read_law(model: TailModel, beta: float, xs: np.ndarray, pieces=None):
 
 def _power_pieces(law, j, xs, xs_pow, beta):
     """beta * int_lo^hi y^(beta-1) sf (y/lo)^-a dy on each whole piece of the
-    law (_read_law), then from the knot of piece j up to each point of xs,
-    whose powers are xs_pow, with the roundoff each adds beyond a sum's.
-    A flat piece (a = 0) gives sf * (hi^beta - lo^beta); otherwise
-    sf lo^beta beta expm1((beta - a) ln(hi/lo)) / (beta - a), ln(hi/lo) at
-    a = beta, which overflows only with its value; ln(hi/lo) is
-    ln hi - ln lo where hi/lo passes the float range. expm1 scales the log's
-    rounding by (beta - a) ln(hi/lo). A power piece whose lo^beta underflowed
-    under a positive sf is read through logs (_log_pieces). A power piece may
-    form inf - inf before it is replaced, so callers ignore over and invalid.
+    law (_read_law), then from piece j's knot to each point of xs (powers
+    xs_pow), with the roundoff each adds beyond a sum's. a = 0 gives
+    sf * (hi^beta - lo^beta); otherwise sf lo^beta beta expm1((beta - a)
+    ln(hi/lo)) / (beta - a), ln(hi/lo) at a = beta, which overflows only with
+    its value, read through logs (_log_pieces) where lo^beta underflows under
+    a positive sf; ln(hi/lo) is ln hi - ln lo where hi/lo passes the float
+    range. expm1 scales the log's rounding by (beta - a) ln(hi/lo). A power
+    piece may form inf - inf before it is replaced, so callers ignore over
+    and invalid.
     """
     knots, sfs, exps, _, pows = law
     j = np.append(np.arange(len(knots) - 1), j)  # piece i runs to knot i + 1
@@ -84,52 +82,28 @@ def _power_pieces(law, j, xs, xs_pow, beta):
     if not len(p):
         return seg, err
     k = j[p]
-    hi = np.append(knots[1:], xs)
-    log_q = hi[p]
-    log_q /= knots[k]
+    hi, lo, c = np.append(knots[1:], xs)[p], knots[k], beta - exps[k]
+    log_q = np.log(hi / lo)
     big = np.flatnonzero(np.isinf(log_q))
-    hi = hi[p[big]]
-    np.log(log_q, out=log_q)
-    log_q[big] = np.log(hi) - np.log(knots[k[big]])
-    c = exps[k]
-    np.subtract(beta, c, out=c)
-    cl = c * log_q
-    growth = np.expm1(cl)
-    with np.errstate(invalid="ignore"):
-        growth /= c  # 0 / 0 at a = beta, where the log replaces it
-    crit = np.flatnonzero(c == 0.0)
-    growth[crit] = log_q[crit]
+    log_q[big] = np.log(hi[big]) - np.log(lo[big])
+    cl, crit = c * log_q, c == 0.0
+    growth = np.where(crit, log_q, np.expm1(cl) / np.where(crit, 1.0, c))
+    base = sfs[k] * pows[k] * beta
+    seg[p] = growth = base * growth
+    err[p] = _EPS * ((4.0 + 2.0 * np.abs(cl) + np.maximum(c, 0.0))
+                     * np.abs(growth) + base)
     under = np.flatnonzero(((pows == 0.0) & (sfs > 0.0))[k])
-    if len(under):  # lo^beta underflowed: read these pieces through logs
-        logged = _log_pieces(sfs[k[under]], knots[k[under]], c[under],
-                             cl[under], log_q[under], beta)
-    base = sfs[k] * pows[k]
-    base *= beta
-    growth *= base
-    seg[p] = growth
-    # eps ((4 + 2 |c L| + max(c, 0)) |seg| + beta base)
-    np.abs(cl, out=cl)
-    cl *= 2.0
-    cl += 4.0
-    cl += np.maximum(c, 0.0, out=c)
-    cl *= np.abs(growth, out=growth)
-    cl += base
-    cl *= _EPS
-    err[p] = cl
     if len(under):
-        seg[p[under]], err[p[under]] = logged
+        seg[p[under]], err[p[under]] = _log_pieces(
+            sfs[k[under]], lo[under], c[under], cl[under], log_q[under], beta)
     return seg, err
 
 
 def _log_pieces(sf, lo, c, cl, log_q, beta):
-    """The power pieces sf lo^beta beta g with g = expm1(c L) / c (L at
-    c = 0), L = log_q = ln(hi/lo) and cl = c L, formed as the exp of
-    ln sf + beta ln lo + ln beta + ln g where lo^beta underflows and the
-    piece need not. ln g is max(cL, 0) + ln(-expm1(-|cL|)) - ln|c|, which
-    neither overflows nor cancels for either sign of c. Returns the pieces
-    and their error bounds: each log's rounding, scaled by exp, and one
-    subnormal step for a piece that underflows after all.
-    """
+    """Power pieces sf lo^beta beta g, g = expm1(cL) / c (L at c = 0), with
+    L = log_q and cl = cL, as exp(ln sf + beta ln lo + ln beta + ln g), and
+    ln g = max(cL, 0) + ln(-expm1(-|cL|)) - ln|c|, stable for either sign of
+    c; the bound adds one subnormal step to the logs' rounding."""
     crit = c == 0.0
     ln_c = np.log(np.abs(np.where(crit, 1.0, c)))
     with np.errstate(divide="ignore", invalid="ignore"):  # ln 0 at hi = lo
@@ -139,17 +113,7 @@ def _log_pieces(sf, lo, c, cl, log_q, beta):
         seg = np.exp(ln_sf + ln_lo + math.log(beta) + ln_g)
         size = (np.abs(ln_sf) + np.abs(ln_lo) + abs(math.log(beta))
                 + 2.0 * np.abs(cl) + np.abs(ln_c) + np.abs(ln_g))
-    return seg, _EPS * (8.0 + 2.0 * size) * seg + _ETA
-
-
-def _head(xs_pow: np.ndarray, head: int) -> tuple[np.ndarray, np.ndarray]:
-    """Room for h and its error bound at every point, set to x^beta and its
-    rounding on the first head. Taken once the kernel's temporaries are gone,
-    so the curve's arrays do not sit under freed memory."""
-    h, err = np.empty(len(xs_pow)), np.empty(len(xs_pow))
-    h[:head] = xs_pow[:head]
-    np.multiply(_EPS, h[:head], out=err[:head])
-    return h, err
+    return seg, _EPS * (8.0 + 2.0 * size) * seg + 2.0 ** -1074
 
 
 def _accumulate(model: TailModel, beta: float, xs: np.ndarray, rel_tol: float,
@@ -160,39 +124,35 @@ def _accumulate(model: TailModel, beta: float, xs: np.ndarray, rel_tol: float,
     each knot of a model with pieces is the in-order np.cumsum of the whole
     pieces below, and a point adds its partial piece, whatever the other
     points. Otherwise the tail is continuous above the floor, and h is the
-    cumsum of one quadrature pass over the steps from the floor.
+    cumsum of one quadrature pass over the steps from the floor. Both arrays
+    are taken last, above the kernel's freed temporaries.
     """
     floor = model.support_floor
     head = int(np.searchsorted(xs, floor, side="right"))
-    if head == len(xs):
-        return _head(xs_pow, head)
     h0 = np.float64(floor) ** beta  # overflows to inf, not OverflowError
     up, up_pow = xs[head:], xs_pow[head:]
-    if law is None:
-        vals, val_errs = integrate_tail(model.tail, beta, np.append(floor, up),
-                                        rel_tol)
-        h, err = _head(xs_pow, head)
-        np.add(h0, vals, out=h[head:])
-        np.add(_EPS * h0, val_errs, out=err[head:])
-        err[head:] += np.multiply(_EPS, h[head:], out=vals)
-        return h, err
-    j, n = law[3][head:], len(law[0]) - 1  # n whole pieces, then the points
-    seg, seg_err = _power_pieces(law, j, up, up_pow, beta)
-    at_knot = np.cumsum(np.append(h0, seg[:n]))
-    knot_err = np.cumsum(np.append(
-        _EPS * h0, 2.0 * _EPS * (np.abs(seg[:n]) + at_knot[1:]) + seg_err[:n]))
-    h, err = _head(xs_pow, head)
-    h_up, seg = h[head:], seg[n:]
-    np.take(at_knot, j, out=h_up, mode="clip")  # j is in range
-    h_up += seg
-    # err = knot_err + (2 eps (|seg| + h) + seg_err)
-    np.abs(seg, out=seg)
-    seg += h_up
-    seg *= 2.0 * _EPS
-    seg += seg_err[n:]
-    np.take(knot_err, j, out=err[head:], mode="clip")
-    err[head:] += seg
-    return h, err
+    h = err = up  # unless a point lies above the floor
+    if law is not None and len(up):
+        j, n = law[3][head:], len(law[0]) - 1  # n whole pieces, then points
+        seg, seg_err = _power_pieces(law, j, up, up_pow, beta)
+        at_knot = np.cumsum(np.append(h0, seg[:n]))
+        knot_err = np.cumsum(np.append(
+            _EPS * h0, 2.0 * _EPS * (np.abs(seg[:n]) + at_knot[1:]) + seg_err[:n]))
+        h = at_knot[j]
+        h += seg[n:]
+        # err = knot_err + (2 eps (|seg| + h) + seg_err), in seg's room
+        err = np.abs(seg[n:], out=seg[n:])
+        err += h
+        err *= 2.0 * _EPS
+        err += seg_err[n:]
+        err += knot_err[j]
+    elif len(up):
+        vals, errs = integrate_tail(model.tail, beta, np.append(floor, up),
+                                    rel_tol)
+        h = h0 + vals
+        err = _EPS * h0 + errs + _EPS * h
+    return (np.concatenate((xs_pow[:head], h)),
+            np.concatenate((_EPS * xs_pow[:head], err)))
 
 
 def compute_h(model: TailModel, beta: float, x: float,
@@ -238,8 +198,7 @@ def _boundary(model: TailModel, beta: float, xs: np.ndarray,
     knots, sfs, exps, j, pows = law
     us = _piece_sf(knots, sfs, exps, xs, j)
     us *= xs_pow
-    big = np.flatnonzero(~np.isfinite(us))
-    big = big[np.append(exps, 0.0)[j[big]] != 0.0]
+    big = np.flatnonzero(~np.isfinite(us) & (np.append(exps, 0.0) != 0.0)[j])
     k = j[big]
     us[big] = sfs[k] * pows[k] * _ratio_pow(xs[big], knots[k], beta - exps[k])
     return us
@@ -250,13 +209,13 @@ def _stieltjes(model: TailModel, xs: np.ndarray, hs: np.ndarray,
     """v = h - u pointwise, clamping negatives inside the error budget to 0."""
     vs = hs - us
     neg = np.flatnonzero(vs < 0.0)
-    bound = 2.0 * (errs[neg] + _EPS * hs[neg])
-    bad = np.flatnonzero(vs[neg] < -bound)
+    bad = neg[vs[neg] < -2.0 * (errs[neg] + _EPS * hs[neg])]
     if len(bad):
-        i = neg[bad[0]]
+        i = bad[0]
         raise InconsistencyError(
             f"v({xs[i]:g}) = {float(vs[i])!r} is negative beyond the error "
-            f"budget {bound[bad[0]]:g} for model {model.name!r}")
+            f"budget {2.0 * (errs[i] + _EPS * hs[i]):g} for model "
+            f"{model.name!r}")
     vs[neg] = 0.0
     return vs
 
@@ -298,23 +257,16 @@ def build_grid(model: TailModel, params: AnalysisParams,
     of forming a near-duplicate pair; x_min and x_max stay. Integration steps
     between neighbours therefore never cross a kink, and the admission point
     max(x_min, support floor) is a grid point. The sorted kinks are merged
-    into the grid in O(n + k) for n grid points and k kinks, and repeated
-    points are kept once. A span whose x_max / x_min overflows raises
-    ModelValidationError.
+    in, O(n + k) for n grid points and k kinks, and a repeated point is kept
+    once. A span whose x_max / x_min overflows raises ModelValidationError.
     """
     lo, hi = params.x_min, params.x_max
     if not math.isfinite(hi / lo):
         raise ModelValidationError(
             f"the span [{lo!r}, {hi!r}] is wider than the float range")
     n = int(math.ceil(math.log10(hi / lo) * params.points_per_decade))
-    grid = np.arange(n + 1.0)
-    inner = grid[:n]  # lo 10^(k / ppd), increasing in k; then room for hi
-    inner /= params.points_per_decade
-    np.power(10.0, inner, out=inner)
-    inner *= lo
-    last = 1 + int(np.searchsorted(grid[1:n], hi * (1.0 - _SNAP)))
-    grid[last] = hi
-    grid = grid[:last + 1]
+    grid = lo * 10.0 ** (np.arange(1, n) / params.points_per_decade)
+    grid = np.concatenate(([lo], grid[grid < hi * (1.0 - _SNAP)], [hi]))
     kinks = np.append(np.asarray(model.breakpoints(lo, hi) if knots is None
                                  else knots, dtype=float), model.support_floor)
     kinks = np.sort(kinks[(kinks >= lo) & (kinks <= hi)])
@@ -324,14 +276,8 @@ def build_grid(model: TailModel, params: AnalysisParams,
         keep[near[np.abs(grid[near] - kinks) <= _SNAP * kinks]] = False
     keep[[0, -1]] = True
     grid = grid[keep]
-    at = np.searchsorted(grid, kinks) + np.arange(len(kinks))  # merged slots
-    merged = np.empty(len(grid) + len(kinks))
-    merged[at] = kinks
-    keep = np.ones(len(merged), dtype=bool)
-    keep[at] = False
-    merged[keep] = grid
-    new = merged[1:] != merged[:-1]
-    return merged if new.all() else merged[np.append(True, new)]
+    merged = np.insert(grid, np.searchsorted(grid, kinks), kinks)
+    return merged[np.append(True, merged[1:] != merged[:-1])]
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -661,6 +662,62 @@ def test_u_and_h_past_the_quotient_range_are_read_through_logs():
     c = beta - 1.0
     exact = floor ** beta + beta * floor * (big ** c - floor ** c) / c
     assert abs(h - exact) <= err
+
+
+@pytest.mark.parametrize("beta", [1.5, 2.0, 3.0])
+def test_power_pieces_below_an_underflowed_knot_power_match_closed_form(beta):
+    # 1e-300 ** beta underflows to 0, so sf x_i^beta beta expm1(...) / c
+    # reads 0 or 0 * inf; the pieces are read through logs instead, and the
+    # curve is a report, not a float-range error or an inconsistency
+    m = make_pareto(0.5, x_floor=1e-300)
+    params = AnalysisParams(beta=beta, x_min=1e-300, x_max=1e-10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        c = build_curve(m, params)
+        report = verify(m, params, c)
+    assert report.regime == "interior" and report.consistent is True
+    mpmath.mp.dps = 40
+    floor, c_exp = mpmath.mpf(m.support_floor), beta - 0.5
+    exact = np.array([float(floor ** beta + beta * floor ** 0.5
+                            * (mpmath.mpf(x) ** c_exp - floor ** c_exp) / c_exp)
+                      for x in c.grid.tolist()])
+    assert (np.abs(c.h - exact) <= c.quad_error).all()
+    assert [compute_h(m, beta, x) for x in c.grid[::50].tolist()] == list(
+        zip(c.h[::50].tolist(), c.quad_error[::50].tolist()))
+    if beta == 2.0:
+        assert math.isclose(c.h[-1], 1.3333333333333333e-165, rel_tol=1e-12)
+
+
+def test_shares_are_whole_where_x_beta_underflows():
+    # below x ~ 1e-162, x^2 underflows and h = u = 0 there: the boundary term
+    # is all of h, r1 = 1 and r2 = 0, with no 0 / 0 warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        c = build_curve(make_pareto(1.5),
+                        AnalysisParams(beta=2.0, x_min=1e-200, x_max=1e12))
+    zero = c.h == 0.0
+    assert zero.sum() == 612
+    assert (c.r1 + c.r2 == 1.0).all()
+    assert (c.r1[zero] == 1.0).all() and (c.r2[zero] == 0.0).all()
+
+
+@pytest.mark.parametrize("model, beta, x_max, columns", [
+    (make_geometric_tail(0.5, 3.0), 0.5, 1e300, 9.0),
+    (make_st_petersburg(), 1.0, 1e300, 8.1),
+    (make_pareto(1.5), 2.0, 1e150, 19.9)])
+def test_curve_allocation_peak_in_columns(model, beta, x_max, columns):
+    # build_curve's traced peak, in columns of n floats: the curve's own 7
+    # arrays and its kernels' temporaries. It is deterministic for a given
+    # numpy; a kernel that builds more full-length temporaries shows here
+    params = AnalysisParams(beta=beta, x_max=x_max, points_per_decade=64)
+    n = len(build_curve(model, params).grid)
+    tracemalloc.start()
+    try:
+        build_curve(model, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 7.0 < peak / (8.0 * n) <= columns
 
 
 @given(n=st.integers(1, 300), k=st.integers(0, 15))
