@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import io
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,8 +67,8 @@ def _power_pieces(law, j, xs, xs_pow, beta):
     xs_pow), with the roundoff each adds beyond a sum's. a = 0 gives
     sf * (hi^beta - lo^beta); otherwise sf lo^beta beta expm1((beta - a)
     ln(hi/lo)) / (beta - a), ln(hi/lo) at a = beta, which overflows only with
-    its value, read through logs (_log_pieces) where lo^beta underflows under
-    a positive sf; ln(hi/lo) is ln hi - ln lo where hi/lo passes the float
+    its value, read through logs (_log_pieces) where lo^beta underflows (is
+    subnormal or 0) under a positive sf; ln(hi/lo) is ln hi - ln lo where hi/lo passes the float
     range. expm1 scales the log's rounding by (beta - a) ln(hi/lo). A power
     piece may form inf - inf before it is replaced, so callers ignore over
     and invalid.
@@ -92,7 +93,7 @@ def _power_pieces(law, j, xs, xs_pow, beta):
     seg[p] = growth = base * growth
     err[p] = _EPS * ((4.0 + 2.0 * np.abs(cl) + np.maximum(c, 0.0))
                      * np.abs(growth) + base)
-    under = np.flatnonzero(((pows == 0.0) & (sfs > 0.0))[k])
+    under = np.flatnonzero(((pows < sys.float_info.min) & (sfs > 0.0))[k])
     if len(under):
         seg[p[under]], err[p[under]] = _log_pieces(
             sfs[k[under]], lo[under], c[under], cl[under], log_q[under], beta)

@@ -688,6 +688,18 @@ def test_power_pieces_below_an_underflowed_knot_power_match_closed_form(beta):
         assert math.isclose(c.h[-1], 1.3333333333333333e-165, rel_tol=1e-12)
 
 
+def test_power_pieces_below_a_subnormal_knot_power_hold_their_bound():
+    # 1e-160 ** 2 = 1e-320 keeps 10 bits: the linear piece was off by 1e-5
+    # of h against a bound of 1e-13; the log form holds a bound below 1e-11
+    m = make_pareto(0.5, x_floor=1e-160)
+    mpmath.mp.dps = 40
+    floor = mpmath.mpf(m.support_floor)
+    for x in (1e-100, 1e-10, 1.0):
+        h, err = compute_h(m, 2.0, x)
+        exact = floor ** 2 + 2.0 * floor ** 0.5 * (x ** 1.5 - floor ** 1.5) / 1.5
+        assert abs(h - exact) <= err < 1e-11 * h
+
+
 def test_shares_are_whole_where_x_beta_underflows():
     # below x ~ 1e-162, x^2 underflows and h = u = 0 there: the boundary term
     # is all of h, r1 = 1 and r2 = 0, with no 0 / 0 warning
