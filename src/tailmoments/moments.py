@@ -277,7 +277,12 @@ def build_grid(model: TailModel, params: AnalysisParams,
         keep[near[np.abs(grid[near] - kinks) <= _SNAP * kinks]] = False
     keep[[0, -1]] = True
     grid = grid[keep]
-    merged = np.insert(grid, np.searchsorted(grid, kinks), kinks)
+    at = np.searchsorted(grid, kinks) + np.arange(len(kinks))  # kinks' slots
+    merged = np.empty(len(grid) + len(kinks))
+    merged[at] = kinks
+    rest = np.ones(len(merged), dtype=bool)
+    rest[at] = False
+    merged[rest] = grid
     return merged[np.append(True, merged[1:] != merged[:-1])]
 
 
