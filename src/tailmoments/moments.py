@@ -64,14 +64,13 @@ def _read_law(model: TailModel, beta: float, xs: np.ndarray, pieces=None):
 def _power_pieces(law, j, xs, xs_pow, beta):
     """beta * int_lo^hi y^(beta-1) sf (y/lo)^-a dy on each whole piece of the
     law (_read_law), then from piece j's knot to each point of xs (powers
-    xs_pow), with the roundoff each adds beyond a sum's. a = 0 gives
-    sf * (hi^beta - lo^beta); otherwise sf lo^beta beta expm1((beta - a)
-    ln(hi/lo)) / (beta - a), ln(hi/lo) at a = beta, which overflows only with
-    its value, read through logs (_log_pieces) where lo^beta underflows (is
-    subnormal or 0) under a positive sf; ln(hi/lo) is ln hi - ln lo where hi/lo passes the float
-    range. expm1 scales the log's rounding by (beta - a) ln(hi/lo). A power
-    piece may form inf - inf before it is replaced, so callers ignore over
-    and invalid.
+    xs_pow), with the roundoff each adds beyond a sum's: sf * (hi^beta -
+    lo^beta) at a = 0, else sf lo^beta beta expm1((beta - a) ln(hi/lo)) /
+    (beta - a), ln(hi/lo) at a = beta, which overflows only with its value,
+    read through logs (_log_pieces) where lo^beta is subnormal or 0 under a
+    positive sf. expm1 scales the rounding of ln(hi/lo), ln hi - ln lo where
+    hi/lo overflows, by (beta - a) ln(hi/lo). Callers ignore over and
+    invalid: a power piece may form inf - inf before it is replaced.
     """
     knots, sfs, exps, _, pows = law
     j = np.append(np.arange(len(knots) - 1), j)  # piece i runs to knot i + 1
@@ -126,8 +125,7 @@ def _accumulate(model: TailModel, beta: float, xs: np.ndarray, rel_tol: float,
     pieces below, and a point adds its partial piece, whatever the other
     points. Otherwise the tail is continuous above the floor, and h is the
     cumsum of one quadrature pass over the steps from the floor. Both arrays
-    are taken last, above the kernel's freed temporaries.
-    """
+    are taken last, above the kernel's freed temporaries."""
     floor = model.support_floor
     head = int(np.searchsorted(xs, floor, side="right"))
     h0 = np.float64(floor) ** beta  # overflows to inf, not OverflowError

@@ -676,11 +676,11 @@ def test_power_pieces_below_an_underflowed_knot_power_match_closed_form(beta):
         c = build_curve(m, params)
         report = verify(m, params, c)
     assert report.regime == "interior" and report.consistent is True
-    mpmath.mp.dps = 40
-    floor, c_exp = mpmath.mpf(m.support_floor), beta - 0.5
-    exact = np.array([float(floor ** beta + beta * floor ** 0.5
-                            * (mpmath.mpf(x) ** c_exp - floor ** c_exp) / c_exp)
-                      for x in c.grid.tolist()])
+    with mpmath.workdps(40):
+        floor, c_exp = mpmath.mpf(m.support_floor), beta - 0.5
+        exact = np.array([float(floor ** beta + beta * floor ** 0.5 * (
+            mpmath.mpf(x) ** c_exp - floor ** c_exp) / c_exp)
+            for x in c.grid.tolist()])
     assert (np.abs(c.h - exact) <= c.quad_error).all()
     assert [compute_h(m, beta, x) for x in c.grid[::50].tolist()] == list(
         zip(c.h[::50].tolist(), c.quad_error[::50].tolist()))
@@ -692,12 +692,12 @@ def test_power_pieces_below_a_subnormal_knot_power_hold_their_bound():
     # 1e-160 ** 2 = 1e-320 keeps 10 bits: the linear piece was off by 1e-5
     # of h against a bound of 1e-13; the log form holds a bound below 1e-11
     m = make_pareto(0.5, x_floor=1e-160)
-    mpmath.mp.dps = 40
-    floor = mpmath.mpf(m.support_floor)
     for x in (1e-100, 1e-10, 1.0):
         h, err = compute_h(m, 2.0, x)
-        exact = floor ** 2 + 2.0 * floor ** 0.5 * (x ** 1.5 - floor ** 1.5) / 1.5
-        assert abs(h - exact) <= err < 1e-11 * h
+        with mpmath.workdps(40):
+            floor, big = mpmath.mpf(m.support_floor), mpmath.mpf(x)
+            exact = floor ** 2 + 2 * floor ** 0.5 * (big ** 1.5 - floor ** 1.5) / 1.5
+            assert abs(h - exact) <= err < 1e-11 * h
 
 
 def test_shares_are_whole_where_x_beta_underflows():
