@@ -52,9 +52,8 @@ def _read_law(model: TailModel, beta: float, xs: np.ndarray, pieces=None):
         return xs_pow, None
     knots, sfs, exps = pieces or model.pieces(model.support_floor, float(xs[-1]))
     pos = np.searchsorted(xs, knots)  # xs[pos - 1] < knot <= xs[pos]
-    run = np.append(pos, len(xs))  # points on piece i - 1, i = 0 .. K
-    run[1:] -= pos
-    j = np.repeat(np.arange(-1, len(knots)), run)
+    j = np.repeat(np.arange(-1, len(knots)),  # by the points on each piece
+                  np.diff(np.concatenate(([0], pos, [len(xs)]))))
     near = np.minimum(pos, len(xs) - 1)
     pows, off = xs_pow[near], xs[near] != knots
     pows[off] = _powers(knots[off], beta)
@@ -255,9 +254,10 @@ def build_grid(model: TailModel, params: AnalysisParams,
     within relative 1e-9 of a kink or of x_max (or past it) gives way instead
     of forming a near-duplicate pair; x_min and x_max stay. Integration steps
     between neighbours therefore never cross a kink, and the admission point
-    max(x_min, support floor) is a grid point. The sorted kinks are merged
-    in, O(n + k) for n grid points and k kinks, and a repeated point is kept
-    once. A span whose x_max / x_min overflows raises ModelValidationError.
+    max(x_min, support floor) is a grid point. The kinks are merged in,
+    O(n + k) for n grid points and k kinks in a few sorted runs, and a
+    repeated point is kept once. A span whose x_max / x_min overflows raises
+    ModelValidationError.
     """
     lo, hi = params.x_min, params.x_max
     if not math.isfinite(hi / lo):
@@ -268,19 +268,14 @@ def build_grid(model: TailModel, params: AnalysisParams,
     grid = np.concatenate(([lo], grid[grid < hi * (1.0 - _SNAP)], [hi]))
     kinks = np.append(np.asarray(model.breakpoints(lo, hi) if knots is None
                                  else knots, dtype=float), model.support_floor)
-    kinks = np.sort(kinks[(kinks >= lo) & (kinks <= hi)])
+    kinks = kinks[(kinks >= lo) & (kinks <= hi)]
     above = np.searchsorted(grid, kinks)  # grid[above - 1] < kink <= grid[above]
     keep = np.ones(len(grid), dtype=bool)
     for near in (above, np.maximum(above - 1, 0)):
         keep[near[np.abs(grid[near] - kinks) <= _SNAP * kinks]] = False
     keep[[0, -1]] = True
-    grid = grid[keep]
-    at = np.searchsorted(grid, kinks) + np.arange(len(kinks))  # kinks' slots
-    merged = np.empty(len(grid) + len(kinks))
-    merged[at] = kinks
-    rest = np.ones(len(merged), dtype=bool)
-    rest[at] = False
-    merged[rest] = grid
+    # timsort merges the sorted runs; union1d would import numpy.ma
+    merged = np.sort(np.append(grid[keep], kinks), kind="stable")
     return merged[np.append(True, merged[1:] != merged[:-1])]
 
 
