@@ -123,13 +123,15 @@ def _pow_loop(base: np.ndarray, exp) -> np.ndarray:
 def _scalar_pow(base: np.ndarray, exp) -> np.ndarray:
     """base ** exp elementwise, bit for bit the scalar power np.float64(x) ** b.
 
-    That is the C library's pow, which the staircase sums and the goldens are
-    pinned to; numpy's vector power can differ in the last bit. math.pow and
-    Python's float ** call the same pow for positive finite bases, one
-    element at a time. base is 1-d; exp is a float or an array shaped like
-    base. A power past the float range is inf, as for a numpy float: it is
-    read off exp * ln(base) where that lies well past ln(DBL_MAX), and taken
-    from the OverflowError of a call in the narrow band around it.
+    That is the C library's pow, which a geometric law's knots p^k and
+    levels p^(-beta_g k) are taken by: a knot must be the float that
+    _floor_log compares against, and numpy's vector power can differ in the
+    last bit. math.pow and Python's float ** call the same pow for positive
+    finite bases, one element at a time. base is 1-d; exp is a float or an
+    array shaped like base. A power past the float range is inf, as for a
+    numpy float: it is read off exp * ln(base) where that lies well past
+    ln(DBL_MAX), and taken from the OverflowError of a call in the narrow
+    band around it.
     """
     base = np.asarray(base, dtype=float)
     scalar = np.ndim(exp) == 0
@@ -149,13 +151,24 @@ def _scalar_pow(base: np.ndarray, exp) -> np.ndarray:
     return out
 
 
+def _vector_pow(base: np.ndarray, exp) -> np.ndarray:
+    """base ** exp elementwise by numpy's vector power, inf past the float
+    range: the per-point power of a curve (x^beta and the pieces' ratio
+    powers). Within an ulp of the exact power and exact on representable
+    integer powers, but the loop numpy dispatches to at import may differ
+    from libm's pow in the last bit; an element's bits do not depend on the
+    call's length, so one point reads as it does on a whole grid."""
+    with np.errstate(over="ignore"):
+        return np.power(base, exp)
+
+
 def _ratio_pow(xs: np.ndarray, knots: np.ndarray,
                exps: np.ndarray) -> np.ndarray:
-    """(x / knot) ** exp elementwise by _scalar_pow; where the quotient
+    """(x / knot) ** exp elementwise by _vector_pow; where the quotient
     overflows, exp(exp * (ln x - ln knot)), which may still be a float."""
     with np.errstate(over="ignore"):
         q = xs / knots
-        out = _scalar_pow(q, exps)
+        out = _vector_pow(q, exps)
         big = np.flatnonzero(np.isinf(q))
         out[big] = np.exp(exps[big] * (np.log(xs[big]) - np.log(knots[big])))
     return out
@@ -165,7 +178,7 @@ def _piece_sf(knots: np.ndarray, sfs: np.ndarray, exps: np.ndarray,
               xs: np.ndarray, j: np.ndarray | None = None) -> np.ndarray:
     """sf at the points xs on pieces j (TailModel; found here unless given):
     1 below the first knot, exactly sfs[i] on a flat piece, else sfs[i] times
-    (x / knots[i]) ** -exps[i], the scalar power of _ratio_pow. That power
+    (x / knots[i]) ** -exps[i], the vector power of _ratio_pow. That power
     is at most 1 and underflows to 0 only with its value; a quotient past
     the float range is read through its logarithm."""
     j = np.searchsorted(knots, xs, side="right") - 1 if j is None else j

@@ -43,7 +43,9 @@ def _json_safe(obj):
     if isinstance(obj, (list, tuple)):
         return [_json_safe(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return [_json_safe(float(v)) for v in obj]
+        obj = np.asarray(obj, dtype=float)
+        vals = obj.tolist()
+        return vals if np.isfinite(obj).all() else list(map(_json_safe, vals))
     if isinstance(obj, (np.floating, np.integer)):
         obj = obj.item()
     if isinstance(obj, float):

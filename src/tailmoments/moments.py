@@ -16,20 +16,20 @@ and r2 = v / h always sum to 1 by construction.
 
 from __future__ import annotations
 
-import io
 import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import TailModel, _piece_sf, _ratio_pow, _scalar_pow
+from .catalog import TailModel, _piece_sf, _ratio_pow, _vector_pow
 from .errors import (AdmissionError, InconsistencyError, ModelEvaluationError,
                      ModelValidationError)
 from .params import AnalysisParams
 from .quadrature import integrate_tail
 
 _EPS = 2.0 ** -52
+_TINY, _HUGE = sys.float_info.min, sys.float_info.max
 #: admission proxy: the moment must keep growing across the analysis span
 ADMISSION_GROWTH = 10.0
 #: a kink this close (relative) to a grid point takes its place
@@ -37,10 +37,9 @@ _SNAP = 1e-9
 
 
 def _powers(xs: np.ndarray, beta: float) -> np.ndarray:
-    """x ** beta by the scalar power, catalog._scalar_pow (numpy's vector
-    power can differ in the last bit, and staircase sums are pinned to it):
-    xs itself at beta = 1, which is exact, and inf past the float range."""
-    return np.asarray(xs, dtype=float) if beta == 1.0 else _scalar_pow(xs, beta)
+    """x ** beta by the vector power, catalog._vector_pow: xs itself at
+    beta = 1, which is exact, and inf past the float range."""
+    return np.asarray(xs, dtype=float) if beta == 1.0 else _vector_pow(xs, beta)
 
 
 def _read_law(model: TailModel, beta: float, xs: np.ndarray, pieces=None):
@@ -91,7 +90,7 @@ def _power_pieces(law, j, xs, xs_pow, beta):
     seg[p] = growth = base * growth
     err[p] = _EPS * ((4.0 + 2.0 * np.abs(cl) + np.maximum(c, 0.0))
                      * np.abs(growth) + base)
-    under = np.flatnonzero(((pows < sys.float_info.min) & (sfs > 0.0))[k])
+    under = np.flatnonzero(((pows < _TINY) & (sfs > 0.0))[k])
     if len(under):
         seg[p[under]], err[p[under]] = _log_pieces(
             sfs[k[under]], lo[under], c[under], cl[under], log_q[under], beta)
@@ -188,17 +187,25 @@ def _boundary(model: TailModel, beta: float, xs: np.ndarray,
 
     Where x^beta sf(x) is not finite on a power piece (x^beta past the float
     range), u is formed as sf_i knot_i^beta (x / knot_i)^(beta - a_i), the
-    scalar power of catalog._ratio_pow: inf where it overflows, and read
-    through ln x - ln knot_i where the quotient does.
+    vector power of catalog._ratio_pow: inf where it overflows, and read
+    through ln x - ln knot_i where the quotient does. Where that is still
+    not a normal float under a positive sf_i (0 * inf, or a factor that
+    underflows), u is exp(ln sf_i + beta ln x - a_i (ln x - ln knot_i)).
     """
     if law is None:
         return xs_pow * model.tail(xs)
     knots, sfs, exps, j, pows = law
     us = _piece_sf(knots, sfs, exps, xs, j)
     us *= xs_pow
-    big = np.flatnonzero(~np.isfinite(us) & (np.append(exps, 0.0) != 0.0)[j])
+    p = np.flatnonzero(~((us >= _TINY) & (us <= _HUGE))
+                       & (np.append(exps, 0.0) != 0.0)[j])
+    big = p[~np.isfinite(us[p])]
     k = j[big]
     us[big] = sfs[k] * pows[k] * _ratio_pow(xs[big], knots[k], beta - exps[k])
+    odd = p[~((us[p] >= _TINY) & (us[p] <= _HUGE)) & (sfs[j[p]] > 0.0)]
+    k, ln_x = j[odd], np.log(xs[odd])
+    us[odd] = np.exp(np.log(sfs[k]) + beta * ln_x
+                     - exps[k] * (ln_x - np.log(knots[k])))
     return us
 
 
@@ -335,10 +342,7 @@ def build_curve(model: TailModel, params: AnalysisParams) -> MomentCurve:
 
 def curve_to_csv(curve: MomentCurve) -> str:
     """Render a curve as CSV with full float precision."""
-    buf = io.StringIO()
-    buf.write("x,h,v,u,r1,r2,quad_error\n")
     cols = (curve.grid, curve.h, curve.v, curve.u, curve.r1, curve.r2,
             curve.quad_error)
-    for row in zip(*cols):
-        buf.write(",".join(repr(float(val)) for val in row) + "\n")
-    return buf.getvalue()
+    rows = zip(*(map(repr, col.tolist()) for col in cols))
+    return "x,h,v,u,r1,r2,quad_error\n" + "\n".join(map(",".join, rows)) + "\n"

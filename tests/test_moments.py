@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -9,12 +10,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import tailmoments.catalog as catalog
 import tailmoments.moments as moments
 from oracles import atom_sum_v, geometric_atoms
-from tailmoments.catalog import (TailModel, _scalar_pow, load_tabulated,
-                                 make_geometric_tail, make_inverse_log,
-                                 make_log_pareto, make_pareto,
-                                 make_st_petersburg)
+from tailmoments.catalog import (TailModel, _scalar_pow, _vector_pow,
+                                 load_tabulated, make_geometric_tail,
+                                 make_inverse_log, make_log_pareto,
+                                 make_pareto, make_st_petersburg)
 from tailmoments.errors import (AdmissionError, ExtrapolationWarning,
                                InconsistencyError, ModelEvaluationError,
                                ModelValidationError)
@@ -160,6 +162,24 @@ def test_curve_takes_no_scalar_power_for_a_knot_on_the_grid(monkeypatch):
                         or scalar_powers(xs, beta))
     curve = build_curve(model, params)
     assert sum(powers) == len(curve.grid)
+
+
+@pytest.mark.parametrize("model, beta, x_max, ppd, count", [
+    (make_pareto(1.5), 2.0, 1e150, 64, 0),
+    (make_pareto(1.5), 2.0, 1e300, 16, 0),
+    (make_geometric_tail(0.5, 3.0), 0.5, 1e300, 64, 1270),
+    (make_st_petersburg(), 1.0, 1e300, 64, 2014)])
+def test_scalar_powers_are_the_laws_knots_only(monkeypatch, model, beta, x_max,
+                                               ppd, count):
+    # libm's pow takes only the knots p^k and levels p^(-beta_g k) of a
+    # geometric law, which must be the floats _floor_log compares against;
+    # every per-point power is numpy's vector power
+    elements, pow_loop = [], catalog._pow_loop
+    monkeypatch.setattr(catalog, "_pow_loop", lambda base, exp:
+                        elements.append(len(base)) or pow_loop(base, exp))
+    params = AnalysisParams(beta=beta, x_max=x_max, points_per_decade=ppd)
+    verify(model, params, build_curve(model, params))
+    assert sum(elements) == count
 
 
 def test_curve_and_report_read_the_law_once(power_table):
@@ -615,12 +635,14 @@ def _overflow_edge(beta):
        | st.sampled_from((0.5, 1.0, 2.0, 8.0)))
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_scalar_powers_are_numpy_float_powers_bitwise(xs, beta):
-    # the helper and _powers: libm's pow, bit for bit and inf included, on
-    # either side of the overflow edge, where the helper calls pow itself
+    # the helper: libm's pow, bit for bit and inf included, on either side
+    # of the overflow edge, where the helper calls pow itself; _powers is
+    # the vector power, bit for bit
     xs = np.array(xs + _overflow_edge(beta) + [5e-324, 1.0, _DBL_MAX])
     ref = _numpy_float_powers(xs, beta).tobytes()
     assert _scalar_pow(xs, beta).tobytes() == ref
-    assert moments._powers(xs, beta).tobytes() == ref
+    assert (moments._powers(xs, beta).tobytes()
+            == _vector_pow(xs, beta).tobytes())
 
 
 @given(pairs=st.lists(st.tuples(_POSITIVE, st.floats(-8.0, 8.0)), max_size=50),
@@ -633,6 +655,39 @@ def test_scalar_pow_takes_each_points_exponent_bitwise(pairs, beta):
     exps = np.array([b for _, b in pairs] + [beta] * len(edge))
     assert (_scalar_pow(xs, exps).tobytes()
             == _numpy_float_powers(xs, exps).tobytes())
+
+
+#: the least exact value that rounds past DBL_MAX: DBL_MAX + half its ulp
+_ROUNDS_TO_INF = mpmath.mpf(2) ** 1024 - mpmath.mpf(2) ** 970
+
+
+@given(pairs=st.lists(st.tuples(_POSITIVE, st.floats(-8.0, 8.0)), max_size=30),
+       beta=st.floats(0.0, 8.0, exclude_min=True)
+       | st.sampled_from((0.5, 1.0, 2.0, 8.0)))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_vector_pow_is_numpy_power_within_an_ulp(pairs, beta):
+    # per-point exponents, as the ratio powers take them, and one exponent
+    # for all, as x^beta does (numpy's own paths at 0.5 and 2 included)
+    edge = _overflow_edge(beta)
+    xs = np.array([x for x, _ in pairs] + edge)
+    for exps in (np.array([b for _, b in pairs] + [beta] * len(edge)), beta):
+        per_point = np.ndim(exps) == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = _vector_pow(xs, exps)
+            alone = [_vector_pow(xs[i:i + 1], exps[i:i + 1] if per_point
+                                 else exps)[0] for i in range(len(xs))]
+        with np.errstate(over="ignore"):
+            assert out.tobytes() == np.power(xs, exps).tobytes()
+        assert np.array(alone).tobytes() == out.tobytes()
+        with mpmath.workdps(40):
+            for x, b, y in zip(xs.tolist(),
+                               np.broadcast_to(exps, len(xs)).tolist(),
+                               out.tolist()):
+                exact = mpmath.mpf(x) ** mpmath.mpf(b)
+                assert (y == math.inf) == (exact >= _ROUNDS_TO_INF), (x, b)
+                if sys.float_info.min <= y < math.inf:
+                    assert abs(mpmath.mpf(y) - exact) <= math.ulp(y), (x, b)
 
 
 def test_curve_past_the_quotient_range_matches_closed_form():
@@ -662,6 +717,38 @@ def test_u_and_h_past_the_quotient_range_are_read_through_logs():
     c = beta - 1.0
     exact = floor ** beta + beta * floor * (big ** c - floor ** c) / c
     assert abs(h - exact) <= err
+
+
+def _pareto_u(m, alpha, beta, x):
+    """u = x^beta (x / x_floor)^-alpha in 40-digit mpmath."""
+    with mpmath.workdps(40):
+        big = mpmath.mpf(x)
+        return big ** beta * (big / mpmath.mpf(m.support_floor)) ** -alpha
+
+
+def test_u_where_x_beta_overflows_and_the_knot_power_underflows():
+    # x^beta = inf and x_i^beta = 0: sf_i x_i^beta (x/x_i)^(beta-a) read
+    # 0 * inf = nan; u ~ 4.85e146 is read through logs
+    m, beta = make_pareto(1.5, x_floor=4.48245e-168), 3.220573633521796
+    x = 1.40886e231
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u = compute_u(m, beta, x)
+    assert math.isclose(u, _pareto_u(m, 1.5, beta, x), rel_tol=1e-12)
+    assert math.isclose(u, 4.851997884909761e146, rel_tol=1e-12)
+
+
+def test_u_where_the_pieces_sf_factor_underflows():
+    # (x/x_i)^-1.5 ~ 1e-345 underflows under sf_i = 1, which read u = 0 and
+    # r1 = 0; u = (x x_i)^1.5 ~ 1.9e-273 is a float, and r1 is 1/2
+    m, beta, x = make_pareto(1.5, x_floor=1.29822e-206), 3.0, 1.18016e24
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u = compute_u(m, beta, x)
+        c = build_curve(m, AnalysisParams(beta=beta, x_max=x))
+    assert math.isclose(u, _pareto_u(m, 1.5, beta, x), rel_tol=1e-12)
+    assert c.u[-1] == u
+    assert abs(c.r1[-1] - 0.5) <= c.quad_error[-1] / c.h[-1]
 
 
 @pytest.mark.parametrize("beta", [1.5, 2.0, 3.0])
