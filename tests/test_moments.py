@@ -153,7 +153,7 @@ def test_curve_takes_each_scalar_power_once(monkeypatch):
 
 def test_curve_takes_no_scalar_power_for_a_knot_on_the_grid(monkeypatch):
     # all 628 knots 3^k up to 1e300 are grid points, whose powers the law
-    # reuses: one scalar power per grid point and none besides
+    # reuses: one power per grid point and none besides
     model, params = make_geometric_tail(0.5, 3.0), AnalysisParams(beta=0.5,
                                                                  x_max=1e300)
     powers, scalar_powers = [], moments._powers
@@ -649,7 +649,7 @@ def test_scalar_powers_are_numpy_float_powers_bitwise(xs, beta):
        beta=st.floats(0.0, 8.0, exclude_min=True))
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_scalar_pow_takes_each_points_exponent_bitwise(pairs, beta):
-    # per-point exponents, as a power piece's -a_i and beta - a_i are
+    # per-point exponents, as a geometric law's levels -beta_g k are
     edge = _overflow_edge(beta)
     xs = np.array([x for x, _ in pairs] + edge)
     exps = np.array([b for _, b in pairs] + [beta] * len(edge))
