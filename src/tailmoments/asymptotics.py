@@ -150,8 +150,9 @@ def scale_plan(xs: np.ndarray, params: AnalysisParams) -> ScalePlan:
     Pairs (lam, x) run lam by lam over window points x with lam x <= hi.
     Reads stay in xs[span]: the window, and the node above a hi off-node.
     x_at and node index x and lam x's node in the span; log_target is
-    math.log of each off-node lam x. rows is per_scale but for estimate,
-    and lambdas the distinct lam that have pairs, ascending.
+    np.log of each off-node lam x, the log that log_xs takes of the nodes.
+    rows is per_scale but for estimate, and lambdas the distinct lam that
+    have pairs, ascending.
     """
     lo, hi = _window(xs, params)
     span = slice(int(np.searchsorted(xs, lo)), int(np.searchsorted(xs, hi)) + 1)
@@ -167,8 +168,7 @@ def scale_plan(xs: np.ndarray, params: AnalysisParams) -> ScalePlan:
     rows = np.empty(len(j), [("x", float), ("lam", float),
                              ("estimate", float), ("interpolated", bool)])
     rows["x"], rows["lam"], rows["interpolated"] = xs_w[x_at], lams[k], node < 0
-    # math.log, not np.log: numpy's vector log can differ in the last bit
-    log_target = np.fromiter(map(math.log, memoryview(target[node < 0])), float)
+    log_target = np.log(target[node < 0])
     log_lam = np.array([math.log(lam) for lam in params.lambdas])[k]
     paired = lams[np.bincount(k, minlength=len(lams)) > 0]
     return ScalePlan(lo, hi, span, np.log(xs_w), x_at, node, log_target,

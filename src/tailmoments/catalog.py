@@ -22,7 +22,6 @@ import os
 import sys
 import warnings
 from dataclasses import dataclass, replace
-from itertools import repeat
 from typing import Callable
 
 import numpy as np
@@ -112,40 +111,37 @@ class TailModel:
         return knots[knots >= lo].tolist()
 
 
-def _pow_loop(base: np.ndarray, exp) -> np.ndarray:
-    """math.pow(b, exp) per element of the 1-d array base, streamed over its
-    buffer; exp is a float or an array shaped like base."""
-    exps = repeat(exp) if np.ndim(exp) == 0 else memoryview(exp)
-    return np.fromiter(map(math.pow, memoryview(base), exps), float,
+def _pow_loop(base: np.ndarray, exp: np.ndarray) -> np.ndarray:
+    """math.pow(b, e) per element of the 1-d arrays base and exp, streamed
+    over their buffers."""
+    return np.fromiter(map(math.pow, memoryview(base), memoryview(exp)), float,
                        count=len(base))
 
 
-def _scalar_pow(base: np.ndarray, exp) -> np.ndarray:
+def _scalar_pow(base: np.ndarray, exp: np.ndarray) -> np.ndarray:
     """base ** exp elementwise, bit for bit the scalar power np.float64(x) ** b.
 
     That is the C library's pow, which a geometric law's knots p^k and
     levels p^(-beta_g k) are taken by: a knot must be the float that
     _floor_log compares against, and numpy's vector power can differ in the
     last bit. math.pow and Python's float ** call the same pow for positive
-    finite bases, one element at a time. base is 1-d; exp is a float or an
-    array shaped like base. A power past the float range is inf, as for a
-    numpy float: it is read off exp * ln(base) where that lies well past
-    ln(DBL_MAX), and taken from the OverflowError of a call in the narrow
-    band around it.
+    finite bases, one element at a time. base and exp are 1-d arrays of one
+    length. A power past the float range is inf, as for a numpy float: it is
+    read off exp * ln(base) where that lies well past ln(DBL_MAX), and taken
+    from the OverflowError of a call in the narrow band around it.
     """
     base = np.asarray(base, dtype=float)
-    scalar = np.ndim(exp) == 0
-    exp = float(exp) if scalar else np.asarray(exp, dtype=float)
+    exp = np.asarray(exp, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         t = np.log(base) * exp  # a guard only: its bits reach no result
     low = ~(t >= _LN_MAX - _LN_BAND)  # a NaN product (0 * inf) too
     if low.all():  # the common case, spared the masks' copies
         return _pow_loop(base, exp)
     out = np.full(base.shape, np.inf)
-    out[low] = _pow_loop(base[low], exp if scalar else exp[low])
+    out[low] = _pow_loop(base[low], exp[low])
     for i in np.flatnonzero(np.abs(t - _LN_MAX) < _LN_BAND):
         try:
-            out[i] = math.pow(base[i], exp if scalar else exp[i])
+            out[i] = math.pow(base[i], exp[i])
         except OverflowError:
             pass
     return out
@@ -311,7 +307,9 @@ def make_inverse_log() -> TailModel:
     """
 
     def tail(x):
-        return 1.0 / np.log(np.maximum(x, _E))  # ln e == 1.0 exactly
+        y = np.maximum(x, _E)[...]  # a new array, 0-d for a scalar
+        np.log(y, out=y)  # ln e == 1.0 exactly
+        return np.divide(1.0, y, out=y)[()]
 
     def closed_form_h(beta: float, x: float) -> float:
         if x <= _E:
@@ -349,9 +347,17 @@ def make_log_pareto(alpha: float, a: float = 0.0) -> TailModel:
             "e^(a/alpha) or its normalisation leaves the float range") from None
 
     def tail(x):
+        # c y^-alpha (ln y)^a, in place on the new y but for a scalar's powers
         y = np.maximum(x, x0)
-        return np.where(y > x0, np.minimum(1.0, c * y ** -alpha * np.log(y) ** a),
-                        1.0)[()]
+        above = y > x0
+        ln_a = np.log(y)
+        ln_a **= a
+        y **= -alpha
+        y *= c
+        y *= ln_a
+        sf = np.minimum(y, 1.0, out=y[...])  # y itself, or a scalar's 0-d copy
+        np.copyto(sf, 1.0, where=~above)
+        return sf[()]
 
     return TailModel(
         name=f"log_pareto(alpha={alpha:g},a={a:g})",

@@ -42,21 +42,42 @@ _WEIGHTS = np.concatenate((_DQK15[:-1, 1:], _DQK15[::-1, 1:]))
 
 def _rule(tail: Callable, beta: float, ta: np.ndarray,
           tb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(K, G): the Kronrod and Gauss estimates on each [ta, tb] in t = ln y."""
-    out = np.empty((len(ta), 2))
+    """(K, G): the Kronrod and Gauss estimates on each [ta, tb] in t = ln y.
+
+    Each block is node-major, a row of steps per node, so every broadcast
+    and both sums (over the rows, in node order) run along the steps.
+    """
+    out = np.empty((2, len(ta)))
     for s in range(0, len(ta), _BLOCK):
-        a, b = ta[s:s + _BLOCK, None], tb[s:s + _BLOCK, None]
+        a, b = ta[s:s + _BLOCK], tb[s:s + _BLOCK]
         w = 0.5 * (b - a)  # exact, so steps that share an end telescope
-        t = a + w * (1.0 + _NODES)
-        f = beta * np.exp(beta * t) * tail(np.exp(t))
-        bad = np.flatnonzero(~np.isfinite(f))
-        if len(bad):
-            raise ModelEvaluationError(
-                f"integrand returned non-finite value {float(f.flat[bad[0]])!r}"
-                f" at log-point t={float(t.flat[bad[0]])!r}")
-        # einsum, not a BLAS matmul, which touches its buffers on first use
-        out[s:s + _BLOCK] = w * np.einsum("ij,jk->ik", f, _WEIGHTS)
-    return out[:, 0], out[:, 1]
+        t = (1.0 + _NODES)[:, None] * w
+        t += a
+        y = np.exp(t)
+        if beta == 1.0:  # e^t is the weight itself
+            f = y
+        else:
+            f = np.exp(beta * t)
+            f *= beta
+        f *= tail(y)
+        k = (f * _WEIGHTS[:, :1]).sum(axis=0)
+        if not np.isfinite(k).all():  # all Kronrod weights are positive
+            _reject(f, t)
+        out[0, s:s + _BLOCK] = w * k
+        out[1, s:s + _BLOCK] = w * (f[1::2] * _WEIGHTS[1::2, 1:]).sum(axis=0)
+    return out[0], out[1]
+
+
+def _reject(f: np.ndarray, t: np.ndarray) -> None:
+    """Raise ModelEvaluationError at the first non-finite value of the
+    node-major block f, in step order, if there is one."""
+    bad = ~np.isfinite(f)
+    if bad.any():
+        step = int(bad.any(axis=0).argmax())
+        node = int(bad[:, step].argmax())
+        raise ModelEvaluationError(
+            f"integrand returned non-finite value {float(f[node, step])!r}"
+            f" at log-point t={float(t[node, step])!r}")
 
 
 def integrate_tail(tail: Callable, beta: float, xs,
@@ -66,13 +87,14 @@ def integrate_tail(tail: Callable, beta: float, xs,
     (values, errs) aligned with xs[1:].
 
     Steps longer than 4.6/beta log-units, across which e^(beta t) grows past
-    ~100x, are pre-split; an interval whose |K - G| exceeds rel_tol |K| is
-    bisected. errs sums those |K - G|, the rule's roundoff (its nodes round
-    by eps |t|), the cumsum's, and the rounding of ln xs[0] and ln x: beta
-    y^beta sf(y) eps |ln y| at each end, y^beta sf(y) being at most xs[0]^beta
-    at the bottom and the value plus xs[0]^beta at the top. Past the interval
-    budget or the depth limit it raises ConvergenceError: before any tail
-    call when the pre-split needs it, else with the partial estimate.
+    ~100x, are pre-split; an interval whose |K - G| exceeds both rel_tol |K|
+    and eps xs[0]^beta is bisected. errs sums those |K - G|, the rule's
+    roundoff (its nodes round by eps |t|), the cumsum's, and the rounding of
+    ln xs[0] and ln x: beta y^beta sf(y) eps |ln y| at each end, y^beta sf(y)
+    being at most xs[0]^beta at the bottom and the value plus xs[0]^beta at
+    the top. Past the interval budget or the depth limit it raises
+    ConvergenceError: before any tail call when the pre-split needs it, else
+    with the partial estimate.
     """
     t = np.log(np.asarray(xs, dtype=float))
     n = len(t) - 1
@@ -83,17 +105,25 @@ def integrate_tail(tail: Callable, beta: float, xs,
                 f"order {beta:g} on [{xs[0]:g}, {xs[-1]:g}] needs "
                 f"{split.sum():g} intervals, more than the interval budget "
                 f"{_MAX_INTERVALS}")
-        owner = np.repeat(np.arange(n), split.astype(int))
-        part = np.arange(len(owner)) - np.searchsorted(owner, owner)
-        ta = t[owner] + np.diff(t)[owner] * (part / split[owner])
-        tb = np.append(ta[1:], t[-1])  # a part ends where the next begins
+        parts = split.astype(int)
+        owner = np.repeat(np.arange(n), parts)
+        if len(owner) == n:  # no step split: the parts are the steps
+            ta, tb = t[:-1], t[1:]
+        else:
+            part = np.arange(len(owner)) - np.repeat(np.cumsum(parts) - parts,
+                                                     parts)
+            ta = t[owner] + np.diff(t)[owner] * (part / split[owner])
+            tb = np.append(ta[1:], t[-1])  # a part ends where the next begins
 
         seg, seg_err = np.zeros(n), np.zeros(n)
         extra = len(owner) - n
+        lo_pow = np.float64(xs[0]) ** beta
         for depth in range(_MAX_DEPTH + 1):
             k, g = _rule(tail, beta, ta, tb)
             miss = np.abs(k - g)
-            done = miss <= rel_tol * np.abs(k)
+            # h never falls below xs[0]^beta, so a miss under eps of that is
+            # rounding (a subnormal integrand's), not an unresolved interval
+            done = miss <= np.maximum(rel_tol * np.abs(k), _EPS * lo_pow)
             seg += np.bincount(owner[done], k[done], n)
             seg_err += np.bincount(owner[done], miss[done], n)
             rest = ~done
@@ -112,7 +142,6 @@ def integrate_tail(tail: Callable, beta: float, xs,
             ta, tb = np.append(ta[rest], mid), np.append(mid, tb[rest])
 
         values = np.cumsum(seg)
-        lo_pow = np.float64(xs[0]) ** beta
         roundoff = _EPS * (4.0 + beta * np.maximum(np.abs(t[:-1]), np.abs(t[1:])))
         errs = (np.cumsum(seg_err + roundoff * np.abs(seg) + _EPS * values)
                 + _EPS * beta * (np.abs(t[1:]) * (values + lo_pow)

@@ -206,6 +206,52 @@ def test_log_pareto_zero_exponent_is_pareto_like():
     assert math.isclose(m.tail(math.e * 100), 1.0 / 100.0, rel_tol=1e-12)
 
 
+def _old_log_pareto_tail(alpha, a):
+    """The expression form of log_pareto's tail that the in-place one
+    replaced."""
+    x0 = max(math.e, math.exp(a / alpha))
+    c = x0 ** alpha / math.log(x0) ** a
+
+    def tail(x):
+        y = np.maximum(x, x0)
+        return np.where(y > x0, np.minimum(1.0, c * y ** -alpha
+                                           * np.log(y) ** a), 1.0)[()]
+    return tail
+
+
+def _tail_points(floor):
+    """Points below, at and above a floor up to the float limit, inf and
+    nan among them."""
+    return np.concatenate((
+        [floor, np.nextafter(floor, 0.0), np.nextafter(floor, np.inf), 0.5,
+         1.0, 5e-324, 1.7e308, np.finfo(float).max, np.inf, np.nan],
+        np.geomspace(1e-3, 1e308, 2000)))
+
+
+@pytest.mark.parametrize("model, old", [
+    (make_inverse_log(), lambda x: 1.0 / np.log(np.maximum(x, math.e))),
+    *((make_log_pareto(alpha, a), _old_log_pareto_tail(alpha, a))
+      for alpha, a in ((0.5, 1.0), (1.5, -0.5), (1.5, 2.0), (1.0, 0.0),
+                       (2.0, 0.5), (1.0, -1.0)))])
+def test_smooth_tails_in_place_are_the_expression_forms_bitwise(model, old):
+    # the tails work in place on an array of their own: a scalar still
+    # gives a scalar (by numpy's scalar powers, as the expression took
+    # them), an array the same shape, and the caller's array is untouched
+    xs = _tail_points(model.support_floor)
+    with np.errstate(all="ignore"):
+        for shaped in (xs, xs.reshape(-1, 5)):
+            before = shaped.copy()
+            got = model.tail(shaped)
+            assert shaped.tobytes() == before.tobytes()
+            assert got.shape == shaped.shape and got.dtype == float
+            assert got.tobytes() == old(shaped).tobytes()
+        for x in xs[::7].tolist():
+            for scalar in (x, np.float64(x)):
+                got, want = model.tail(scalar), old(scalar)
+                assert np.ndim(got) == 0 and not isinstance(got, np.ndarray)
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # tabulated
 

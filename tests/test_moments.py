@@ -640,7 +640,7 @@ def test_scalar_powers_are_numpy_float_powers_bitwise(xs, beta):
     # the vector power, bit for bit
     xs = np.array(xs + _overflow_edge(beta) + [5e-324, 1.0, _DBL_MAX])
     ref = _numpy_float_powers(xs, beta).tobytes()
-    assert _scalar_pow(xs, beta).tobytes() == ref
+    assert _scalar_pow(xs, np.full(len(xs), beta)).tobytes() == ref
     assert (moments._powers(xs, beta).tobytes()
             == _vector_pow(xs, beta).tobytes())
 

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import mpmath
@@ -6,8 +7,9 @@ import numpy as np
 import pytest
 
 from tailmoments import quadrature
-from tailmoments.catalog import TailModel, make_inverse_log
-from tailmoments.errors import ConvergenceError, ModelEvaluationError
+from tailmoments.catalog import TailModel, make_inverse_log, make_log_pareto
+from tailmoments.errors import (AdmissionError, ConvergenceError,
+                                ModelEvaluationError)
 from tailmoments.moments import build_curve, compute_h
 from tailmoments.params import AnalysisParams
 from tailmoments.quadrature import _MAX_INTERVALS, integrate_tail
@@ -167,3 +169,72 @@ def test_curve_of_a_smooth_tail_calls_the_tail_a_handful_of_times():
                 AnalysisParams(beta=1.0, x_max=1e300))
     assert len(sizes) <= 16
     assert 70_000 < sum(sizes) < 80_000
+
+
+def _step_major_rule(tail, beta, ta, tb):
+    """The rule as it ran before its blocks were node-major: a row of 15
+    nodes per step, summed against the weights by einsum."""
+    out = np.empty((len(ta), 2))
+    for s in range(0, len(ta), quadrature._BLOCK):
+        a, b = ta[s:s + quadrature._BLOCK, None], tb[s:s + quadrature._BLOCK, None]
+        w = 0.5 * (b - a)
+        t = a + w * (1.0 + quadrature._NODES)
+        f = beta * np.exp(beta * t) * tail(np.exp(t))
+        out[s:s + quadrature._BLOCK] = w * np.einsum("ij,jk->ik", f,
+                                                     quadrature._WEIGHTS)
+    return out[:, 0], out[:, 1]
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize("model", [make_inverse_log(),
+                                   make_log_pareto(0.5, 1.0),
+                                   make_log_pareto(1.5, -0.5)])
+def test_node_major_rule_is_the_step_major_einsum_bitwise(model, beta):
+    # random steps over three blocks, from the floor to where e^(beta t)
+    # nears the float limit, a ragged last block among them
+    rng = np.random.default_rng(int(beta * 10))
+    top = min(700.0 / beta, 700.0)
+    t = np.sort(rng.uniform(math.log(model.support_floor), top, 1300))
+    ta, tb = t[:-1], t[1:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = quadrature._rule(model.tail, beta, ta, tb)
+        want = _step_major_rule(model.tail, beta, ta, tb)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+
+
+@pytest.mark.parametrize("model, beta, x_max, t", [
+    (make_inverse_log(), 2.0, 1e200, "354.55535144304025"),
+    (make_log_pareto(1.5, -0.5), 1.5, 1e300, "472.92319689119626")])
+def test_non_finite_integrand_names_its_first_node_in_step_order(model, beta,
+                                                                 x_max, t):
+    # the integrand overflows from some t on: the least such node is in the
+    # first bad step, not in the first node row of the node-major block
+    with pytest.raises(ModelEvaluationError, match=f"at log-point t={t}$"):
+        build_curve(model, AnalysisParams(beta=beta, x_max=x_max))
+
+
+def test_non_finite_node_in_a_later_step_but_earlier_row():
+    # nan from t = 0.99 on, over the steps [0, 1] and [1, 2] of one block:
+    # only step 0's last node is bad there, but every node of step 1, whose
+    # first node the block's first row holds
+    last = float(0.5 * (1.0 + quadrature._NODES[-1]))
+    assert 0.99 < last < 1.0
+    with pytest.raises(ModelEvaluationError, match=f"t={last!r}$"):
+        quadrature._rule(lambda y: np.where(y > math.exp(0.99), np.nan, 1.0),
+                         1.0, np.array([0.0, 1.0]), np.array([1.0, 2.0]))
+
+
+@pytest.mark.parametrize("beta, h", [(0.5, "2.27348"), (1.0, "6.28293")])
+@pytest.mark.parametrize("x_max", [1e300, 1.7e308])
+def test_subnormal_tail_far_out_is_not_bisected_to_the_budget(beta, h, x_max):
+    # past t ~ 481 the tail is subnormal, where K and G differ by its
+    # rounding, ~1.6e-10 K; that miss is under eps h(floor) and was once
+    # bisected until the interval budget ran out (ConvergenceError)
+    model = make_log_pareto(1.5, -0.5)
+    with pytest.raises(AdmissionError,
+                       match=re.escape(f"h({x_max:g}) = {h} ")):
+        build_curve(model, AnalysisParams(beta=beta, x_max=x_max))
+    value, err = compute_h(model, beta, x_max)
+    near, near_err = compute_h(model, beta, 1e100)
+    assert abs(value - near) <= err + near_err

@@ -2,7 +2,8 @@
 
 reference_pairs is that loop, kept verbatim in spirit: one (x, lam) pair at
 a time, an exact-match search over the neighbours j-1, j, j+1 of the
-target, and one np.interp call per off-grid target. Everything the array
+target, and one np.interp call per off-grid target at the target's np.log,
+taken one float at a time. Everything the array
 code reports must match it bit for bit, whether it plans its own samples
 or reads a scale plan shared by several series on the same xs.
 """
@@ -53,7 +54,8 @@ def reference_pairs(xs, fs, params, lambdas):
                 log_f_target = log_fs[matched]
                 interp = False
             else:
-                log_f_target = float(np.interp(math.log(target), log_xs, log_fs))
+                log_f_target = float(np.interp(np.log(np.float64(target)),
+                                               log_xs, log_fs))
                 interp = True
             points.append((x, lam, (log_f_target - float(log_fs[i])) / log_lam,
                            interp))
@@ -134,6 +136,17 @@ def _assert_same(a, b):
 _HARD_LOG = float.fromhex("0x1.5b319b5800f0fp+1")
 
 
+def test_numpy_log_of_one_float_is_its_log_in_a_vector():
+    # the scalar loop's np.log of one target stands for the plan's vector
+    # call only if an element's log does not depend on the call around it
+    xs = np.concatenate(([_HARD_LOG], np.random.default_rng(0).uniform(
+        0.5, 2.0, 4096), np.geomspace(1e-300, 1e300, 4096)))
+    vector = np.log(xs)
+    for offset in range(8):  # each start against the SIMD lanes
+        assert _bits(np.log(xs[offset:])) == _bits(vector[offset:])
+    assert _bits(np.log(np.float64(x)) for x in xs.tolist()) == _bits(vector)
+
+
 def _hard_log_case():
     """A grid on which lam = 2 takes the node _HARD_LOG / 2 to the off-node
     target _HARD_LOG, as a case of _cases."""
@@ -146,7 +159,8 @@ def _hard_log_case():
 
 def test_off_grid_target_logs_match_the_scalar_loop():
     # the steep power carries the last bit of the log of the target t into
-    # the estimate, so the array code must take target logs as the loop did
+    # the estimate, so the array code must take target logs as the loop did:
+    # by np.log, the log of the nodes it interpolates against
     t = _HARD_LOG
     xs, _, params, _ = _hard_log_case()
     fs = (xs / t) ** 50.0
@@ -159,12 +173,12 @@ def test_off_grid_target_logs_match_the_scalar_loop():
 @given(case=_cases())
 @example(case=_hard_log_case())
 @settings(max_examples=200, deadline=None)
-def test_plan_log_targets_are_math_log_bitwise(case):
+def test_plan_log_targets_are_numpy_log_bitwise(case):
     xs, _, params, lambdas = case
     plan = scale_plan(xs, replace(params, lambdas=lambdas))
     off = plan.rows[plan.rows["interpolated"]]
-    want = [math.log(x * lam) for x, lam in zip(off["x"].tolist(),
-                                                off["lam"].tolist())]
+    want = [np.log(np.float64(x * lam))
+            for x, lam in zip(off["x"].tolist(), off["lam"].tolist())]
     assert _bits(plan.log_target) == _bits(want)
 
 
