@@ -347,7 +347,8 @@ def make_log_pareto(alpha: float, a: float = 0.0) -> TailModel:
             "e^(a/alpha) or its normalisation leaves the float range") from None
 
     def tail(x):
-        # c y^-alpha (ln y)^a, in place on the new y but for a scalar's powers
+        # c y^-alpha (ln y)^a in place on the new y; a scalar y keeps numpy's
+        # scalar powers, as the expression form took them
         y = np.maximum(x, x0)
         above = y > x0
         ln_a = np.log(y)
