@@ -174,14 +174,13 @@ def test_curve_of_a_smooth_tail_calls_the_tail_a_handful_of_times():
 def _step_major_rule(tail, beta, ta, tb):
     """The rule as it ran before its blocks were node-major: a row of 15
     nodes per step, summed against the weights by einsum."""
-    out = np.empty((len(ta), 2))
-    for s in range(0, len(ta), quadrature._BLOCK):
-        a, b = ta[s:s + quadrature._BLOCK, None], tb[s:s + quadrature._BLOCK, None]
+    out, block = np.empty((len(ta), 2)), quadrature._BLOCK
+    for s in range(0, len(ta), block):
+        a, b = ta[s:s + block, None], tb[s:s + block, None]
         w = 0.5 * (b - a)
         t = a + w * (1.0 + quadrature._NODES)
         f = beta * np.exp(beta * t) * tail(np.exp(t))
-        out[s:s + quadrature._BLOCK] = w * np.einsum("ij,jk->ik", f,
-                                                     quadrature._WEIGHTS)
+        out[s:s + block] = w * np.einsum("ij,jk->ik", f, quadrature._WEIGHTS)
     return out[:, 0], out[:, 1]
 
 
@@ -228,9 +227,10 @@ def test_non_finite_node_in_a_later_step_but_earlier_row():
 @pytest.mark.parametrize("beta, h", [(0.5, "2.27348"), (1.0, "6.28293")])
 @pytest.mark.parametrize("x_max", [1e300, 1.7e308])
 def test_subnormal_tail_far_out_is_not_bisected_to_the_budget(beta, h, x_max):
-    # past t ~ 481 the tail is subnormal, where K and G differ by its
-    # rounding, ~1.6e-10 K; that miss is under eps h(floor) and was once
-    # bisected until the interval budget ran out (ConvergenceError)
+    # past t ~ 471 the tail is subnormal, where K and G differ by its
+    # rounding (1.3e-11 K at t = 481, 7e-5 K at 490); that miss is under
+    # eps h(floor) and was once bisected until the interval budget ran out
+    # (ConvergenceError)
     model = make_log_pareto(1.5, -0.5)
     with pytest.raises(AdmissionError,
                        match=re.escape(f"h({x_max:g}) = {h} ")):
