@@ -64,6 +64,7 @@ def _rule(tail: Callable, beta: float, ta: np.ndarray,
         if not np.isfinite(k).all():  # all Kronrod weights are positive
             _reject(f, t)
         out[0, s:s + _BLOCK] = w * k
+        # the Gauss nodes are the odd rows; the others weigh 0 in G
         out[1, s:s + _BLOCK] = w * (f[1::2] * _WEIGHTS[1::2, 1:]).sum(axis=0)
     return out[0], out[1]
 
