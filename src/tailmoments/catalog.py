@@ -19,7 +19,6 @@ import csv
 import inspect
 import math
 import os
-import sys
 import warnings
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -30,23 +29,14 @@ from .errors import (ExtrapolationWarning, ModelValidationError,
                      TableFormatError)
 
 _E = math.e
-#: ln of the largest double: a power whose exp * ln(base) passes it overflows
-_LN_MAX = math.log(sys.float_info.max)
-#: within this of _LN_MAX the guard's rounding could misjudge an overflow
-_LN_BAND = 1e-6
 
 
 def _floor_log(x: float, base: float) -> int:
-    """floor(log_base(x)), exact at representable powers of the base.
-
-    For base 2 the binary exponent is read off directly, which keeps dyadic
-    points exact up to the full float range. For other bases the naive floor
-    is corrected by comparing against neighbouring powers.
-    """
-    if base == 2.0:
-        m, e = math.frexp(x)  # x = m * 2**e with m in [0.5, 1)
-        return e - 1
-    k = math.floor(math.log(x) / math.log(base))
+    """floor(log_base(x)), exact at representable powers of the base: the
+    naive floor is corrected by comparing x against the neighbouring powers,
+    the same pow floats a geometric law's knots are. It starts one below,
+    where the power is a float even at x = DBL_MAX, base 2."""
+    k = math.floor(math.log(x) / math.log(base)) - 1
     try:
         while base ** (k + 1) <= x:
             k += 1
@@ -55,6 +45,12 @@ def _floor_log(x: float, base: float) -> int:
     while base ** k > x:
         k -= 1
     return k
+
+
+def _num(v: float) -> str:
+    """A parameter in a model name: :g where that reads back as v, else repr."""
+    text = f"{v:g}"
+    return text if float(text) == v else repr(float(v))
 
 
 @dataclass(frozen=True)
@@ -111,76 +107,38 @@ class TailModel:
         return knots[knots >= lo].tolist()
 
 
-def _pow_loop(base: np.ndarray, exp: np.ndarray) -> np.ndarray:
-    """math.pow(b, e) per element of the 1-d arrays base and exp, streamed
-    over their buffers."""
+def _scalar_pow(base: np.ndarray, exp: np.ndarray) -> np.ndarray:
+    """base ** exp elementwise by the C library's pow over the 1-d float
+    arrays base and exp, bit for bit the scalar power np.float64(b) ** e.
+
+    A geometric law's knots p^k and levels p^(-beta_g k) are taken so: a
+    knot must be the float _floor_log compares against, and numpy's vector
+    power can differ in the last bit. Every power must be a float (a knot is
+    at most hi, a level at most 1): math.pow raises OverflowError past the
+    float range.
+    """
     return np.fromiter(map(math.pow, memoryview(base), memoryview(exp)), float,
                        count=len(base))
-
-
-def _scalar_pow(base: np.ndarray, exp: np.ndarray) -> np.ndarray:
-    """base ** exp elementwise, bit for bit the scalar power np.float64(x) ** b.
-
-    That is the C library's pow, which a geometric law's knots p^k and
-    levels p^(-beta_g k) are taken by: a knot must be the float that
-    _floor_log compares against, and numpy's vector power can differ in the
-    last bit. math.pow and Python's float ** call the same pow for positive
-    finite bases, one element at a time. base and exp are 1-d arrays of one
-    length. A power past the float range is inf, as for a numpy float: it is
-    read off exp * ln(base) where that lies well past ln(DBL_MAX), and taken
-    from the OverflowError of a call in the narrow band around it.
-    """
-    base = np.asarray(base, dtype=float)
-    exp = np.asarray(exp, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        t = np.log(base) * exp  # a guard only: its bits reach no result
-    low = ~(t >= _LN_MAX - _LN_BAND)  # a NaN product (0 * inf) too
-    if low.all():  # the common case, spared the masks' copies
-        return _pow_loop(base, exp)
-    out = np.full(base.shape, np.inf)
-    out[low] = _pow_loop(base[low], exp[low])
-    for i in np.flatnonzero(np.abs(t - _LN_MAX) < _LN_BAND):
-        try:
-            out[i] = math.pow(base[i], exp[i])
-        except OverflowError:
-            pass
-    return out
-
-
-def _vector_pow(base: np.ndarray, exp) -> np.ndarray:
-    """base ** exp elementwise by numpy's vector power, inf past the float
-    range: the per-point power of a curve (x^beta and the pieces' ratio
-    powers). Within an ulp of the exact power and exact on representable
-    integer powers, but the loop numpy dispatches to at import may differ
-    from libm's pow in the last bit; an element's bits do not depend on the
-    call's length, so one point reads as it does on a whole grid."""
-    with np.errstate(over="ignore"):
-        return np.power(base, exp)
-
-
-def _ratio_pow(xs: np.ndarray, knots: np.ndarray,
-               exps: np.ndarray) -> np.ndarray:
-    """(x / knot) ** exp elementwise by _vector_pow; where the quotient
-    overflows, exp(exp * (ln x - ln knot)), which may still be a float."""
-    with np.errstate(over="ignore"):
-        q = xs / knots
-        out = _vector_pow(q, exps)
-        big = np.flatnonzero(np.isinf(q))
-        out[big] = np.exp(exps[big] * (np.log(xs[big]) - np.log(knots[big])))
-    return out
 
 
 def _piece_sf(knots: np.ndarray, sfs: np.ndarray, exps: np.ndarray,
               xs: np.ndarray, j: np.ndarray | None = None) -> np.ndarray:
     """sf at the points xs on pieces j (TailModel; found here unless given):
     1 below the first knot, exactly sfs[i] on a flat piece, else sfs[i] times
-    (x / knots[i]) ** -exps[i], the vector power of _ratio_pow. That power
-    is at most 1 and underflows to 0 only with its value; a quotient past
-    the float range is read through its logarithm."""
+    (x / knots[i]) ** -exps[i] by numpy's vector power, whose bits do not
+    depend on the call's length. That power is inf where it overflows (never
+    for a tail, where it is at most 1), and exp(-exps[i] (ln x - ln knots[i]))
+    where the quotient does."""
     j = np.searchsorted(knots, xs, side="right") - 1 if j is None else j
     sf = np.append(sfs, 1.0)[j]  # j = -1 below the first knot reads the 1
     on = (np.append(exps, 0.0) != 0.0)[j]
-    sf[on] *= _ratio_pow(xs[on], knots[j[on]], -exps[j[on]])
+    xs, knots, exps = xs[on], knots[j[on]], -exps[j[on]]
+    with np.errstate(over="ignore"):
+        q = xs / knots
+        ratio = np.power(q, exps)
+        big = np.flatnonzero(np.isinf(q))
+        ratio[big] = np.exp(exps[big] * (np.log(xs[big]) - np.log(knots[big])))
+    sf[on] *= ratio
     return sf
 
 
@@ -239,7 +197,7 @@ def make_pareto(alpha: float, x_floor: float = 1.0) -> TailModel:
                 / (beta - alpha))
 
     return TailModel(
-        name=f"pareto(alpha={alpha:g},x_floor={x_floor:g})",
+        name=f"pareto(alpha={_num(alpha)},x_floor={_num(x_floor)})",
         support_floor=x_floor,
         tail=_piece_tail(pieces),
         pieces=pieces,
@@ -279,7 +237,7 @@ def make_geometric_tail(beta_g: float, p: float) -> TailModel:
         return 0.0 if beta == beta_g else None
 
     return TailModel(
-        name=f"geometric(beta_g={beta_g:g},p={p:g})",
+        name=f"geometric(beta_g={_num(beta_g)},p={_num(p)})",
         support_floor=p,
         tail=_piece_tail(pieces),
         pieces=pieces,
@@ -361,7 +319,7 @@ def make_log_pareto(alpha: float, a: float = 0.0) -> TailModel:
         return sf[()]
 
     return TailModel(
-        name=f"log_pareto(alpha={alpha:g},a={a:g})",
+        name=f"log_pareto(alpha={_num(alpha)},a={_num(a)})",
         support_floor=x0,
         tail=tail,
         ground_truth=_power_law_truth(alpha),

@@ -238,7 +238,7 @@ def main(argv: list[str] | None = None) -> int:
     except TailMomentsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except (OverflowError, FloatingPointError) as exc:
+    except (OverflowError, FloatingPointError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -34,7 +34,8 @@ class ModelEvaluationError(TailMomentsError):
 
 
 class AdmissionError(TailMomentsError):
-    """The (model, beta) pair has a finite truncated-moment limit.
+    """The (model, beta) pair has a finite truncated-moment limit, or the
+    analysis span does not reach past the support floor, so it cannot tell.
 
     The analysis only applies to models whose beta-moment diverges; the
     numerical proxy requires h(x_max) > 10 * h(x_lo).

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import TailModel, _piece_sf, _ratio_pow, _vector_pow
+from .catalog import TailModel, _piece_sf
 from .errors import (AdmissionError, InconsistencyError, ModelEvaluationError,
                      ModelValidationError)
 from .params import AnalysisParams
@@ -37,9 +37,13 @@ _SNAP = 1e-9
 
 
 def _powers(xs: np.ndarray, beta: float) -> np.ndarray:
-    """x ** beta by the vector power, catalog._vector_pow: xs itself at
-    beta = 1, which is exact, and inf past the float range."""
-    return np.asarray(xs, dtype=float) if beta == 1.0 else _vector_pow(xs, beta)
+    """x ** beta by numpy's vector power, whose bits do not depend on the
+    call's length: xs itself at beta = 1, which is exact, and inf past the
+    float range."""
+    if beta == 1.0:
+        return np.asarray(xs, dtype=float)
+    with np.errstate(over="ignore"):
+        return np.power(xs, beta)
 
 
 def _read_law(model: TailModel, beta: float, xs: np.ndarray, pieces=None):
@@ -186,10 +190,10 @@ def _boundary(model: TailModel, beta: float, xs: np.ndarray,
     """u at xs: xs_pow = x^beta times sf, off the law as h is, or one call.
 
     Where x^beta sf(x) is not finite on a power piece (x^beta past the float
-    range), u is formed as sf_i knot_i^beta (x / knot_i)^(beta - a_i), the
-    vector power of catalog._ratio_pow: inf where it overflows, and read
-    through ln x - ln knot_i where the quotient does. Where that is still
-    not a normal float under a positive sf_i (0 * inf, or a factor that
+    range), u is read off the piece law with levels sf_i knot_i^beta and
+    exponents a_i - beta by catalog._piece_sf: inf where the power overflows,
+    and read through ln x - ln knot_i where the quotient does. Where that is
+    still not a normal float under a positive sf_i (0 * inf, or a factor that
     underflows), u is exp(ln sf_i + beta ln x - a_i (ln x - ln knot_i)).
     """
     if law is None:
@@ -200,8 +204,8 @@ def _boundary(model: TailModel, beta: float, xs: np.ndarray,
     p = np.flatnonzero(~((us >= _TINY) & (us <= _HUGE))
                        & (np.append(exps, 0.0) != 0.0)[j])
     big = p[~np.isfinite(us[p])]
-    k = j[big]
-    us[big] = sfs[k] * pows[k] * _ratio_pow(xs[big], knots[k], beta - exps[k])
+    if len(big):  # sfs * pows spans every knot, a staircase's millions too
+        us[big] = _piece_sf(knots, sfs * pows, exps - beta, xs[big], j[big])
     odd = p[~((us[p] >= _TINY) & (us[p] <= _HUGE)) & (sfs[j[p]] > 0.0)]
     k, ln_x = j[odd], np.log(xs[odd])
     us[odd] = np.exp(np.log(sfs[k]) + beta * ln_x
@@ -231,9 +235,11 @@ def check_admission(model: TailModel, params: AnalysisParams,
 
     Numerical proxy for an infinite beta-moment: h(x_max) must exceed
     ADMISSION_GROWTH times h(x_lo), x_lo = max(x_min, support floor).
-    Converging moments flatten out and fail this immediately. Given a curve
-    of the same model and params, both values are read off it (build_grid
-    puts x_lo on the grid); otherwise both are integrated from the floor.
+    Converging moments flatten out and fail this immediately. A span that
+    ends at or below x_lo never reaches the tail and fails before any h is
+    read. Given a curve of the same model and params, both values are read
+    off it (build_grid puts x_lo on the grid); otherwise both are integrated
+    from the floor.
     """
     def h_at(x: float) -> float:
         if curve is not None:
@@ -243,6 +249,11 @@ def check_admission(model: TailModel, params: AnalysisParams,
         return compute_h(model, params.beta, x, params.rel_tol)[0]
 
     x_lo = max(params.x_min, model.support_floor)
+    if params.x_max <= x_lo:
+        raise AdmissionError(
+            f"the span [{params.x_min:g}, {params.x_max:g}] ends at or below "
+            f"the support floor {model.support_floor:g} of model "
+            f"{model.name!r}: it never reaches the tail")
     h_lo, h_hi = h_at(x_lo), h_at(params.x_max)
     if not h_hi > ADMISSION_GROWTH * h_lo:
         raise AdmissionError(

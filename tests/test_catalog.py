@@ -7,7 +7,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import geometric_atoms
@@ -26,11 +26,14 @@ from tailmoments.verifier import verify
 # floor-log helper
 
 def test_floor_log_exact_at_dyadic_points():
-    for k in range(0, 1024, 7):
+    for k in range(-1073, 1024):
         x = math.ldexp(1.0, k)
         assert _floor_log(x, 2.0) == k
+        assert _floor_log(math.nextafter(x, math.inf), 2.0) == k
         # just below a power of 2 the floor must drop by one
-        assert _floor_log(math.nextafter(x, 0.0), 2.0) == k - 1 or k == 0
+        assert _floor_log(math.nextafter(x, 0.0), 2.0) == k - 1
+    assert _floor_log(5e-324, 2.0) == -1074
+    assert _floor_log(sys.float_info.max, 2.0) == 1023
 
 
 def test_floor_log_general_base():
@@ -135,17 +138,19 @@ def test_geometric_integer_parameters_match_floats():
 
 @given(beta_g=st.floats(0.05, 8.0), p=st.floats(1.1, 100.0) | st.integers(2, 50),
        lo=st.floats(1e-3, 1e300), decades=st.floats(0.0, 300.0))
+@example(beta_g=1.0, p=2, lo=1.0, decades=0.0)  # _floor_log's edge at DBL_MAX
 @settings(max_examples=100, deadline=None, derandomize=True)
 def test_geometric_pieces_are_the_scalar_powers_bitwise(beta_g, p, lo, decades):
-    # knots p ** k and levels p ** (-beta_g k), k the ints, one pow each
-    hi = min(lo * 10.0 ** decades, 1e300)
+    # knots p ** k and levels p ** (-beta_g k), k the ints, one pow each;
+    # up to DBL_MAX every knot and level is a float
     pf, bf = float(p), float(beta_g)
-    ks = (range(max(1, _floor_log(max(lo, pf), pf)), _floor_log(hi, pf) + 1)
-          if hi >= pf else range(0))
-    knots, sfs, exps = make_geometric_tail(beta_g, p).pieces(lo, hi)
-    assert knots.tobytes() == np.array([pf ** k for k in ks]).tobytes()
-    assert sfs.tobytes() == np.array([pf ** (-bf * k) for k in ks]).tobytes()
-    assert exps.tobytes() == np.zeros(len(ks)).tobytes()
+    for hi in (min(lo * 10.0 ** decades, 1e300), sys.float_info.max):
+        ks = (range(max(1, _floor_log(max(lo, pf), pf)), _floor_log(hi, pf) + 1)
+              if hi >= pf else range(0))
+        knots, sfs, exps = make_geometric_tail(beta_g, p).pieces(lo, hi)
+        assert knots.tobytes() == np.array([pf ** k for k in ks]).tobytes()
+        assert sfs.tobytes() == np.array([pf ** (-bf * k) for k in ks]).tobytes()
+        assert exps.tobytes() == np.zeros(len(ks)).tobytes()
 
 
 def test_power_tail_past_the_quotient_range_is_read_through_logs():
@@ -352,6 +357,20 @@ def test_registry_rejects_missing_required():
 def test_registry_coerces_string_numbers():
     m = build_model("pareto", alpha="1.5", x_floor="2.0")
     assert m.support_floor == 2.0
+
+
+@pytest.mark.parametrize("dist, params, name", [
+    ("pareto", {"alpha": "1.5000001"}, "pareto(alpha=1.5000001,x_floor=1)"),
+    ("geometric", {"beta_g": 1, "p": 2.0000001},
+     "geometric(beta_g=1,p=2.0000001)"),
+    ("pareto", {"alpha": "1.5", "x_floor": "1e-300"},
+     "pareto(alpha=1.5,x_floor=1e-300)"),
+    ("log_pareto", {"alpha": 0.1 + 0.2, "a": -0.0},
+     "log_pareto(alpha=0.30000000000000004,a=-0)"),
+])
+def test_model_names_tell_apart_every_parameter(dist, params, name):
+    # :g rounded to 6 digits: pareto(1.5000001) was named pareto(alpha=1.5,...)
+    assert build_model(dist, **params).name == name
 
 
 def test_registry_rejects_non_numeric_value():

@@ -299,6 +299,22 @@ def test_log_pareto_past_the_float_range_is_a_validation_error(capsys, alpha,
     assert err.startswith("error: a / alpha") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--dist", "tabulated", "--param", "path={tmp}/missing.csv",
+     "--beta", "1"),
+    ("verify", "--dist", "tabulated", "--param", "path={tmp}", "--beta", "1"),
+    ("curve", "--dist", "pareto", "--param", "alpha=1.5", "--beta", "2",
+     "--output", "{tmp}/missing_dir/out.csv"),
+])
+def test_os_errors_exit_one_with_a_message(capsys, tmp_path, argv):
+    # a missing table, a directory as the table and an output file in a
+    # missing directory raised FileNotFoundError and IsADirectoryError
+    code, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    assert code == 1 and out == "" and "Traceback" not in err
+    assert err.startswith("error: ")
+    assert err.split(":")[1].strip() in ("FileNotFoundError", "IsADirectoryError")
+
+
 @pytest.mark.parametrize("exc", [OverflowError("math range error"),
                                  FloatingPointError("overflow encountered")])
 def test_arithmetic_errors_exit_one_with_a_message(capsys, monkeypatch, exc):

@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 import tailmoments.catalog as catalog
 import tailmoments.moments as moments
 from oracles import atom_sum_v, geometric_atoms
-from tailmoments.catalog import (TailModel, _scalar_pow, _vector_pow,
-                                 load_tabulated, make_geometric_tail,
-                                 make_inverse_log, make_log_pareto,
-                                 make_pareto, make_st_petersburg)
+from tailmoments.catalog import (TailModel, _scalar_pow, load_tabulated,
+                                 make_geometric_tail, make_inverse_log,
+                                 make_log_pareto, make_pareto,
+                                 make_st_petersburg)
 from tailmoments.errors import (AdmissionError, ExtrapolationWarning,
                                InconsistencyError, ModelEvaluationError,
                                ModelValidationError)
@@ -174,9 +174,9 @@ def test_scalar_powers_are_the_laws_knots_only(monkeypatch, model, beta, x_max,
     # libm's pow takes only the knots p^k and levels p^(-beta_g k) of a
     # geometric law, which must be the floats _floor_log compares against;
     # every per-point power is numpy's vector power
-    elements, pow_loop = [], catalog._pow_loop
-    monkeypatch.setattr(catalog, "_pow_loop", lambda base, exp:
-                        elements.append(len(base)) or pow_loop(base, exp))
+    elements, scalar_pow = [], catalog._scalar_pow
+    monkeypatch.setattr(catalog, "_scalar_pow", lambda base, exp:
+                        elements.append(len(base)) or scalar_pow(base, exp))
     params = AnalysisParams(beta=beta, x_max=x_max, points_per_decade=ppd)
     verify(model, params, build_curve(model, params))
     assert sum(elements) == count
@@ -252,6 +252,29 @@ def test_admission_rejects_slow_growth_over_short_span():
     with pytest.raises(AdmissionError):
         check_admission(make_st_petersburg(), AnalysisParams(beta=1.0, x_max=1e4))
     check_admission(make_st_petersburg(), AnalysisParams(beta=1.0, x_max=1e12))
+
+
+@pytest.mark.parametrize("model, params, message", [
+    (make_st_petersburg(), AnalysisParams(beta=1.0, x_min=1e-300, x_max=1e-200),
+     "the span [1e-300, 1e-200] ends at or below the support floor 2 of "
+     "model 'st_petersburg': it never reaches the tail"),
+    (make_inverse_log(), AnalysisParams(beta=1.0, x_max=2.0),
+     "the span [1, 2] ends at or below the support floor 2.71828 of model "
+     "'inverse_log': it never reaches the tail"),
+])
+def test_admission_rejects_a_span_that_never_reaches_the_tail(model, params,
+                                                              message):
+    # h(x_lo) lay off the curve, past x_max: "looks like it has a finite
+    # moment" for a staircase whose moment is infinite
+    calls = []
+    counted = replace(model, tail=lambda x: calls.append(x) or model.tail(x),
+                      pieces=model.pieces and (lambda lo, hi: calls.append(
+                          (lo, hi)) or model.pieces(lo, hi)))
+    with pytest.raises(AdmissionError) as exc:
+        check_admission(counted, params)
+    assert str(exc.value) == message and calls == []
+    with pytest.raises(AdmissionError, match="never reaches the tail"):
+        build_curve(model, params)
 
 
 @pytest.mark.parametrize("model, params", [
@@ -635,14 +658,16 @@ def _overflow_edge(beta):
        | st.sampled_from((0.5, 1.0, 2.0, 8.0)))
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_scalar_powers_are_numpy_float_powers_bitwise(xs, beta):
-    # the helper: libm's pow, bit for bit and inf included, on either side
-    # of the overflow edge, where the helper calls pow itself; _powers is
-    # the vector power, bit for bit
+    # the helper: libm's pow, bit for bit wherever the power is a float, up
+    # to the overflow edge; _powers is the vector power, bit for bit
     xs = np.array(xs + _overflow_edge(beta) + [5e-324, 1.0, _DBL_MAX])
-    ref = _numpy_float_powers(xs, beta).tobytes()
-    assert _scalar_pow(xs, np.full(len(xs), beta)).tobytes() == ref
-    assert (moments._powers(xs, beta).tobytes()
-            == _vector_pow(xs, beta).tobytes())
+    ref = _numpy_float_powers(xs, beta)
+    fin = np.isfinite(ref)
+    assert (_scalar_pow(xs[fin], np.full(fin.sum(), beta)).tobytes()
+            == ref[fin].tobytes())
+    with np.errstate(over="ignore"):
+        assert (moments._powers(xs, beta).tobytes()
+                == np.power(xs, beta).tobytes())
 
 
 @given(pairs=st.lists(st.tuples(_POSITIVE, st.floats(-8.0, 8.0)), max_size=50),
@@ -653,8 +678,9 @@ def test_scalar_pow_takes_each_points_exponent_bitwise(pairs, beta):
     edge = _overflow_edge(beta)
     xs = np.array([x for x, _ in pairs] + edge)
     exps = np.array([b for _, b in pairs] + [beta] * len(edge))
-    assert (_scalar_pow(xs, exps).tobytes()
-            == _numpy_float_powers(xs, exps).tobytes())
+    ref = _numpy_float_powers(xs, exps)
+    fin = np.isfinite(ref)
+    assert _scalar_pow(xs[fin], exps[fin]).tobytes() == ref[fin].tobytes()
 
 
 #: the least exact value that rounds past DBL_MAX: DBL_MAX + half its ulp
@@ -672,11 +698,11 @@ def test_vector_pow_is_numpy_power_within_an_ulp(pairs, beta):
     xs = np.array([x for x, _ in pairs] + edge)
     for exps in (np.array([b for _, b in pairs] + [beta] * len(edge)), beta):
         per_point = np.ndim(exps) == 1
-        with warnings.catch_warnings():
+        with warnings.catch_warnings(), np.errstate(over="ignore"):
             warnings.simplefilter("error")
-            out = _vector_pow(xs, exps)
-            alone = [_vector_pow(xs[i:i + 1], exps[i:i + 1] if per_point
-                                 else exps)[0] for i in range(len(xs))]
+            out = np.power(xs, exps)
+            alone = [np.power(xs[i:i + 1], exps[i:i + 1] if per_point
+                              else exps)[0] for i in range(len(xs))]
         with np.errstate(over="ignore"):
             assert out.tobytes() == np.power(xs, exps).tobytes()
         assert np.array(alone).tobytes() == out.tobytes()

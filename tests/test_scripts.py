@@ -41,3 +41,15 @@ def test_aliasing_demo_shows_commensurable_scales_aliasing():
     assert len(rows) == 5
     assert all(row.endswith("CONVERGED (aliased!)") for row in rows[:3])
     assert all(row.endswith("not converged") for row in rows[3:])
+
+
+def test_fingerprint_prints_one_digest_per_distinct_benchmark_op():
+    perfbench = os.path.join(ROOT, "perfbench")
+    before = sorted(os.listdir(perfbench))
+    proc = _run_script("fingerprint.py", "--seed", "3")
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr
+    rows = [line.rsplit("  ", 1) for line in proc.stdout.splitlines()]
+    assert len(rows) == 35 and len({op_id for op_id, _ in rows}) == 35
+    hexdigits = set("0123456789abcdef")
+    assert all(len(d) == 64 and set(d) <= hexdigits for _, d in rows)
+    assert sorted(os.listdir(perfbench)) == before  # no bytecode cache there
