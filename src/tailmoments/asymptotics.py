@@ -133,46 +133,76 @@ def has_incommensurable_pair(lambdas: tuple[float, ...]) -> bool:
     return False
 
 
-def _window(xs: np.ndarray, params: AnalysisParams) -> tuple[float, float]:
-    """The tail window clipped to the increasing samples xs."""
+def _window(xs: np.ndarray, params: AnalysisParams):
+    """(lo, hi, span, win): the tail window clipped to the increasing xs, the
+    slice of xs up to the first point at or above hi, and that of its points."""
     lo, hi = params.window()
-    return max(lo, float(xs[0])), min(hi, float(xs[-1]))
+    lo, hi = max(lo, float(xs[0])), min(hi, float(xs[-1]))
+    a, b = int(xs.searchsorted(lo)), int(xs.searchsorted(hi)) + 1
+    return lo, hi, slice(a, b), slice(a, b - int(xs[b - 1] > hi))
 
 
-#: what estimate_rv_index reads off increasing positive xs and params
-ScalePlan = namedtuple("ScalePlan", "lo hi span log_xs x_at node log_target "
-                                    "log_lam rows lambdas")
+#: what the RV estimates read off increasing positive xs and params
+ScalePlan = namedtuple("ScalePlan", "lo hi span win log_xs x_at node off "
+                                    "log_target log_lam x lam near lambdas")
 
 
 def scale_plan(xs: np.ndarray, params: AnalysisParams) -> ScalePlan:
     """The scale plan of increasing samples xs, for every lambda at once.
 
     Pairs (lam, x) run lam by lam over window points x with lam x <= hi.
-    Reads stay in xs[span]: the window, and the node above a hi off-node.
-    x_at and node index x and lam x's node in the span; log_target is
-    np.log of each off-node lam x, the log that log_xs takes of the nodes.
-    rows is per_scale but for estimate, and lambdas the distinct lam that
-    have pairs, ascending.
+    Reads stay in xs[span] (_window). x_at and node index x and lam x's node
+    in the span; off flags each lam x that is no node, and log_target is its
+    np.log, the log that log_xs takes of the nodes. x, lam and log_lam are a
+    pair's, near flags x below the trend split (_row_stats), and lambdas are
+    the distinct lam that have pairs, ascending.
     """
-    lo, hi = _window(xs, params)
-    span = slice(int(np.searchsorted(xs, lo)), int(np.searchsorted(xs, hi)) + 1)
+    lo, hi, span, win = _window(xs, params)
     xs_w, lams = xs[span], np.array(params.lambdas)
     with np.errstate(over="ignore"):  # lam x past the float range: outside
         targets = lams[:, None] * xs_w
-    k, x_at = np.nonzero(targets <= hi)
-    target = targets[k, x_at]
-    j = np.searchsorted(xs_w, target)  # xs_w[j - 1] < target <= xs_w[j]
-    node = np.full(len(j), -1)
-    for m in (np.minimum(j, len(xs_w) - 1), np.maximum(j - 1, 0)):  # j - 1 wins
-        node = np.where(np.abs(xs_w[m] - target) <= 1e-9 * target, m, node)
-    rows = np.empty(len(j), [("x", float), ("lam", float),
-                             ("estimate", float), ("interpolated", bool)])
-    rows["x"], rows["lam"], rows["interpolated"] = xs_w[x_at], lams[k], node < 0
-    log_target = np.log(target[node < 0])
+    fit = targets <= hi
+    k, x_at = fit.nonzero()
+    target = targets[fit]  # in the order of k, x_at
+    j = xs_w.searchsorted(target)  # xs_w[j - 1] < target <= xs_w[j]
+    cand = np.array((np.maximum(j - 1, 0), np.minimum(j, len(xs_w) - 1)))
+    hit = np.abs(xs_w[cand] - target) <= 1e-9 * target
+    node = np.where(hit[0], cand[0], np.where(hit[1], cand[1], -1))  # j - 1 wins
+    off, x = node < 0, xs_w[x_at]
     log_lam = np.array([math.log(lam) for lam in params.lambdas])[k]
-    paired = lams[np.bincount(k, minlength=len(lams)) > 0]
-    return ScalePlan(lo, hi, span, np.log(xs_w), x_at, node, log_target,
-                     log_lam, rows, tuple(sorted(set(paired.tolist()))))
+    paired = lams[fit.any(axis=1)]
+    return ScalePlan(lo, hi, span, win, np.log(xs_w), x_at, node, off,
+                     np.log(target[off]), log_lam, x, lams[k],
+                     x < math.sqrt(lo) * math.sqrt(hi),
+                     tuple(sorted(set(paired.tolist()))))
+
+
+def _log_ratios(plan: ScalePlan, fss):
+    """(ok, estimates): whether the plan reads each series of fss (positive in
+    its span and just below it), and log(f(lam x) / f(x)) / log(lam) at its
+    pairs, a row per series it reads; one np.log and one np.interp a row."""
+    start = max(plan.span.start - 1, 0)
+    read = np.array([fs[start:plan.span.stop] for fs in fss])
+    ok = (read > 0.0).all(axis=1) & (read.shape[1] >= 2)
+    log_fs = np.log(read[ok, plan.span.start - start:])
+    log_f = log_fs.take(plan.node, axis=1)
+    for row, log_row in zip(log_f, log_fs):
+        row[plan.off] = np.interp(plan.log_target, plan.log_xs, log_row)
+    log_f -= log_fs.take(plan.x_at, axis=1)
+    log_f /= plan.log_lam
+    return ok, log_f
+
+
+def rv_statistics(plan: ScalePlan, fss) -> list[tuple[float, float, float] | None]:
+    """(rho_hat, spread, trend) of estimate_rv_index for each series of fss
+    over the plan's xs, in one pass with a row per series; None where that
+    needs its own call: a series the plan does not read, or all of them when
+    fewer than _MIN_PAIRS pairs fit."""
+    if len(plan.x) < _MIN_PAIRS:
+        return [None] * len(fss)
+    ok, estimates = _log_ratios(plan, fss)
+    stats = iter(_row_stats(estimates, plan.near))
+    return [next(stats) if k else None for k in ok.tolist()]
 
 
 def estimate_rv_index(xs: np.ndarray, fs: np.ndarray, params: AnalysisParams,
@@ -187,60 +217,58 @@ def estimate_rv_index(xs: np.ndarray, fs: np.ndarray, params: AnalysisParams,
     Non-positive samples are dropped. A plan from scale_plan(xs, params) is
     read when each such sample lies below the window and a sample short of
     it; otherwise the positive samples are planned, to the same estimate.
+    It is the one-series case of rv_statistics.
     """
     xs = np.asarray(xs, dtype=float)
     fs = np.asarray(fs, dtype=float)
     if len(xs) != len(fs) or len(xs) < 2:
         raise InsufficientDataError("need matching xs/fs arrays of length >= 2")
-    read = fs[max(plan.span.start - 1, 0):plan.span.stop] if plan else fs[:0]
-    if len(read) < 2 or not (read > 0.0).all():
+    ok, estimate = _log_ratios(plan, (fs,)) if plan else ((False,), None)
+    if not ok[0]:
         # zeros (e.g. v at the support floor) carry no log-ratio information
         pos = fs > 0.0
         xs, fs = xs[pos], fs[pos]
         if len(xs) < 2:
             raise InsufficientDataError("fewer than 2 strictly positive samples")
         plan = scale_plan(xs, params)
-    lo, hi, rows = plan.lo, plan.hi, plan.rows
-    if len(rows) < _MIN_PAIRS:
-        raise InsufficientDataError(f"only {len(rows)} scale pairs fit the window"
-                                    f" [{lo:g}, {hi:g}]; need {_MIN_PAIRS}")
-    log_fs = np.log(fs[plan.span])
-    log_f = log_fs[plan.node]
-    log_f[rows["interpolated"]] = np.interp(plan.log_target, plan.log_xs, log_fs)
-    estimate = (log_f - log_fs[plan.x_at]) / plan.log_lam
-    rho_hat, spread, trend = _stats(rows["x"], estimate, lo, hi)
-    per_scale = rows.copy()
-    per_scale["estimate"] = estimate
-    return RVEstimate(rho_hat=rho_hat, per_scale=per_scale.view(np.recarray),
+        estimate = _log_ratios(plan, (fs,))[1]
+    lo, hi = plan.lo, plan.hi
+    if len(plan.x) < _MIN_PAIRS:
+        raise InsufficientDataError(f"only {len(plan.x)} scale pairs fit the "
+                                    f"window [{lo:g}, {hi:g}]; need {_MIN_PAIRS}")
+    (rho_hat, spread, trend), = _row_stats(estimate, plan.near)
+    per_scale = np.rec.fromarrays((plan.x, plan.lam, estimate[0], plan.off),
+                                  names=("x", "lam", "estimate", "interpolated"))
+    return RVEstimate(rho_hat=rho_hat, per_scale=per_scale,
                       converged=params.converged(spread, trend), spread=spread,
                       trend=trend, window=(lo, hi), lambdas=plan.lambdas)
 
 
-def _stats(xs: np.ndarray, ys: np.ndarray, lo: float, hi: float):
-    """(mean, spread, trend) of samples ys taken at xs inside [lo, hi].
+def _row_stats(ys: np.ndarray, near: np.ndarray):
+    """(mean, spread, trend) of each row of ys: spread is the half-range, and
+    trend the gap between the means of the samples flagged near, those below
+    the window's geometric midpoint, and of the others (inf if either is
+    empty). Each sum is np.add.reduce of a 1-d row, as ndarray.mean takes it;
+    a 2-d reduction can differ in the last bit."""
+    n, n_near = ys.shape[1], int(np.count_nonzero(near))
+    n_far = n - n_near
+    add, top, bottom = np.add.reduce, np.maximum.reduce, np.minimum.reduce
+    return [(float(add(y)) / n, float(top(y) - bottom(y)) / 2.0,
+             abs(float(add(a)) / n_near - float(add(b)) / n_far)
+             if n_near and n_far else math.inf)
+            for y, a, b in zip(ys, ys[:, near], ys[:, ~near])]
 
-    spread is the half-range; trend is the gap between the means of the
-    samples below and above the geometric midpoint of the window, formed
-    without the product lo * hi, which overflows for windows past 1e154.
-    """
-    mid = math.sqrt(lo) * math.sqrt(hi)
-    near = ys[xs < mid]
-    far = ys[xs >= mid]
-    trend = (abs(float(near.mean()) - float(far.mean()))
-             if len(near) and len(far) else math.inf)
-    return float(ys.mean()), float((ys.max() - ys.min()) / 2.0), trend
 
-
-def _series_stats(xs: np.ndarray, ys: np.ndarray, params: AnalysisParams):
-    """(mean, spread, trend, win) of ys restricted to the window, the slice
-    win of the increasing xs."""
-    lo, hi = _window(xs, params)
-    win = slice(np.searchsorted(xs, lo), np.searchsorted(xs, hi, "right"))
-    n = len(xs[win])
+def _series_stats(xs: np.ndarray, ys: np.ndarray, window):
+    """(mean, spread, trend, win) of ys in the window's slice win of the
+    increasing xs; window is _window(xs, params), or a plan of xs."""
+    lo, hi, _, win = window[:4]
+    n = win.stop - win.start
     if n < 2:
         raise InsufficientDataError(
             f"only {n} samples inside window [{lo:g}, {hi:g}]")
-    return (*_stats(xs[win], ys[win], lo, hi), win)
+    near = xs[win] < math.sqrt(lo) * math.sqrt(hi)  # lo * hi overflows past 1e154
+    return (*_row_stats(ys[None, win], near)[0], win)
 
 
 def pi_class_test(model: TailModel, params: AnalysisParams) -> PiTestResult:
@@ -251,9 +279,9 @@ def pi_class_test(model: TailModel, params: AnalysisParams) -> PiTestResult:
     Points where the base step sf(e x) - sf(x/e) vanishes numerically are
     skipped; if everything is skipped the test is indeterminate (typical of
     exactly constant or purely atomic tails sampled between atoms). The tail
-    is called once per abscissa array: x, e x, x/e, lam x and x/lam, the
-    last two with a row per lam. The window's top is clipped so that lam x
-    and e x stay inside the float range.
+    is called once, on x, e x, x/e, lam x and x/lam for every lam in one
+    array. The window's top is clipped so that lam x and e x stay inside
+    the float range.
     """
     lo, hi = params.window()
     lo = max(lo, model.support_floor * math.e)  # keep x/e above the floor
@@ -267,9 +295,11 @@ def pi_class_test(model: TailModel, params: AnalysisParams) -> PiTestResult:
     lambdas = [l for l in params.lambdas if not math.isclose(l, math.e)]
     if not lambdas:
         raise IndeterminateError("all scale factors coincide with the base e")
-    tail, lams = model.tail, np.array(lambdas)[:, None]
-    base = tail(xs), tail(math.e * xs), tail(xs / math.e)  # sf at x, e x, x/e
-    r = _centered(tail(lams * xs), tail(xs / lams), *base)  # a row per lam
+    lams, n = np.array(lambdas)[:, None], len(xs)
+    sf = model.tail(np.concatenate((xs, math.e * xs, xs / math.e,
+                                    (lams * xs).ravel(), (xs / lams).ravel())))
+    base = sf[:n], sf[n:2 * n], sf[2 * n:3 * n]  # sf at x, e x, x/e
+    r = _centered(*sf[3 * n:].reshape(2, len(lambdas), n), *base)  # row per lam
     used = ~np.isnan(r)
     n_skipped = int(r.size - used.sum())
     per_lambda = {lam: float(np.max(np.abs(row[ok] - math.log(lam))
@@ -313,25 +343,27 @@ def gamma_classification(curve, params: AnalysisParams,
     """
     beta = params.beta
     if r1_stats is None:
-        r1_stats = _series_stats(curve.grid, curve.r1, params)
+        r1_stats = _series_stats(curve.grid, curve.r1,
+                                 _window(curve.grid, params))
     r1_mean, spread, trend, win = r1_stats
     us, vs, r1s = curve.u[win], curve.v[win], curve.r1[win]
     rho_mean = beta * r1_mean
-    rho_max = beta * float(r1s.max())
-    rho_min = beta * float(r1s.min())
+    rho_max = beta * float(np.maximum.reduce(r1s))
+    rho_min = beta * float(np.minimum.reduce(r1s))
     band = params.regime_band()
 
-    gammas = np.where(vs > 0.0, us / np.where(vs > 0.0, vs, 1.0), np.inf)
-    if np.isinf(gammas).all() or ((gammas > _INF_GAMMA).all()
-                                  and (np.diff(gammas) >= 0.0).all()):
+    gammas = np.divide(us, vs, out=np.full(len(vs), np.inf), where=vs > 0.0)
+    inf = np.isinf(gammas)
+    if inf.all() or ((gammas > _INF_GAMMA).all()
+                     and (gammas[1:] - gammas[:-1] >= 0.0).all()):
         # the Stieltjes part carries a vanishing share: boundary term dominates
         return GammaResult(gamma_hat=math.inf, p_hat=0.0, rho_hat=beta,
                            regime="rho_beta")
-    if np.isinf(gammas).any():
+    if inf.any():
         # isolated zero-v points among finite ratios: no stable limit
         return GammaResult(gamma_hat=math.inf, p_hat=0.0, rho_hat=beta,
                            regime="indeterminate")
-    gamma_hat = float(gammas.mean())
+    gamma_hat = float(np.add.reduce(gammas)) / len(gammas)
     p_hat = beta / (1.0 + gamma_hat)
     rho_from_gamma = beta - p_hat
     consistent = abs(rho_from_gamma - rho_mean) <= 2.0 * params.eps_rho

@@ -129,14 +129,18 @@ def _piece_sf(knots: np.ndarray, sfs: np.ndarray, exps: np.ndarray,
     depend on the call's length. That power is inf where it overflows (never
     for a tail, where it is at most 1), and exp(-exps[i] (ln x - ln knots[i]))
     where the quotient does."""
-    j = np.searchsorted(knots, xs, side="right") - 1 if j is None else j
-    sf = np.append(sfs, 1.0)[j]  # j = -1 below the first knot reads the 1
-    on = (np.append(exps, 0.0) != 0.0)[j]
-    xs, knots, exps = xs[on], knots[j[on]], -exps[j[on]]
+    j = knots.searchsorted(xs, side="right") - 1 if j is None else j
+    sf = np.concatenate((sfs, [1.0]))[j]  # j = -1 below the first knot: 1
+    on = (np.concatenate((exps, [0.0])) != 0.0)[j]
+    if not on.any():
+        return sf
+    on = slice(None) if on.all() else on  # every piece a power: no gathers
+    xs, j = xs[on], j[on]
+    knots, exps = knots[j], -exps[j]
     with np.errstate(over="ignore"):
         q = xs / knots
         ratio = np.power(q, exps)
-        big = np.flatnonzero(np.isinf(q))
+        big = np.isinf(q).nonzero()[0]
         ratio[big] = np.exp(exps[big] * (np.log(xs[big]) - np.log(knots[big])))
     sf[on] *= ratio
     return sf

@@ -54,12 +54,13 @@ def _read_law(model: TailModel, beta: float, xs: np.ndarray, pieces=None):
     if model.pieces is None:
         return xs_pow, None
     knots, sfs, exps = pieces or model.pieces(model.support_floor, float(xs[-1]))
-    pos = np.searchsorted(xs, knots)  # xs[pos - 1] < knot <= xs[pos]
+    pos = xs.searchsorted(knots)  # xs[pos - 1] < knot <= xs[pos]
     j = np.repeat(np.arange(-1, len(knots)),  # by the points on each piece
                   np.diff(np.concatenate(([0], pos, [len(xs)]))))
     near = np.minimum(pos, len(xs) - 1)
     pows, off = xs_pow[near], xs[near] != knots
-    pows[off] = _powers(knots[off], beta)
+    if off.any():
+        pows[off] = _powers(knots[off], beta)
     return xs_pow, (knots, sfs, exps, j, pows)
 
 
@@ -67,37 +68,44 @@ def _power_pieces(law, j, xs, xs_pow, beta):
     """beta * int_lo^hi y^(beta-1) sf (y/lo)^-a dy on each whole piece of the
     law (_read_law), then from piece j's knot to each point of xs (powers
     xs_pow), with the roundoff each adds beyond a sum's: sf * (hi^beta -
-    lo^beta) at a = 0, else sf lo^beta beta expm1((beta - a) ln(hi/lo)) /
-    (beta - a), ln(hi/lo) at a = beta, which overflows only with its value,
-    read through logs (_log_pieces) where lo^beta is subnormal or 0 under a
+    lo^beta) at a = 0, else sf lo^beta beta g, g = expm1((beta - a)
+    ln(hi/lo)) / (beta - a), ln(hi/lo) at a = beta, read through logs
+    (_log_pieces) where g overflows or lo^beta is subnormal or 0 under a
     positive sf. expm1 scales the rounding of ln(hi/lo), ln hi - ln lo where
     hi/lo overflows, by (beta - a) ln(hi/lo). Callers ignore over and
     invalid: a power piece may form inf - inf before it is replaced.
     """
     knots, sfs, exps, _, pows = law
-    j = np.append(np.arange(len(knots) - 1), j)  # piece i runs to knot i + 1
-    seg = pows[j]  # every piece as if flat
-    np.subtract(np.append(pows[1:], xs_pow), seg, out=seg)
-    seg *= sfs[j]
-    err = np.zeros(len(j))
-    p = np.flatnonzero((exps != 0.0)[j])
-    if not len(p):
-        return seg, err
+    j = np.concatenate((np.arange(len(knots) - 1), j))  # i runs to knot i + 1
+    power = (exps != 0.0)[j]
+    p = slice(None)  # every segment, while no piece is flat
+    if not power.all():
+        seg = pows[j]  # every piece as if flat
+        np.subtract(np.concatenate((pows[1:], xs_pow)), seg, out=seg)
+        seg *= sfs[j]
+        err = np.zeros(len(j))
+        p = power.nonzero()[0]
+        if not len(p):
+            return seg, err
     k = j[p]
-    hi, lo, c = np.append(knots[1:], xs)[p], knots[k], beta - exps[k]
+    hi, lo, c = np.concatenate((knots[1:], xs))[p], knots[k], beta - exps[k]
     log_q = np.log(hi / lo)
-    big = np.flatnonzero(np.isinf(log_q))
-    log_q[big] = np.log(hi[big]) - np.log(lo[big])
+    big = np.isinf(log_q).nonzero()[0]
+    if len(big):
+        log_q[big] = np.log(hi[big]) - np.log(lo[big])
     cl, crit = c * log_q, c == 0.0
     growth = np.where(crit, log_q, np.expm1(cl) / np.where(crit, 1.0, c))
+    under = (((pows < _TINY) & (sfs > 0.0))[k] | np.isinf(growth)).nonzero()[0]
     base = sfs[k] * pows[k] * beta
-    seg[p] = growth = base * growth
-    err[p] = _EPS * ((4.0 + 2.0 * np.abs(cl) + np.maximum(c, 0.0))
-                     * np.abs(growth) + base)
-    under = np.flatnonzero(((pows < _TINY) & (sfs > 0.0))[k])
+    growth *= base
+    growth_err = _EPS * ((4.0 + 2.0 * np.abs(cl) + np.maximum(c, 0.0))
+                         * np.abs(growth) + base)
     if len(under):
-        seg[p[under]], err[p[under]] = _log_pieces(
+        growth[under], growth_err[under] = _log_pieces(
             sfs[k[under]], lo[under], c[under], cl[under], log_q[under], beta)
+    if isinstance(p, slice):
+        return growth, growth_err
+    seg[p], err[p] = growth, growth_err
     return seg, err
 
 
@@ -129,16 +137,16 @@ def _accumulate(model: TailModel, beta: float, xs: np.ndarray, rel_tol: float,
     cumsum of one quadrature pass over the steps from the floor. Both arrays
     are taken last, above the kernel's freed temporaries."""
     floor = model.support_floor
-    head = int(np.searchsorted(xs, floor, side="right"))
+    head = int(xs.searchsorted(floor, side="right"))
     h0 = np.float64(floor) ** beta  # overflows to inf, not OverflowError
     up, up_pow = xs[head:], xs_pow[head:]
     h = err = up  # unless a point lies above the floor
     if law is not None and len(up):
         j, n = law[3][head:], len(law[0]) - 1  # n whole pieces, then points
         seg, seg_err = _power_pieces(law, j, up, up_pow, beta)
-        at_knot = np.cumsum(np.append(h0, seg[:n]))
-        knot_err = np.cumsum(np.append(
-            _EPS * h0, 2.0 * _EPS * (np.abs(seg[:n]) + at_knot[1:]) + seg_err[:n]))
+        at_knot = np.concatenate(([h0], seg[:n])).cumsum()
+        knot_err = np.concatenate(([_EPS * h0], 2.0 * _EPS * (
+            np.abs(seg[:n]) + at_knot[1:]) + seg_err[:n])).cumsum()
         h = at_knot[j]
         h += seg[n:]
         # err = knot_err + (2 eps (|seg| + h) + seg_err), in seg's room
@@ -148,8 +156,8 @@ def _accumulate(model: TailModel, beta: float, xs: np.ndarray, rel_tol: float,
         err += seg_err[n:]
         err += knot_err[j]
     elif len(up):
-        vals, errs = integrate_tail(model.tail, beta, np.append(floor, up),
-                                    rel_tol)
+        vals, errs = integrate_tail(model.tail, beta,
+                                    np.concatenate(([floor], up)), rel_tol)
         h = h0 + vals
         err = _EPS * h0 + errs + _EPS * h
     return (np.concatenate((xs_pow[:head], h)),
@@ -194,19 +202,27 @@ def _boundary(model: TailModel, beta: float, xs: np.ndarray,
     exponents a_i - beta by catalog._piece_sf: inf where the power overflows,
     and read through ln x - ln knot_i where the quotient does. Where that is
     still not a normal float under a positive sf_i (0 * inf, or a factor that
-    underflows), u is exp(ln sf_i + beta ln x - a_i (ln x - ln knot_i)).
+    underflows), or where a finite u has a subnormal sf factor, short of
+    digits, u is exp(ln sf_i + beta ln x - a_i (ln x - ln knot_i)).
     """
     if law is None:
         return xs_pow * model.tail(xs)
     knots, sfs, exps, j, pows = law
     us = _piece_sf(knots, sfs, exps, xs, j)
+    weak = us < _TINY  # an sf factor without all its digits
     us *= xs_pow
-    p = np.flatnonzero(~((us >= _TINY) & (us <= _HUGE))
-                       & (np.append(exps, 0.0) != 0.0)[j])
-    big = p[~np.isfinite(us[p])]
-    if len(big):  # sfs * pows spans every knot, a staircase's millions too
+    if not exps.any():  # a staircase: u is x^beta times a level
+        return us
+    p = (~((us >= _TINY) & (us <= _HUGE)) | weak).nonzero()[0]
+    p = p[np.concatenate((exps, [0.0]))[j[p]] != 0.0]  # on power pieces
+    if not len(p):
+        return us
+    fin = np.isfinite(us[p])
+    big = p[~fin]
+    if len(big):  # sfs * pows spans every knot, a table's thousands too
         us[big] = _piece_sf(knots, sfs * pows, exps - beta, xs[big], j[big])
-    odd = p[~((us[p] >= _TINY) & (us[p] <= _HUGE)) & (sfs[j[p]] > 0.0)]
+    odd = p[(~((us[p] >= _TINY) & (us[p] <= _HUGE)) | (weak[p] & fin))
+            & (sfs[j[p]] > 0.0)]
     k, ln_x = j[odd], np.log(xs[odd])
     us[odd] = np.exp(np.log(sfs[k]) + beta * ln_x
                      - exps[k] * (ln_x - np.log(knots[k])))
@@ -217,7 +233,9 @@ def _stieltjes(model: TailModel, xs: np.ndarray, hs: np.ndarray,
                us: np.ndarray, errs: np.ndarray) -> np.ndarray:
     """v = h - u pointwise, clamping negatives inside the error budget to 0."""
     vs = hs - us
-    neg = np.flatnonzero(vs < 0.0)
+    neg = (vs < 0.0).nonzero()[0]
+    if not len(neg):
+        return vs
     bad = neg[vs[neg] < -2.0 * (errs[neg] + _EPS * hs[neg])]
     if len(bad):
         i = bad[0]
@@ -243,7 +261,7 @@ def check_admission(model: TailModel, params: AnalysisParams,
     """
     def h_at(x: float) -> float:
         if curve is not None:
-            k = int(np.searchsorted(curve.grid, x))
+            k = int(curve.grid.searchsorted(x))
             if k < len(curve.grid) and curve.grid[k] == x:
                 return curve.h[k]
         return compute_h(model, params.beta, x, params.rel_tol)[0]
@@ -272,10 +290,10 @@ def build_grid(model: TailModel, params: AnalysisParams,
     within relative 1e-9 of a kink or of x_max (or past it) gives way instead
     of forming a near-duplicate pair; x_min and x_max stay. Integration steps
     between neighbours therefore never cross a kink, and the admission point
-    max(x_min, support floor) is a grid point. The kinks are merged in,
-    O(n + k) for n grid points and k kinks in a few sorted runs, and a
-    repeated point is kept once. A span whose x_max / x_min overflows raises
-    ModelValidationError.
+    max(x_min, support floor) is a grid point. Each kink goes into the slot
+    that searchsorted finds among the kept points, O(n + k) for n grid
+    points and k kinks, and a repeated point is kept once. A span whose
+    x_max / x_min overflows raises ModelValidationError.
     """
     lo, hi = params.x_min, params.x_max
     if not math.isfinite(hi / lo):
@@ -284,17 +302,26 @@ def build_grid(model: TailModel, params: AnalysisParams,
     n = int(math.ceil(math.log10(hi / lo) * params.points_per_decade))
     grid = lo * 10.0 ** (np.arange(1, n) / params.points_per_decade)
     grid = np.concatenate(([lo], grid[grid < hi * (1.0 - _SNAP)], [hi]))
-    kinks = np.append(np.asarray(model.breakpoints(lo, hi) if knots is None
-                                 else knots, dtype=float), model.support_floor)
-    kinks = kinks[(kinks >= lo) & (kinks <= hi)]
-    above = np.searchsorted(grid, kinks)  # grid[above - 1] < kink <= grid[above]
-    keep = np.ones(len(grid), dtype=bool)
+    keep = np.concatenate(([True], grid[1:] != grid[:-1]))  # rounded repeats
+    kinks = np.asarray(model.breakpoints(lo, hi) if knots is None else knots,
+                       dtype=float)
+    if not (len(kinks) and kinks[0] == model.support_floor):
+        kinks = np.concatenate(([model.support_floor], kinks))  # below all
+    kinks = kinks[(kinks > lo) & (kinks < hi)]  # x_min, x_max: grid points
+    if not len(kinks):
+        return grid[keep]
+    above = grid.searchsorted(kinks)  # grid[above - 1] < kink <= grid[above]
     for near in (above, np.maximum(above - 1, 0)):
         keep[near[np.abs(grid[near] - kinks) <= _SNAP * kinks]] = False
     keep[[0, -1]] = True
-    # timsort merges the sorted runs; union1d would import numpy.ma
-    merged = np.sort(np.append(grid[keep], kinks), kind="stable")
-    return merged[np.append(True, merged[1:] != merged[:-1])]
+    # each kink into its slot among the kept points (np.union1d would import
+    # numpy.ma, np.insert takes longer)
+    grid = grid[keep]
+    at = grid.searchsorted(kinks) + np.arange(len(kinks))
+    merged, keep = np.empty(len(grid) + len(at)), np.ones(len(grid) + len(at), bool)
+    merged[at], keep[at] = kinks, False
+    merged[keep] = grid
+    return merged
 
 
 @dataclass(frozen=True)
@@ -334,7 +361,7 @@ def build_curve(model: TailModel, params: AnalysisParams) -> MomentCurve:
         hs, errs = _accumulate(model, beta, grid, params.rel_tol, grid_pow, law)
         us = _boundary(model, beta, grid, grid_pow, law)
     del grid_pow, law  # freed before the curve's last arrays are taken
-    bad = np.flatnonzero(~(np.isfinite(hs) & np.isfinite(us)))
+    bad = (~(np.isfinite(hs) & np.isfinite(us))).nonzero()[0]
     if len(bad):
         k = bad[0]
         raise ModelEvaluationError(

@@ -30,9 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import (GammaResult, PiTestResult, _series_stats,
+from .asymptotics import (GammaResult, PiTestResult, _series_stats, _window,
                           estimate_rv_index, gamma_classification,
-                          has_incommensurable_pair, pi_class_test, scale_plan)
+                          has_incommensurable_pair, pi_class_test,
+                          rv_statistics, scale_plan)
 from .catalog import TailModel
 from .errors import IndeterminateError, InsufficientDataError
 from .moments import MomentCurve, build_curve, check_admission
@@ -141,26 +142,30 @@ def verify(model: TailModel, params: AnalysisParams,
     # looks like a single power there: its RV estimates are truncated
     truncated = (len(model.breakpoints(*params.window())) < 2
                  and len(model.breakpoints(params.x_min, params.x_max)) >= 2)
-    plan = scale_plan(curve.grid, params)  # shared by h, v and u
+    plan = scale_plan(curve.grid, params)  # shared by h, v, u and r1
+    shared = rv_statistics(plan, (curve.h, curve.v, curve.u))  # one pass
 
-    def rv(values: np.ndarray, index_shift: float = 0.0) -> ConditionVerdict:
-        try:
-            est = estimate_rv_index(curve.grid, values, params, plan)
-        except InsufficientDataError:
-            return ConditionVerdict(verdict=_UNDECIDED, estimate=None,
-                                    spread=math.inf)
-        return _verdict(est.rho_hat + index_shift, est.spread, est.trend, params,
-                        not truncated and has_incommensurable_pair(est.lambdas))
+    def rv(values, stats, index_shift: float = 0.0) -> ConditionVerdict:
+        lambdas = plan.lambdas
+        if stats is None:  # not read in the one pass: its own estimate
+            try:
+                est = estimate_rv_index(curve.grid, values, params, plan)
+            except InsufficientDataError:
+                return ConditionVerdict(verdict=_UNDECIDED, estimate=None,
+                                        spread=math.inf)
+            stats, lambdas = (est.rho_hat, est.spread, est.trend), est.lambdas
+        return _verdict(stats[0] + index_shift, *stats[1:], params,
+                        not truncated and has_incommensurable_pair(lambdas))
 
-    r1_stats = _series_stats(curve.grid, curve.r1, params)
+    r1_stats = _series_stats(curve.grid, curve.r1, plan)
     r1_mean, r1_spread, r1_trend, _ = r1_stats
     lim1 = _verdict(r1_mean, r1_spread, r1_trend, params, decidable=True)
     # r2 = 1 - r1 pointwise, so the share statistics mirror exactly
     lim2 = ConditionVerdict(verdict=lim1.verdict, estimate=1.0 - r1_mean,
                             spread=r1_spread)
     conditions = dict(zip(CONDITIONS, (
-        rv(curve.h), rv(curve.v), rv(curve.u, index_shift=-params.beta),
-        lim1, lim2)))
+        rv(curve.h, shared[0]), rv(curve.v, shared[1]),
+        rv(curve.u, shared[2], index_shift=-params.beta), lim1, lim2)))
 
     gamma = gamma_classification(curve, params, r1_stats)
 
@@ -236,9 +241,10 @@ def check_asymptotic_equivalences(report: TheoremReport, curve: MomentCurve,
     varying corrections decay like 1/log in the window).
     """
     checks: list[EquivalenceCheck] = []
+    window = _window(curve.grid, params)
 
     def windowed_mean(values: np.ndarray) -> float:
-        return _series_stats(curve.grid, values, params)[0]
+        return _series_stats(curve.grid, values, window)[0]
 
     def add(name: str, observed: float, expected: float, tol: float,
             relative: bool) -> None:

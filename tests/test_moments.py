@@ -196,6 +196,35 @@ def test_curve_and_report_read_the_law_once(power_table):
         assert calls[1:] == [params.window()], m.name
 
 
+def test_a_subnormal_sf_factor_reads_u_through_logs():
+    # sf = (floor / x)^a is a few subnormal steps above 0 at these points, so
+    # x^beta sf kept no correct digit and v = h - u fell below its budget
+    m = make_pareto(1.0, x_floor=1.4190658293037926e-293)
+    curve = build_curve(m, AnalysisParams(
+        beta=3.9546062993959388, x_min=3.48e-12, x_max=1.48e50,
+        points_per_decade=8))
+    assert (curve.v >= 0.0).all()
+    m = make_pareto(1.5, x_floor=1.0106406955836432e-194)
+    beta, x = 3.9940166744041674, 4.96861e21
+    exact = mpmath.exp((mpmath.mpf(beta) - 1.5) * mpmath.log(x)
+                       + 1.5 * mpmath.log(m.support_floor))
+    assert abs(compute_u(m, beta, x) - exact) <= 1e-12 * exact
+
+
+def test_h_whose_growth_factor_overflows_is_read_through_logs():
+    # expm1((beta - a) ln(x / floor)) is inf under a factor of ~1e-68, while
+    # h itself is a float
+    m = make_pareto(1.0, x_floor=5.281280788021559e-31)
+    beta, x = 2.253459789139046, 5.39686e215
+    f, b = mpmath.mpf(m.support_floor), mpmath.mpf(beta)
+    exact = f ** b + b * f * (mpmath.mpf(x) ** (b - 1) - f ** (b - 1)) / (b - 1)
+    h, err = compute_h(m, beta, x)
+    assert abs(h - exact) <= 1e-12 * exact
+    assert abs(h - exact) <= err
+    curve = build_curve(m, AnalysisParams(beta=beta, x_max=8.285e247))
+    assert curve.grid[-1] == 8.285e247 and np.isfinite(curve.h).all()
+
+
 def test_u_past_the_float_range_of_x_beta_is_read_off_its_piece():
     # 1e200 ** 2 overflows, but u = 1e200 ** 2 * 1e200 ** -1.5 = 1e100 does
     # not: compute_u forms it on the piece, as the curve does
@@ -829,7 +858,7 @@ def test_shares_are_whole_where_x_beta_underflows():
 @pytest.mark.parametrize("model, beta, x_max, columns", [
     (make_geometric_tail(0.5, 3.0), 0.5, 1e300, 9.0),
     (make_st_petersburg(), 1.0, 1e300, 8.1),
-    (make_pareto(1.5), 2.0, 1e150, 19.9)])
+    (make_pareto(1.5), 2.0, 1e150, 15.0)])
 def test_curve_allocation_peak_in_columns(model, beta, x_max, columns):
     # build_curve's traced peak, in columns of n floats: the curve's own 7
     # arrays and its kernels' temporaries. It is deterministic for a given

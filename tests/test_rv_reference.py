@@ -3,9 +3,10 @@
 reference_pairs is that loop, kept verbatim in spirit: one (x, lam) pair at
 a time, an exact-match search over the neighbours j-1, j, j+1 of the
 target, and one np.interp call per off-grid target at the target's np.log,
-taken one float at a time. Everything the array
-code reports must match it bit for bit, whether it plans its own samples
-or reads a scale plan shared by several series on the same xs.
+taken one float at a time. _reference_stats pools the pairs by
+ndarray.mean. Everything the array code reports must match them bit for
+bit, whether it plans its own samples or reads a scale plan shared by
+several series on the same xs.
 """
 
 from __future__ import annotations
@@ -19,10 +20,21 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tailmoments.asymptotics as asymptotics
-from tailmoments.asymptotics import (_MIN_PAIRS, _stats, estimate_rv_index,
+from tailmoments.asymptotics import (_MIN_PAIRS, estimate_rv_index,
                                      scale_plan)
 from tailmoments.errors import InsufficientDataError
 from tailmoments.params import AnalysisParams
+
+
+def _reference_stats(xs, ys, lo, hi):
+    """(mean, spread, trend) by ndarray.mean over the samples below and above
+    the window's geometric midpoint, as the package took them one series at
+    a time."""
+    mid = math.sqrt(lo) * math.sqrt(hi)
+    near, far = ys[xs < mid], ys[xs >= mid]
+    trend = (abs(float(near.mean()) - float(far.mean()))
+             if len(near) and len(far) else math.inf)
+    return float(ys.mean()), float((ys.max() - ys.min()) / 2.0), trend
 
 
 def reference_pairs(xs, fs, params, lambdas):
@@ -109,7 +121,8 @@ def test_array_estimator_matches_scalar_pair_loop(case):
     lo, hi, points = ref
     est = estimate_rv_index(xs, fs, replace(params, lambdas=lambdas))
     x, lam, estimate, interpolated = (list(col) for col in zip(*points))
-    rho_hat, spread, trend = _stats(np.array(x), np.array(estimate), lo, hi)
+    rho_hat, spread, trend = _reference_stats(np.array(x), np.array(estimate),
+                                              lo, hi)
     assert len(est.per_scale) == len(points)
     assert _bits(est.per_scale.x) == _bits(x)
     assert _bits(est.per_scale.lam) == _bits(lam)
@@ -176,9 +189,8 @@ def test_off_grid_target_logs_match_the_scalar_loop():
 def test_plan_log_targets_are_numpy_log_bitwise(case):
     xs, _, params, lambdas = case
     plan = scale_plan(xs, replace(params, lambdas=lambdas))
-    off = plan.rows[plan.rows["interpolated"]]
-    want = [np.log(np.float64(x * lam))
-            for x, lam in zip(off["x"].tolist(), off["lam"].tolist())]
+    want = [np.log(np.float64(x * lam)) for x, lam in
+            zip(plan.x[plan.off].tolist(), plan.lam[plan.off].tolist())]
     assert _bits(plan.log_target) == _bits(want)
 
 
@@ -189,7 +201,7 @@ def test_estimate_lambdas_are_those_of_its_pairs(case):
     xs, fs, params, lambdas = case
     params = replace(params, lambdas=lambdas)
     plan = scale_plan(xs, params)
-    assert plan.lambdas == tuple(sorted(set(plan.rows["lam"].tolist())))
+    assert plan.lambdas == tuple(sorted(set(plan.lam.tolist())))
     try:
         est = estimate_rv_index(xs, fs, params, plan)
     except InsufficientDataError:

@@ -53,3 +53,16 @@ def test_fingerprint_prints_one_digest_per_distinct_benchmark_op():
     hexdigits = set("0123456789abcdef")
     assert all(len(d) == 64 and set(d) <= hexdigits for _, d in rows)
     assert sorted(os.listdir(perfbench)) == before  # no bytecode cache there
+
+
+def test_opcost_prints_time_and_faults_of_each_op():
+    perfbench = os.path.join(ROOT, "perfbench")
+    before = sorted(os.listdir(perfbench))
+    proc = _run_script("opcost.py", "--workload", "sweep", "--cycles", "1")
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr
+    header, *rows = [line.split() for line in proc.stdout.splitlines()]
+    assert header == ["op", "median_ms", "faults", "total"]
+    assert len(rows) == 24
+    assert all(float(ms) > 0.0 and int(faults) >= 0 and int(total) >= 0
+               for *_, ms, faults, total in rows)
+    assert sorted(os.listdir(perfbench)) == before  # no bytecode cache there

@@ -2,19 +2,25 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import tailmoments.asymptotics as asymptotics
 import tailmoments.verifier as verifier
-from tailmoments.asymptotics import GammaResult, PiTestResult
+from tailmoments.asymptotics import (GammaResult, PiTestResult, _series_stats,
+                                     _window, estimate_rv_index,
+                                     has_incommensurable_pair, scale_plan)
 from tailmoments.catalog import (load_tabulated, make_geometric_tail,
                                  make_inverse_log, make_log_pareto,
                                  make_pareto, make_st_petersburg)
-from tailmoments.errors import AdmissionError
+from tailmoments.errors import (AdmissionError, InsufficientDataError,
+                               TailMomentsError)
 from tailmoments.moments import build_curve
 from tailmoments.params import AnalysisParams
-from tailmoments.verifier import (ConditionVerdict, _judge,
+from tailmoments.verifier import (ConditionVerdict, _judge, _verdict,
                                   check_asymptotic_equivalences, verify)
 
 
@@ -120,13 +126,18 @@ def test_verify_is_deterministic():
                          ids=lambda m: m.name)
 def test_verify_builds_one_scale_plan_per_report(monkeypatch, model):
     # h, v and u share one grid; v's zeros at the support floor lie far
-    # below the window, so all three estimates read one plan
-    plans, estimates = [], []
-    plan, estimate = asymptotics.scale_plan, verifier.estimate_rv_index
+    # below the window, so all three estimates read one plan, in one pass
+    plans, passes, estimates = [], [], []
+    plan, stats = asymptotics.scale_plan, verifier.rv_statistics
+    estimate = verifier.estimate_rv_index
 
     def counting_plan(*args):
         plans.append(args)
         return plan(*args)
+
+    def counting_stats(*args):
+        passes.append(args)
+        return stats(*args)
 
     def counting_estimate(*args):
         estimates.append(args)
@@ -134,17 +145,22 @@ def test_verify_builds_one_scale_plan_per_report(monkeypatch, model):
 
     for module in (asymptotics, verifier):
         monkeypatch.setattr(module, "scale_plan", counting_plan)
+    monkeypatch.setattr(verifier, "rv_statistics", counting_stats)
     monkeypatch.setattr(verifier, "estimate_rv_index", counting_estimate)
     report = verify(model, AnalysisParams(beta=1.0, x_max=1e12))
     assert report.consistent is True
-    assert (len(plans), len(estimates)) == (1, 3)
+    assert (len(plans), len(passes), len(estimates)) == (1, 1, 0)
+    assert len(passes[0][1]) == 3  # h, v and u as rows of one pass
 
 
 def test_verify_judges_each_estimate_by_its_own_lambdas(monkeypatch):
     # v is 0 up to the support floor 2, inside this window: its estimate
-    # plans its own samples, and its pairs decide for it
-    plans, estimates, judged = [], [], []
+    # plans its own samples, and its pairs decide for it; h and u read the
+    # shared plan, and its pairs decide for them
+    shared, plans, estimates, judged = [], [], [], []
     plan, estimate = asymptotics.scale_plan, verifier.estimate_rv_index
+    monkeypatch.setattr(verifier, "scale_plan",
+                        lambda *args: shared.append(plan(*args)) or shared[-1])
     monkeypatch.setattr(asymptotics, "scale_plan",
                         lambda *args: plans.append(1) or plan(*args))
     monkeypatch.setattr(verifier, "estimate_rv_index",
@@ -154,9 +170,84 @@ def test_verify_judges_each_estimate_by_its_own_lambdas(monkeypatch):
                         lambda lambdas: judged.append(lambdas) or True)
     verify(make_st_petersburg(), AnalysisParams(beta=1.0, x_max=1e12,
                                                 window_decades=12.0))
-    assert len(plans) == 1 and len(estimates) == 3  # v's own plan
-    assert judged == [tuple(sorted(set(est.per_scale.lam.tolist())))
-                      for est in estimates]
+    assert len(shared) == 1 and len(plans) == 1  # v's own plan
+    assert len(estimates) == 1  # v's estimate, the only one off the pass
+    own = [tuple(sorted(set(pairs.tolist())))
+           for pairs in (shared[0].lam, estimates[0].per_scale.lam)]
+    assert judged == [own[0], own[1], own[0]]
+
+
+def _conditions_one_by_one(model, params, curve):
+    """The five verdicts as three estimate_rv_index calls on one plan and
+    the share statistics of r1 compute them, one series at a time."""
+    truncated = (len(model.breakpoints(*params.window())) < 2
+                 and len(model.breakpoints(params.x_min, params.x_max)) >= 2)
+    plan = scale_plan(curve.grid, params)
+
+    def rv(values, index_shift=0.0):
+        try:
+            est = estimate_rv_index(curve.grid, values, params, plan)
+        except InsufficientDataError:
+            return ConditionVerdict(verdict="undecided", estimate=None,
+                                    spread=math.inf)
+        return _verdict(est.rho_hat + index_shift, est.spread, est.trend,
+                        params, not truncated
+                        and has_incommensurable_pair(est.lambdas))
+
+    mean, spread, trend, _ = _series_stats(curve.grid, curve.r1,
+                                           _window(curve.grid, params))
+    lim1 = _verdict(mean, spread, trend, params, decidable=True)
+    return (rv(curve.h), rv(curve.v), rv(curve.u, -params.beta), lim1,
+            ConditionVerdict(verdict=lim1.verdict, estimate=1.0 - mean,
+                             spread=spread))
+
+
+_VERIFY_CASES = [(make_pareto(1.5), 2.0), (make_pareto(0.5), 1.0),
+                 (make_pareto(1.0), 1.0), (make_log_pareto(0.5, 1.0), 1.0),
+                 (make_st_petersburg(), 1.0), (make_geometric_tail(0.5, 3.0), 0.5),
+                 (make_geometric_tail(1.0, 2.0), 2.0), (make_inverse_log(), 1.0),
+                 (make_inverse_log(), 2.0)]
+
+
+@given(case=st.sampled_from(_VERIFY_CASES),
+       x_max=st.sampled_from([1e12, 1e15, 1e160, 1e250]),
+       window=st.sampled_from([3.0, 0.05, 0.3, 12.0]),
+       lambdas=st.sampled_from([(2.0, math.e, 3.0, 8.0), (2.0, 3.0), (4.0,)]),
+       poke=st.one_of(st.none(), st.tuples(
+           st.sampled_from(["h", "v", "u"]), st.integers(-1, 6),
+           st.sampled_from([0.0, -1.0]))))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_one_pass_verdicts_are_those_of_the_series_one_by_one(
+        case, x_max, window, lambdas, poke):
+    # the stacked pass gives each series the bits of its own estimate; a
+    # series with a non-positive sample where the plan reads it keeps its
+    # own plan. Windows with fewer than 8 pairs and windows past 1e154,
+    # where the trend split avoids lo * hi, are drawn too
+    model, beta = case
+    params = AnalysisParams(beta=beta, x_max=x_max, window_decades=window,
+                            lambdas=lambdas)
+    try:
+        curve = build_curve(model, params)
+    except TailMomentsError:
+        assume(False)
+    if poke is not None:
+        name, offset, value = poke
+        series = getattr(curve, name).copy()
+        at = scale_plan(curve.grid, params).span.start + offset
+        assume(0 <= at < len(series) - (name == "h"))  # h at x_max: admission
+        series[at] = value
+        curve = replace(curve, **{name: series})
+    try:
+        got = repr(tuple(verify(model, params, curve).conditions.values()))
+    except AdmissionError:
+        assume(False)
+    except InsufficientDataError as exc:  # a window of fewer than 2 points
+        got = repr(exc)
+    try:
+        want = repr(_conditions_one_by_one(model, params, curve))
+    except InsufficientDataError as exc:
+        want = repr(exc)
+    assert got == want
 
 
 def test_a_report_leaves_numpy_ma_unimported():
