@@ -17,24 +17,21 @@ from .moments import (MomentCurve, build_curve, build_grid, check_admission,
                       compute_h, compute_u, curve_to_csv)
 from .params import DEFAULT_LAMBDAS, AnalysisParams
 from .asymptotics import (GammaResult, PiTestResult, RVEstimate,
-                          centered_pi_ratio, estimate_rv_index,
-                          gamma_classification, has_incommensurable_pair,
-                          pi_class_test)
-from .verifier import (ConditionVerdict, EquivalenceCheck, TheoremReport,
-                       check_asymptotic_equivalences, verify)
+                          estimate_rv_index, gamma_classification,
+                          has_incommensurable_pair, pi_class_test)
+from .verifier import ConditionVerdict, TheoremReport, verify
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AdmissionError", "AnalysisParams", "ConditionVerdict", "ConvergenceError",
-    "DEFAULT_LAMBDAS", "EquivalenceCheck", "ExtrapolationWarning",
+    "DEFAULT_LAMBDAS", "ExtrapolationWarning",
     "GammaResult", "InconsistencyError", "IndeterminateError",
     "InsufficientDataError", "MODEL_REGISTRY", "ModelEvaluationError",
     "ModelValidationError", "MomentCurve", "PiTestResult", "RVEstimate",
     "TableFormatError", "TailModel", "TailMomentsError",
     "TheoremReport", "build_curve", "build_grid", "build_model",
-    "centered_pi_ratio", "check_admission", "check_asymptotic_equivalences",
-    "compute_h", "compute_u", "curve_to_csv",
+    "check_admission", "compute_h", "compute_u", "curve_to_csv",
     "estimate_rv_index", "gamma_classification", "has_incommensurable_pair",
     "load_tabulated",
     "make_geometric_tail", "make_inverse_log", "make_log_pareto",

@@ -106,14 +106,6 @@ def _centered(sf_up, sf_down, sf_x, sf_ex, sf_xe):
     return (sf_up - sf_down) / np.where(vanishes, np.nan, denom)
 
 
-def centered_pi_ratio(tail, x, lam: float):
-    """(sf(lam x) - sf(x/lam)) / (sf(e x) - sf(x/e)) at each of the points x;
-    nan where the base step vanishes."""
-    x = np.asarray(x, dtype=float)
-    return _centered(tail(lam * x), tail(x / lam), tail(x), tail(math.e * x),
-                     tail(x / math.e))[()]
-
-
 @functools.cache
 def has_incommensurable_pair(lambdas: tuple[float, ...]) -> bool:
     """True when some pair of scale factors has incommensurable logarithms.

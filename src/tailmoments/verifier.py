@@ -28,9 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .asymptotics import (GammaResult, PiTestResult, _series_stats, _window,
+from .asymptotics import (GammaResult, PiTestResult, _series_stats,
                           estimate_rv_index, gamma_classification,
                           has_incommensurable_pair, pi_class_test,
                           rv_statistics, scale_plan)
@@ -65,17 +63,6 @@ class ConditionVerdict:
     verdict: str
     estimate: float | None
     spread: float
-
-
-@dataclass(frozen=True)
-class EquivalenceCheck:
-    """One asymptotic ratio compared against its theorem-implied limit."""
-
-    name: str
-    observed: float
-    expected: float
-    tol: float
-    passed: bool
 
 
 @dataclass(frozen=True)
@@ -229,46 +216,3 @@ def _judge(conds: dict[str, ConditionVerdict], gamma: GammaResult,
             "iff the survival function is in the de Haan class: "
             f"v_rv={v_rv} but membership={pi_result.is_member}")
     return not violations, tuple(violations)
-
-
-def check_asymptotic_equivalences(report: TheoremReport, curve: MomentCurve,
-                                  params: AnalysisParams) -> list[EquivalenceCheck]:
-    """Compare windowed moment ratios against their theorem-implied limits.
-
-    Interior regime: h/u -> beta/rho and h/v -> beta/(beta-rho), judged at
-    relative tolerance 0.1. Boundary regimes: the dominant ratio tends to 1
-    (relative 0.1) and the vanishing share to 0 (absolute 0.15, since slowly
-    varying corrections decay like 1/log in the window).
-    """
-    checks: list[EquivalenceCheck] = []
-    window = _window(curve.grid, params)
-
-    def windowed_mean(values: np.ndarray) -> float:
-        return _series_stats(curve.grid, values, window)[0]
-
-    def add(name: str, observed: float, expected: float, tol: float,
-            relative: bool) -> None:
-        err = abs(observed - expected)
-        if relative:
-            err /= abs(expected)
-        checks.append(EquivalenceCheck(name=name, observed=observed,
-                                       expected=expected, tol=tol,
-                                       passed=err <= tol))
-
-    rho = report.gamma.rho_hat
-    beta = report.beta
-    h_over_v = np.where(curve.v > 0, curve.h / np.where(curve.v > 0, curve.v, 1.0),
-                        np.inf)
-    if report.regime == "interior":
-        with np.errstate(divide="ignore"):
-            add("h/u -> beta/rho", windowed_mean(curve.h / curve.u),
-                beta / rho, 0.1, relative=True)
-        add("h/v -> beta/(beta-rho)", windowed_mean(h_over_v),
-            beta / (beta - rho), 0.1, relative=True)
-    elif report.regime == "rho_zero":
-        add("h/v -> 1", windowed_mean(h_over_v), 1.0, 0.1, relative=True)
-        add("u/h -> 0", windowed_mean(curve.r1), 0.0, 0.15, relative=False)
-    elif report.regime == "rho_beta":
-        add("h/u -> 1", windowed_mean(curve.h / curve.u), 1.0, 0.1, relative=True)
-        add("v/h -> 0", windowed_mean(curve.r2), 0.0, 0.15, relative=False)
-    return checks

@@ -11,8 +11,9 @@ import time
 import numpy as np
 
 from oracles import atom_sum_v, geometric_atoms
-from tailmoments.asymptotics import (centered_pi_ratio, estimate_rv_index,
-                                     gamma_classification, pi_class_test)
+from probes import centered_pi_ratio
+from tailmoments.asymptotics import (estimate_rv_index, gamma_classification,
+                                     pi_class_test)
 from tailmoments.catalog import (load_tabulated, make_geometric_tail,
                                  make_inverse_log, make_log_pareto,
                                  make_pareto, make_st_petersburg)

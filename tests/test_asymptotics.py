@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tailmoments.asymptotics import (centered_pi_ratio, estimate_rv_index,
-                                     gamma_classification,
+from probes import centered_pi_ratio
+from tailmoments.asymptotics import (estimate_rv_index, gamma_classification,
                                      has_incommensurable_pair, pi_class_test)
 from tailmoments.catalog import (make_geometric_tail, make_inverse_log,
                                  make_log_pareto, make_pareto,

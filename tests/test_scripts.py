@@ -34,6 +34,24 @@ def test_verify_catalog_reports_errors_as_rows_at_1e300():
     assert "FAIL" not in proc.stdout and "VIOLATION" not in proc.stdout
 
 
+def test_verify_catalog_checks_every_classified_row_at_1e15():
+    proc = _run_script("verify_catalog.py", "--x-max", "1e15")
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr
+    checks = [line.split() for line in proc.stdout.splitlines()
+              if " observed " in line]
+    assert len(checks) == 16 and all(c[-1] == "ok" for c in checks)
+    assert "FAIL" not in proc.stdout
+
+
+def test_census_prints_its_outcome_table_and_failing_rows():
+    proc = _run_script("census.py")
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr
+    table, _, failing = proc.stdout.partition("\n\n")
+    counts = [int(line.split()[-1]) for line in table.splitlines()[:6]]
+    assert sum(counts) == 300 and table.splitlines()[6].split()[1] == "300"
+    assert len(failing.splitlines()) == sum(counts[3:])
+
+
 def test_aliasing_demo_shows_commensurable_scales_aliasing():
     proc = _run_script("aliasing_demo.py")
     assert proc.returncode == 0 and "Traceback" not in proc.stderr

@@ -1,3 +1,4 @@
+import importlib.util
 import math
 import os
 import subprocess
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import tailmoments
 import tailmoments.asymptotics as asymptotics
 import tailmoments.verifier as verifier
 from tailmoments.asymptotics import (GammaResult, PiTestResult, _series_stats,
@@ -20,8 +22,7 @@ from tailmoments.errors import (AdmissionError, InsufficientDataError,
                                TailMomentsError)
 from tailmoments.moments import build_curve
 from tailmoments.params import AnalysisParams
-from tailmoments.verifier import (ConditionVerdict, _judge, _verdict,
-                                  check_asymptotic_equivalences, verify)
+from tailmoments.verifier import ConditionVerdict, _judge, _verdict, verify
 
 
 def test_interior_model_all_conditions_true():
@@ -298,10 +299,39 @@ def test_wider_tolerance_cannot_create_violations():
     assert r_loose.consistent is True
 
 
+def test_package_exports_exactly_the_declared_names():
+    assert sorted(tailmoments.__all__) == sorted([
+        "AdmissionError", "AnalysisParams", "ConditionVerdict",
+        "ConvergenceError", "DEFAULT_LAMBDAS", "ExtrapolationWarning",
+        "GammaResult", "InconsistencyError", "IndeterminateError",
+        "InsufficientDataError", "MODEL_REGISTRY", "ModelEvaluationError",
+        "ModelValidationError", "MomentCurve", "PiTestResult", "RVEstimate",
+        "TableFormatError", "TailModel", "TailMomentsError", "TheoremReport",
+        "build_curve", "build_grid", "build_model", "check_admission",
+        "compute_h", "compute_u", "curve_to_csv", "estimate_rv_index",
+        "gamma_classification", "has_incommensurable_pair", "load_tabulated",
+        "make_geometric_tail", "make_inverse_log", "make_log_pareto",
+        "make_pareto", "make_st_petersburg", "pi_class_test", "verify"])
+    assert all(hasattr(tailmoments, name) for name in tailmoments.__all__)
+
+
 # ---------------------------------------------------------------------------
 # equivalence ratio checks
 
-def test_interior_equivalence_ratios():
+
+@pytest.fixture
+def check_asymptotic_equivalences(monkeypatch):
+    """scripts/verify_catalog.py's ratio checks, loaded without writing to
+    scripts/."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(
+        "verify_catalog", os.path.join(root, "scripts", "verify_catalog.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.check_asymptotic_equivalences
+
+def test_interior_equivalence_ratios(check_asymptotic_equivalences):
     p = AnalysisParams(beta=2.0, x_max=1e8)
     m = make_pareto(1.5, 1.0)
     c = build_curve(m, p)
@@ -312,7 +342,7 @@ def test_interior_equivalence_ratios():
     assert math.isclose(by_name["h/u -> beta/rho"].expected, 4.0, rel_tol=0.01)
 
 
-def test_rho_zero_equivalence_ratios():
+def test_rho_zero_equivalence_ratios(check_asymptotic_equivalences):
     p = AnalysisParams(beta=1.0, x_max=1e26)
     m = make_st_petersburg()
     c = build_curve(m, p)
@@ -321,7 +351,7 @@ def test_rho_zero_equivalence_ratios():
     assert all(ch.passed for ch in checks)
 
 
-def test_rho_beta_equivalence_ratios():
+def test_rho_beta_equivalence_ratios(check_asymptotic_equivalences):
     p = AnalysisParams(beta=1.0, x_max=1e15)
     m = make_inverse_log()
     c = build_curve(m, p)
@@ -330,7 +360,7 @@ def test_rho_beta_equivalence_ratios():
     assert all(ch.passed for ch in checks)
 
 
-def test_indeterminate_regime_has_no_equivalence_checks():
+def test_indeterminate_regime_has_no_equivalence_checks(check_asymptotic_equivalences):
     p = AnalysisParams(beta=2.0, x_max=1e12)
     m = make_geometric_tail(1.0, 2.0)
     c = build_curve(m, p)
