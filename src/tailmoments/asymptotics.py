@@ -197,8 +197,8 @@ def rv_statistics(plan: ScalePlan, fss) -> list[tuple[float, float, float] | Non
     return [next(stats) if k else None for k in ok.tolist()]
 
 
-def estimate_rv_index(xs: np.ndarray, fs: np.ndarray, params: AnalysisParams,
-                      plan: ScalePlan | None = None) -> RVEstimate:
+def estimate_rv_index(xs: np.ndarray, fs: np.ndarray,
+                      params: AnalysisParams) -> RVEstimate:
     """Estimate the regular-variation index of samples fs over increasing xs.
 
     For each scale factor lam in params.lambdas and each window point x with
@@ -206,24 +206,20 @@ def estimate_rv_index(xs: np.ndarray, fs: np.ndarray, params: AnalysisParams,
     lam*x within relative 1e-9 of a grid node reads that node's sample;
     otherwise f(lam x) is log-log interpolated and the pair is flagged.
     Pools everything into rho_hat and judges convergence by spread and trend.
-    Non-positive samples are dropped. A plan from scale_plan(xs, params) is
-    read when each such sample lies below the window and a sample short of
-    it; otherwise the positive samples are planned, to the same estimate.
-    It is the one-series case of rv_statistics.
+    Non-positive samples are dropped and the rest planned (scale_plan); it
+    is the one-series case of rv_statistics.
     """
     xs = np.asarray(xs, dtype=float)
     fs = np.asarray(fs, dtype=float)
     if len(xs) != len(fs) or len(xs) < 2:
         raise InsufficientDataError("need matching xs/fs arrays of length >= 2")
-    ok, estimate = _log_ratios(plan, (fs,)) if plan else ((False,), None)
-    if not ok[0]:
-        # zeros (e.g. v at the support floor) carry no log-ratio information
-        pos = fs > 0.0
-        xs, fs = xs[pos], fs[pos]
-        if len(xs) < 2:
-            raise InsufficientDataError("fewer than 2 strictly positive samples")
-        plan = scale_plan(xs, params)
-        estimate = _log_ratios(plan, (fs,))[1]
+    # zeros (e.g. v at the support floor) carry no log-ratio information
+    pos = fs > 0.0
+    xs, fs = xs[pos], fs[pos]
+    if len(xs) < 2:
+        raise InsufficientDataError("fewer than 2 strictly positive samples")
+    plan = scale_plan(xs, params)
+    estimate = _log_ratios(plan, (fs,))[1]
     lo, hi = plan.lo, plan.hi
     if len(plan.x) < _MIN_PAIRS:
         raise InsufficientDataError(f"only {len(plan.x)} scale pairs fit the "

@@ -23,7 +23,7 @@ from dataclasses import asdict, fields
 
 import numpy as np
 
-from .asymptotics import estimate_rv_index, scale_plan
+from .asymptotics import estimate_rv_index
 from .catalog import MODEL_REGISTRY, build_model, model_parameters
 from .errors import InsufficientDataError, TailMomentsError
 from .moments import build_curve, curve_to_csv
@@ -174,9 +174,9 @@ def _cmd_curve(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _estimate_entry(curve, values, params, plan) -> dict:
+def _estimate_entry(curve, values, params) -> dict:
     try:
-        est = estimate_rv_index(curve.grid, values, params, plan)
+        est = estimate_rv_index(curve.grid, values, params)
     except InsufficientDataError as exc:
         return {"error": str(exc)}
     return {"rho_hat": est.rho_hat, "converged": est.converged,
@@ -188,8 +188,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     model = build_model(args.dist, **_parse_model_params(args.param))
     params = _params_from_args(args)
     curve = build_curve(model, params)
-    plan = scale_plan(curve.grid, params)
-    ests = {name: _estimate_entry(curve, getattr(curve, name), params, plan)
+    ests = {name: _estimate_entry(curve, getattr(curve, name), params)
             for name in ("h", "v", "u")}
     tail_index = (ests["u"]["rho_hat"] - params.beta
                   if "rho_hat" in ests["u"] else None)

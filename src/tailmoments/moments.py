@@ -200,10 +200,10 @@ def _boundary(model: TailModel, beta: float, xs: np.ndarray,
     Where x^beta sf(x) is not finite on a power piece (x^beta past the float
     range), u is read off the piece law with levels sf_i knot_i^beta and
     exponents a_i - beta by catalog._piece_sf: inf where the power overflows,
-    and read through ln x - ln knot_i where the quotient does. Where that is
-    still not a normal float under a positive sf_i (0 * inf, or a factor that
-    underflows), or where a finite u has a subnormal sf factor, short of
-    digits, u is exp(ln sf_i + beta ln x - a_i (ln x - ln knot_i)).
+    and read through ln x - ln knot_i where the quotient does. Under a
+    positive sf_i, u is exp(ln sf_i + beta ln x - a_i (ln x - ln knot_i))
+    where a factor is subnormal, short of digits (sf of a finite u, or
+    knot_i^beta of the piece law), or the piece law's u is not a normal float.
     """
     if law is None:
         return xs_pow * model.tail(xs)
@@ -221,8 +221,8 @@ def _boundary(model: TailModel, beta: float, xs: np.ndarray,
     big = p[~fin]
     if len(big):  # sfs * pows spans every knot, a table's thousands too
         us[big] = _piece_sf(knots, sfs * pows, exps - beta, xs[big], j[big])
-    odd = p[(~((us[p] >= _TINY) & (us[p] <= _HUGE)) | (weak[p] & fin))
-            & (sfs[j[p]] > 0.0)]
+    odd = p[np.where(fin, weak[p], ~((us[p] >= _TINY) & (us[p] <= _HUGE))
+                     | (pows[j[p]] < _TINY)) & (sfs[j[p]] > 0.0)]
     k, ln_x = j[odd], np.log(xs[odd])
     us[odd] = np.exp(np.log(sfs[k]) + beta * ln_x
                      - exps[k] * (ln_x - np.log(knots[k])))

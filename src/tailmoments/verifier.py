@@ -136,7 +136,7 @@ def verify(model: TailModel, params: AnalysisParams,
         lambdas = plan.lambdas
         if stats is None:  # not read in the one pass: its own estimate
             try:
-                est = estimate_rv_index(curve.grid, values, params, plan)
+                est = estimate_rv_index(curve.grid, values, params)
             except InsufficientDataError:
                 return ConditionVerdict(verdict=_UNDECIDED, estimate=None,
                                         spread=math.inf)

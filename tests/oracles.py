@@ -2,12 +2,16 @@
 
 The atoms of the geometric staircase come from its jump formula, and v from
 their Stieltjes sum, v(x) = sum of loc^beta * jump over the atoms up to x,
-with no use of the h kernel or of the tail function.
+with no use of the h kernel or of the tail function. The 40-digit mpmath
+values of h and u are closed forms for pareto and the same atom sums for a
+geometric staircase.
 """
 
 from __future__ import annotations
 
 import math
+
+import mpmath
 
 
 def geometric_atoms(beta_g: float, p: float, lo: float,
@@ -19,13 +23,56 @@ def geometric_atoms(beta_g: float, p: float, lo: float,
     scale = p ** beta_g - 1.0
     atoms = []
     k = 1
-    while p ** k <= hi:
-        if p ** k >= lo:
-            atoms.append((p ** k, p ** (-beta_g * k) * scale))
+    while (loc := _power_or_inf(p, k)) <= hi:
+        if loc >= lo:
+            atoms.append((loc, p ** (-beta_g * k) * scale))
         k += 1
     return atoms
+
+
+def _power_or_inf(p: float, k: int) -> float:
+    """p ** k, inf past the float range."""
+    try:
+        return p ** k
+    except OverflowError:
+        return math.inf
 
 
 def atom_sum_v(atoms: list[tuple[float, float]], beta: float) -> float:
     """Stieltjes moment of a purely atomic law: fsum of loc^beta * jump."""
     return math.fsum(loc ** beta * jump for loc, jump in atoms)
+
+
+def pareto_hu(alpha: float, x_floor: float, beta: float, x: float):
+    """(h, u) of make_pareto(alpha, x_floor) at order beta and x, as 40-digit
+    mpf: both x^beta up to the floor f, then u = x^beta (x/f)^-alpha and
+    h = f^beta (1 + beta expm1(c L) / c), c = beta - alpha, L = ln(x/f)
+    (beta L at c = 0)."""
+    with mpmath.workdps(40):
+        a, f, b, x = (mpmath.mpf(v) for v in (alpha, x_floor, beta, x))
+        if x <= f:
+            return +x ** b, +x ** b
+        ln_q, c = mpmath.log(x / f), b - a
+        g = ln_q if c == 0 else mpmath.expm1(c * ln_q) / c
+        return f ** b * (1 + b * g), mpmath.exp(b * mpmath.log(x) - a * ln_q)
+
+
+def geometric_hu(beta_g: float, p: float, beta: float, xs: list[float]):
+    """(h, u) of make_geometric_tail(beta_g, p) at order beta and each of the
+    increasing xs, as 40-digit mpf sums over the law as the model states it
+    in floats: atoms at the knots of geometric_atoms, and sf = p ** (-beta_g
+    k) past the k-th, so an atom's jump is the drop of that level. v sums
+    loc^beta times the jumps up to x, u = x^beta sf(x), and h = u + v."""
+    knots = [loc for loc, _ in geometric_atoms(beta_g, p, p, xs[-1])]
+    out, k = [], 0
+    with mpmath.workdps(40):
+        b, v, sf = mpmath.mpf(beta), mpmath.mpf(0), mpmath.mpf(1)
+        for x in xs:
+            while k < len(knots) and knots[k] <= x:
+                k += 1
+                level = mpmath.mpf(p ** (-beta_g * k))
+                v += mpmath.mpf(knots[k - 1]) ** b * (sf - level)
+                sf = level
+            u = mpmath.mpf(x) ** b * sf
+            out.append((u + v, u))
+    return out

@@ -211,6 +211,35 @@ def test_a_subnormal_sf_factor_reads_u_through_logs():
     assert abs(compute_u(m, beta, x) - exact) <= 1e-12 * exact
 
 
+@pytest.mark.parametrize("a, floor, beta, x_min, x_max", [
+    (2.0, 1.3049359484899368e-78, 3.954977381889196, 1e-80, 1e-30),
+    (1.0, 1.0970716409787581e-144, 2.1502936407907667,
+     6.253328187051272e-153, 7.025003778342339e-144)])
+def test_a_subnormal_u_with_a_normal_sf_factor_keeps_its_linear_form(
+        a, floor, beta, x_min, x_max):
+    # x^beta is subnormal at the floor, where sf = 1: through logs u came out
+    # a few subnormal steps above h, and v = h - u negative past its budget 0
+    m = make_pareto(a, x_floor=floor)
+    curve = build_curve(m, AnalysisParams(beta=beta, x_min=x_min, x_max=x_max,
+                                          points_per_decade=8))
+    assert (curve.v >= 0.0).all()
+    assert (np.abs(curve.h - curve.v - curve.u) <= curve.quad_error).all()
+    at = int(curve.grid.searchsorted(floor))
+    assert curve.grid[at] == floor and curve.u[at] == curve.h[at]
+    assert compute_u(m, beta, floor) == np.power(floor, beta)
+
+
+def test_u_off_a_piece_law_with_a_subnormal_knot_power_is_read_through_logs():
+    # x^beta overflows at x, so u is read off the piece law, whose level
+    # floor^beta ~ 4e-317 is subnormal: the linear form was 1e-8 off
+    a, floor = 1.7664782481190073, 1.5223113351322276e-108
+    beta, x = 2.931427629102007, 1.7782794100389227e+123
+    exact = mpmath.exp(beta * mpmath.log(x)
+                       - a * mpmath.log(mpmath.mpf(x) / floor))
+    assert abs(compute_u(make_pareto(a, x_floor=floor), beta, x)
+               - exact) <= 1e-12 * exact
+
+
 def test_h_whose_growth_factor_overflows_is_read_through_logs():
     # expm1((beta - a) ln(x / floor)) is inf under a factor of ~1e-68, while
     # h itself is a float

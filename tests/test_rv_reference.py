@@ -5,8 +5,8 @@ a time, an exact-match search over the neighbours j-1, j, j+1 of the
 target, and one np.interp call per off-grid target at the target's np.log,
 taken one float at a time. _reference_stats pools the pairs by
 ndarray.mean. Everything the array code reports must match them bit for
-bit, whether it plans its own samples or reads a scale plan shared by
-several series on the same xs.
+bit, and rv_statistics, which reads one scale plan for several series on
+the same xs, must give each series it reads the bits of its own estimate.
 """
 
 from __future__ import annotations
@@ -19,9 +19,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import tailmoments.asymptotics as asymptotics
 from tailmoments.asymptotics import (_MIN_PAIRS, estimate_rv_index,
-                                     scale_plan)
+                                     rv_statistics, scale_plan)
 from tailmoments.errors import InsufficientDataError
 from tailmoments.params import AnalysisParams
 
@@ -114,9 +113,11 @@ def _cases(draw):
 def test_array_estimator_matches_scalar_pair_loop(case):
     xs, fs, params, lambdas = case
     ref = reference_pairs(xs, fs, params, lambdas)
+    shared = _shared_stats(xs, fs, replace(params, lambdas=lambdas))
     if ref is None or len(ref[2]) < _MIN_PAIRS:
         with pytest.raises(InsufficientDataError):
             estimate_rv_index(xs, fs, replace(params, lambdas=lambdas))
+        assert shared is None
         return
     lo, hi, points = ref
     est = estimate_rv_index(xs, fs, replace(params, lambdas=lambdas))
@@ -131,17 +132,21 @@ def test_array_estimator_matches_scalar_pair_loop(case):
     assert _bits((est.rho_hat, est.spread, est.trend)) == _bits((rho_hat, spread, trend))
     assert _bits(est.window) == _bits((lo, hi))
     assert est.converged == params.converged(spread, trend)
-    shared = replace(params, lambdas=lambdas)
-    _assert_same(estimate_rv_index(xs, fs, shared, scale_plan(xs, shared)), est)
+    if shared is not None:
+        assert _bits(shared) == _bits((est.rho_hat, est.spread, est.trend))
 
 
-def _assert_same(a, b):
-    """Two RVEstimates agree bit for bit, per_scale included."""
-    assert a.per_scale.dtype == b.per_scale.dtype
-    assert a.per_scale.tobytes() == b.per_scale.tobytes()
-    assert _bits((a.rho_hat, a.spread, a.trend, *a.window)) == _bits(
-        (b.rho_hat, b.spread, b.trend, *b.window))
-    assert a.converged == b.converged
+def _shared_stats(xs, fs, params):
+    """rv_statistics of fs alone on the plan of all of xs, checked to decline
+    exactly where that plan does not stand for fs's own: fewer than
+    _MIN_PAIRS pairs, or a non-positive sample in the range it reads (the
+    window's slice and the sample below it)."""
+    plan = scale_plan(xs, params)
+    stats, = rv_statistics(plan, (fs,))
+    read = fs[max(plan.span.start - 1, 0):plan.span.stop]
+    assert (stats is None) == (len(plan.x) < _MIN_PAIRS
+                               or not (read > 0.0).all())
+    return stats
 
 
 #: numpy's vectorised log and math.log differ in the last bit here on
@@ -197,13 +202,13 @@ def test_plan_log_targets_are_numpy_log_bitwise(case):
 @given(case=_cases())
 @settings(max_examples=200, deadline=None)
 def test_estimate_lambdas_are_those_of_its_pairs(case):
-    # read off the plan, shared or, for samples with zeros, the estimate's own
+    # read off the plan: the shared one, and the estimate's own
     xs, fs, params, lambdas = case
     params = replace(params, lambdas=lambdas)
     plan = scale_plan(xs, params)
     assert plan.lambdas == tuple(sorted(set(plan.lam.tolist())))
     try:
-        est = estimate_rv_index(xs, fs, params, plan)
+        est = estimate_rv_index(xs, fs, params)
     except InsufficientDataError:
         return
     assert est.lambdas == tuple(sorted(set(est.per_scale.lam.tolist())))
@@ -220,7 +225,7 @@ def _grid_and_series():
 @pytest.mark.parametrize("zeros, shares", [
     ("none", True), ("below", True), ("clear", True), ("next", False),
     ("at", False), ("inside", False), ("top", False)])
-def test_shared_plan_matches_independent_calls(monkeypatch, zeros, shares):
+def test_shared_plan_matches_independent_calls(zeros, shares):
     xs, series = _grid_and_series()
     # the window starts between nodes, so a series whose first positive
     # sample is the first window point has a window of its own
@@ -228,9 +233,6 @@ def test_shared_plan_matches_independent_calls(monkeypatch, zeros, shares):
     a = int(np.searchsorted(xs, params.window()[0]))  # the first window point
     assert xs[a] != params.window()[0]
     plan = scale_plan(xs, params)
-    plans = []
-    monkeypatch.setattr(asymptotics, "scale_plan",
-                        lambda *args: plans.append(1) or scale_plan(*args))
     for fs in series:
         fs = fs.copy()
         # zeros in xs[:a - 1] leave a positive sample below the window
@@ -238,9 +240,10 @@ def test_shared_plan_matches_independent_calls(monkeypatch, zeros, shares):
             "next": slice(0, a), "at": a, "inside": a + 5,
             "top": -1}[zeros]] = 0.0
         est = estimate_rv_index(xs, fs, params)
-        plans.clear()
-        _assert_same(estimate_rv_index(xs, fs, params, plan), est)
-        assert plans == ([] if shares else [1])
+        stats, = rv_statistics(plan, (fs,))
+        assert (stats is not None) == shares
+        if shares:
+            assert _bits(stats) == _bits((est.rho_hat, est.spread, est.trend))
         lo, hi, points = reference_pairs(xs, fs, params, params.lambdas)
         assert _bits(est.per_scale.estimate) == _bits(p[2] for p in points)
         assert _bits(est.window) == _bits((lo, hi))
@@ -259,7 +262,6 @@ def test_window_top_between_nodes_reads_the_node_above():
     for fs in series:
         lo, _, points = reference_pairs(xs, fs, params, params.lambdas)
         assert any(interp and x * lam > below for x, lam, _, interp in points)
-        for est in (estimate_rv_index(xs, fs, params),
-                    estimate_rv_index(xs, fs, params, plan)):
-            assert _bits(est.per_scale.estimate) == _bits(p[2] for p in points)
-            assert _bits(est.window) == _bits((lo, hi))
+        est = estimate_rv_index(xs, fs, params)
+        assert _bits(est.per_scale.estimate) == _bits(p[2] for p in points)
+        assert _bits(est.window) == _bits((lo, hi))

@@ -84,3 +84,17 @@ def test_opcost_prints_time_and_faults_of_each_op():
     assert all(float(ms) > 0.0 and int(faults) >= 0 and int(total) >= 0
                for *_, ms, faults, total in rows)
     assert sorted(os.listdir(perfbench)) == before  # no bytecode cache there
+
+
+def test_edge_audit_prints_a_reproducer_per_counterexample():
+    proc = _run_script("edge_audit.py", "--seed", "2", "--draws", "60")
+    assert "Traceback" not in proc.stderr
+    *lines, summary = proc.stdout.splitlines()
+    draws, found, known = (int(word) for word in summary.split()
+                           if word.isdigit())
+    assert draws == 60 and len(lines) == found > 0
+    assert proc.returncode == 1  # it found some
+    # each line rebuilds its curve; at this seed all are the known defect
+    assert all(line.startswith("build_curve(make_") for line in lines)
+    assert known == found
+    assert all(line.endswith("(known: ROADMAP item 3)") for line in lines)

@@ -179,15 +179,14 @@ def test_verify_judges_each_estimate_by_its_own_lambdas(monkeypatch):
 
 
 def _conditions_one_by_one(model, params, curve):
-    """The five verdicts as three estimate_rv_index calls on one plan and
-    the share statistics of r1 compute them, one series at a time."""
+    """The five verdicts as three estimate_rv_index calls and the share
+    statistics of r1 compute them, one series at a time."""
     truncated = (len(model.breakpoints(*params.window())) < 2
                  and len(model.breakpoints(params.x_min, params.x_max)) >= 2)
-    plan = scale_plan(curve.grid, params)
 
     def rv(values, index_shift=0.0):
         try:
-            est = estimate_rv_index(curve.grid, values, params, plan)
+            est = estimate_rv_index(curve.grid, values, params)
         except InsufficientDataError:
             return ConditionVerdict(verdict="undecided", estimate=None,
                                     spread=math.inf)
