@@ -38,8 +38,7 @@ _SNAP = 1e-9
 
 def _powers(xs: np.ndarray, beta: float) -> np.ndarray:
     """x ** beta by numpy's vector power, whose bits do not depend on the
-    call's length: xs itself at beta = 1, which is exact, and inf past the
-    float range."""
+    call's length: xs itself at beta = 1 (exact), inf past the float range."""
     if beta == 1.0:
         return np.asarray(xs, dtype=float)
     with np.errstate(over="ignore"):
@@ -68,12 +67,12 @@ def _power_pieces(law, j, xs, xs_pow, beta):
     """beta * int_lo^hi y^(beta-1) sf (y/lo)^-a dy on each whole piece of the
     law (_read_law), then from piece j's knot to each point of xs (powers
     xs_pow), with the roundoff each adds beyond a sum's: sf * (hi^beta -
-    lo^beta) at a = 0, else sf lo^beta beta g, g = expm1((beta - a)
-    ln(hi/lo)) / (beta - a), ln(hi/lo) at a = beta, read through logs
-    (_log_pieces) where g overflows or lo^beta is subnormal or 0 under a
-    positive sf. expm1 scales the rounding of ln(hi/lo), ln hi - ln lo where
-    hi/lo overflows, by (beta - a) ln(hi/lo). Callers ignore over and
-    invalid: a power piece may form inf - inf before it is replaced.
+    lo^beta) at a = 0 if finite, else sf lo^beta beta g, g = expm1((beta -
+    a) ln(hi/lo)) / (beta - a), ln(hi/lo) at a = beta, read through logs
+    (_log_pieces) where that is not finite or lo^beta is subnormal or 0
+    under a positive sf. expm1 scales the rounding of ln(hi/lo), ln hi - ln
+    lo where hi/lo overflows, by (beta - a) ln(hi/lo). Callers ignore over
+    and invalid: a piece may form inf - inf before it is replaced.
     """
     knots, sfs, exps, _, pows = law
     j = np.concatenate((np.arange(len(knots) - 1), j))  # i runs to knot i + 1
@@ -84,7 +83,7 @@ def _power_pieces(law, j, xs, xs_pow, beta):
         np.subtract(np.concatenate((pows[1:], xs_pow)), seg, out=seg)
         seg *= sfs[j]
         err = np.zeros(len(j))
-        p = power.nonzero()[0]
+        p = (power | ~np.isfinite(seg)).nonzero()[0]  # or flat, not finite
         if not len(p):
             return seg, err
     k = j[p]
@@ -95,12 +94,12 @@ def _power_pieces(law, j, xs, xs_pow, beta):
         log_q[big] = np.log(hi[big]) - np.log(lo[big])
     cl, crit = c * log_q, c == 0.0
     growth = np.where(crit, log_q, np.expm1(cl) / np.where(crit, 1.0, c))
-    under = (((pows < _TINY) & (sfs > 0.0))[k] | np.isinf(growth)).nonzero()[0]
     base = sfs[k] * pows[k] * beta
     growth *= base
+    under = ((pows < _TINY) & (sfs > 0.0))[k] | ~np.isfinite(growth)
     growth_err = _EPS * ((4.0 + 2.0 * np.abs(cl) + np.maximum(c, 0.0))
                          * np.abs(growth) + base)
-    if len(under):
+    if under.any():
         growth[under], growth_err[under] = _log_pieces(
             sfs[k[under]], lo[under], c[under], cl[under], log_q[under], beta)
     if isinstance(p, slice):
@@ -113,17 +112,17 @@ def _log_pieces(sf, lo, c, cl, log_q, beta):
     """Power pieces sf lo^beta beta g, g = expm1(cL) / c (L at c = 0), with
     L = log_q and cl = cL, as exp(ln sf + beta ln lo + ln beta + ln g), and
     ln g = max(cL, 0) + ln(-expm1(-|cL|)) - ln|c|, stable for either sign of
-    c; the bound adds one subnormal step to the logs' rounding."""
+    c; the bound is one subnormal step plus the logs' rounding, none at 0."""
     crit = c == 0.0
     ln_c = np.log(np.abs(np.where(crit, 1.0, c)))
-    with np.errstate(divide="ignore", invalid="ignore"):  # ln 0 at hi = lo
+    with np.errstate(divide="ignore", invalid="ignore"):  # ln 0: hi = lo, sf = 0
         ln_g = np.where(crit, np.log(log_q), np.maximum(cl, 0.0) - ln_c
                         + np.log(-np.expm1(-np.abs(cl))))
         ln_sf, ln_lo = np.log(sf), beta * np.log(lo)
         seg = np.exp(ln_sf + ln_lo + math.log(beta) + ln_g)
         size = (np.abs(ln_sf) + np.abs(ln_lo) + abs(math.log(beta))
                 + 2.0 * np.abs(cl) + np.abs(ln_c) + np.abs(ln_g))
-    return seg, _EPS * (8.0 + 2.0 * size) * seg + 2.0 ** -1074
+    return seg, np.fmax(_EPS * (8.0 + 2.0 * size) * seg, 0.0) + 2.0 ** -1074
 
 
 def _accumulate(model: TailModel, beta: float, xs: np.ndarray, rel_tol: float,
@@ -197,13 +196,13 @@ def _boundary(model: TailModel, beta: float, xs: np.ndarray,
               xs_pow: np.ndarray, law) -> np.ndarray:
     """u at xs: xs_pow = x^beta times sf, off the law as h is, or one call.
 
-    Where x^beta sf(x) is not finite on a power piece (x^beta past the float
-    range), u is read off the piece law with levels sf_i knot_i^beta and
+    Where x^beta sf(x) on a power piece, or x^beta on any piece, is not
+    finite, u is read off the piece law with levels sf_i knot_i^beta and
     exponents a_i - beta by catalog._piece_sf: inf where the power overflows,
-    and read through ln x - ln knot_i where the quotient does. Under a
-    positive sf_i, u is exp(ln sf_i + beta ln x - a_i (ln x - ln knot_i))
-    where a factor is subnormal, short of digits (sf of a finite u, or
-    knot_i^beta of the piece law), or the piece law's u is not a normal float.
+    and read through ln x - ln knot_i where the quotient does. u is exp(ln
+    sf_i + beta ln x - a_i (ln x - ln knot_i)), 0 at sf_i = 0, where a factor
+    is subnormal, short of digits (sf of a finite u, or knot_i^beta of the
+    piece law), or the piece law's u is not a normal float.
     """
     if law is None:
         return xs_pow * model.tail(xs)
@@ -211,10 +210,10 @@ def _boundary(model: TailModel, beta: float, xs: np.ndarray,
     us = _piece_sf(knots, sfs, exps, xs, j)
     weak = us < _TINY  # an sf factor without all its digits
     us *= xs_pow
-    if not exps.any():  # a staircase: u is x^beta times a level
+    if not exps.any() and xs_pow[-1] <= _HUGE:  # a level times x^beta
         return us
-    p = (~((us >= _TINY) & (us <= _HUGE)) | weak).nonzero()[0]
-    p = p[np.concatenate((exps, [0.0]))[j[p]] != 0.0]  # on power pieces
+    p = ((~((us >= _TINY) & (us <= _HUGE)) | weak) & (j >= 0)).nonzero()[0]
+    p = p[(exps[j[p]] != 0.0) | (xs_pow[p] > _HUGE)]  # a power piece, or any
     if not len(p):
         return us
     fin = np.isfinite(us[p])
@@ -222,10 +221,11 @@ def _boundary(model: TailModel, beta: float, xs: np.ndarray,
     if len(big):  # sfs * pows spans every knot, a table's thousands too
         us[big] = _piece_sf(knots, sfs * pows, exps - beta, xs[big], j[big])
     odd = p[np.where(fin, weak[p], ~((us[p] >= _TINY) & (us[p] <= _HUGE))
-                     | (pows[j[p]] < _TINY)) & (sfs[j[p]] > 0.0)]
+                     | (pows[j[p]] < _TINY))]
     k, ln_x = j[odd], np.log(xs[odd])
-    us[odd] = np.exp(np.log(sfs[k]) + beta * ln_x
-                     - exps[k] * (ln_x - np.log(knots[k])))
+    with np.errstate(divide="ignore"):  # ln 0 at sf_i = 0: u = 0
+        us[odd] = np.exp(np.log(sfs[k]) + beta * ln_x
+                         - exps[k] * (ln_x - np.log(knots[k])))
     return us
 
 

@@ -14,10 +14,6 @@ audit(case) builds the curve and says what it got wrong, None if nothing:
 - an error is right only if its message is true: an AdmissionError, or
   "leaves the float range" where the exact h or u there is not a float.
   Any other error, an InconsistencyError above all, is wrong.
-
-One wrong outcome is a known open defect (ROADMAP item 3), and audit marks
-it known: a staircase reads h and u as a level times x^beta, so it "leaves
-the float range" where x^beta does, while h and u there are floats.
 """
 
 from __future__ import annotations
@@ -97,9 +93,8 @@ def _normal(value) -> bool:
     return sys.float_info.min <= abs(value) <= sys.float_info.max
 
 
-def audit(case) -> tuple[str, bool] | None:
-    """What the curve of case gets wrong and whether that is the known
-    defect, None if nothing (module doc)."""
+def audit(case) -> str | None:
+    """What the curve of case gets wrong, None if nothing (module doc)."""
     family, first, second, beta, x_min, x_max = case
     model = (make_pareto(first, x_floor=second) if family == "pareto"
              else make_geometric_tail(first, second))
@@ -116,10 +111,7 @@ def audit(case) -> tuple[str, bool] | None:
             near = _exact(case, [x * (1.0 - 1e-5), x * (1.0 + 1e-5)])
             if any(abs(v) > sys.float_info.max for hu in near for v in hu):
                 return None
-            known = (family == "geometric" and mpmath.mpf(x * (1.0 + 1e-5))
-                     ** beta > sys.float_info.max)
-            return f"{type(exc).__name__}: {exc}", known
-        return f"{type(exc).__name__}: {exc}", False
+        return f"{type(exc).__name__}: {exc}"
     grid = curve.grid
     at = int(grid.searchsorted(model.support_floor))
     picks = np.unique(np.concatenate((
@@ -129,10 +121,8 @@ def audit(case) -> tuple[str, bool] | None:
         x, err = float(grid[k]), float(curve.quad_error[k])
         if _normal(h) and abs(mpmath.mpf(float(curve.h[k])) - h) > err:
             return (f"h({x!r}) = {float(curve.h[k])!r} is off the exact "
-                    f"{mpmath.nstr(h, 17)} by more than quad_error {err!r}",
-                    False)
+                    f"{mpmath.nstr(h, 17)} by more than quad_error {err!r}")
         if _normal(u) and abs(mpmath.mpf(float(curve.u[k])) - u) > _U_REL * u:
             return (f"u({x!r}) = {float(curve.u[k])!r} is off the exact "
-                    f"{mpmath.nstr(u, 17)} by more than {_U_REL:g} relative",
-                    False)
+                    f"{mpmath.nstr(u, 17)} by more than {_U_REL:g} relative")
     return None

@@ -7,9 +7,10 @@ defect to fix.
 
 from census import FAILURES, OUTCOMES, census, counts
 
-#: the failure counts measured when the census was added
+#: the failure counts measured when the census was added, less the seven
+#: staircases at 1e300 that flat pieces read through logs now report
 CEILINGS = {"false contradiction": 12, "wrong decided regime": 2,
-            "error, no report": 37}
+            "error, no report": 30}
 
 
 def test_census_failures_stay_within_their_ceilings():

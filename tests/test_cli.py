@@ -245,15 +245,33 @@ def test_overflowed_support_floor_power_is_an_error(capsys):
     ("--dist", "geometric", "--param", "beta_g=1", "--param", "p=2"),
 ])
 def test_overflowed_staircase_is_an_error_not_a_finite_moment(capsys, model_args):
-    # x^2 overflows past 2^512: h turned nan, numpy warned, and admission
-    # then called the moment finite
+    # h ~ x^2 at order 3 leaves the float range past ~1e154: h once turned
+    # nan, numpy warned, and admission then called the moment finite
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code, out, err = run(capsys, "verify", *model_args, "--beta", "2",
+        code, out, err = run(capsys, "verify", *model_args, "--beta", "3",
                              "--x-max", "1e300")
     assert code == 1 and out == ""
     assert err.startswith("error:") and "leaves the float range" in err
     assert "finite moment" not in err
+    assert [str(w.message) for w in caught] == []
+
+
+@pytest.mark.parametrize("model_args", [
+    ("--dist", "st_petersburg"),
+    ("--dist", "geometric", "--param", "beta_g=1", "--param", "p=2"),
+])
+def test_staircase_past_the_float_range_of_x_beta_gives_its_report(
+        capsys, model_args):
+    # x^2 overflows past 2^512, yet h(1e300) = 2.83e300 and u are floats:
+    # the flat pieces read them through logs there, as power pieces do
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "verify", *model_args, "--beta", "2",
+                             "--x-max", "1e300")
+    assert code == 3 and err == ""
+    doc = json.loads(out)
+    assert doc["regime"] == "indeterminate" and doc["consistent"] is None
     assert [str(w.message) for w in caught] == []
 
 

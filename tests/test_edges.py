@@ -6,7 +6,6 @@ each counterexample as a reproducer.
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import example, given, settings
 
 from edges import CASES, audit, reproducer
@@ -20,21 +19,17 @@ _SUBNORMAL_U = [
 #: subnormal: 1e-8 relative off
 _SUBNORMAL_KNOT_POWER = ("pareto", 1.7664782481190073, 1.5223113351322276e-108,
                          2.931427629102007, 1.0, 1.7e308)
+#: a staircase at its critical order where x^beta overflows past ~1e205,
+#: though h and u stay below ~2e3: its flat pieces read them through logs
+_STAIRCASE_PAST_X_BETA = ("geometric", 1.5, 2.0, 1.5, 1.0, 1.7e308)
 
 
 @given(case=CASES)
 @example(case=_SUBNORMAL_U[0])
 @example(case=_SUBNORMAL_U[1])
 @example(case=_SUBNORMAL_KNOT_POWER)
+@example(case=_STAIRCASE_PAST_X_BETA)
 @settings(max_examples=600, deadline=None, derandomize=True, database=None)
 def test_edge_curves_are_exact_or_refused_truly(case):
     found = audit(case)
-    assert found is None or found[1], f"{reproducer(case)}: {found[0]}"
-
-
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: a staircase reads h "
-                   "and u as a level times x^beta, past the float range here")
-def test_a_staircase_past_the_float_range_of_x_beta_gives_its_curve():
-    # h and u stay below ~1e3 at beta = beta_g, yet x^1.5 overflows past
-    # x ~ 1e205 and the curve reports that it leaves the float range
-    assert audit(("geometric", 1.5, 2.0, 1.5, 1.0, 1.7e308)) is None
+    assert found is None, f"{reproducer(case)}: {found}"

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import tailmoments.catalog as catalog
 import tailmoments.moments as moments
-from oracles import atom_sum_v, geometric_atoms
+from oracles import atom_sum_v, geometric_atoms, geometric_hu
 from tailmoments.catalog import (TailModel, _scalar_pow, load_tabulated,
                                  make_geometric_tail, make_inverse_log,
                                  make_log_pareto, make_pareto,
@@ -273,7 +273,7 @@ def test_table_curve_past_its_last_row_warns_once(power_table):
 
 
 @pytest.mark.parametrize("model, beta, x", [
-    (make_st_petersburg(), 2.0, 1e300),  # x^2 - lo^2 is inf - inf
+    (make_st_petersburg(), 3.0, 1e300),  # h ~ x^2: ~1e600
     (make_pareto(0.5, 1.0), 1e300, 10.0),
     (make_inverse_log(), 1100.0, 2.0),  # below the floor: 2^1100
 ])
@@ -869,6 +869,46 @@ def test_power_pieces_below_a_subnormal_knot_power_hold_their_bound():
             floor, big = mpmath.mpf(m.support_floor), mpmath.mpf(x)
             exact = floor ** 2 + 2 * floor ** 0.5 * (big ** 1.5 - floor ** 1.5) / 1.5
             assert abs(h - exact) <= err < 1e-11 * h
+
+
+def test_a_point_on_a_knot_whose_power_underflows_has_a_finite_bound(
+        table_factory):
+    # x_i^2 underflows at every knot, so a point on one is a piece of length
+    # 0 read through logs: its ln g = ln 0 made the bound 0 * inf = nan
+    m = load_tabulated(table_factory(
+        [(1e-200, 1.0), (1e-190, 0.5), (1e-180, 0.1), (1e-170, 0.01)]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in (1e-190, 1e-180):  # h < 1e-359: 0 and a few subnormal steps
+            h, err = compute_h(m, 2.0, x)
+            assert h == 0.0 and 0.0 < err <= 2.0 ** -1072
+
+
+@pytest.mark.parametrize("model, beta_g, p, beta, x", [
+    (make_st_petersburg(), 1.0, 2.0, 2.0, 1e300),
+    (make_geometric_tail(1.0, 2.0), 1.0, 2.0, 2.0, 1e300),
+    (make_geometric_tail(1.5, 2.0), 1.5, 2.0, 1.5, 1.7e308)])
+def test_staircase_h_and_u_where_x_beta_overflows(model, beta_g, p, beta, x):
+    # x^beta overflows (past 2^512 at beta = 2, 2^682.7 at 1.5), and the flat
+    # pieces formed inf - inf; h and u are floats there, read through logs as
+    # on power pieces. The levels 2^(-1.5 k) are 0 past k ~ 716, where u is
+    # 0, not 0 * inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        h, err = compute_h(model, beta, x)
+        u = compute_u(model, beta, x)
+    [(h_exact, u_exact)] = geometric_hu(beta_g, p, beta, [x])
+    assert abs(mpmath.mpf(h) - h_exact) <= err < 1e-11 * h
+    assert math.isclose(u, u_exact, rel_tol=1e-12)
+
+
+def test_u_below_the_floor_past_the_float_range_is_inf():
+    # sf = 1 below the first knot, so u = x^beta (1e380, and 1.9^1200 ~ 1e334
+    # with no knot in range) is not a float and is not read off any piece
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert compute_u(make_pareto(1.5, x_floor=1e200), 2.0, 1e190) == math.inf
+        assert compute_u(make_st_petersburg(), 1200.0, 1.9) == math.inf
 
 
 def test_shares_are_whole_where_x_beta_underflows():

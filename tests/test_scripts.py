@@ -6,6 +6,9 @@ import os
 import subprocess
 import sys
 
+import tailmoments
+from edges import reproducer
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -21,10 +24,11 @@ def _run_script(name: str, *args: str) -> subprocess.CompletedProcess:
 def test_verify_catalog_reports_errors_as_rows_at_1e300():
     proc = _run_script("verify_catalog.py", "--x-max", "1e300")
     assert "Traceback" not in proc.stderr
-    assert proc.returncode == 1  # two cases overflow the float range
+    assert proc.returncode == 1  # inverse_log at beta = 2 overflows
     errors = [line for line in proc.stdout.splitlines() if " error: " in line]
-    assert len(errors) == 2
-    assert any("leaves the float range" in line for line in errors)
+    assert len(errors) == 1 and errors[0].split()[:3] == [
+        "inverse_log", "2", "error:"]
+    assert "non-finite value inf" in errors[0]  # its quadrature's y^2
     # u = x^2 sf(x) is formed without x^2, which passes the float range
     pareto = [line.split() for line in proc.stdout.splitlines()
               if line.startswith("pareto(alpha=1.5")]
@@ -86,15 +90,17 @@ def test_opcost_prints_time_and_faults_of_each_op():
     assert sorted(os.listdir(perfbench)) == before  # no bytecode cache there
 
 
-def test_edge_audit_prints_a_reproducer_per_counterexample():
+def test_edge_audit_finds_no_counterexample():
     proc = _run_script("edge_audit.py", "--seed", "2", "--draws", "60")
     assert "Traceback" not in proc.stderr
-    *lines, summary = proc.stdout.splitlines()
-    draws, found, known = (int(word) for word in summary.split()
-                           if word.isdigit())
-    assert draws == 60 and len(lines) == found > 0
-    assert proc.returncode == 1  # it found some
-    # each line rebuilds its curve; at this seed all are the known defect
-    assert all(line.startswith("build_curve(make_") for line in lines)
-    assert known == found
-    assert all(line.endswith("(known: ROADMAP item 3)") for line in lines)
+    assert proc.stdout == "60 draws, 0 counterexamples\n"
+    assert proc.returncode == 0
+
+
+def test_edge_reproducer_rebuilds_the_curve_of_its_case():
+    call = reproducer(("geometric", 1.5, 2.0, 1.5, 1.0, 1.7e308))
+    assert call == ("build_curve(make_geometric_tail(1.5, 2.0), AnalysisParams("
+                    "beta=1.5, x_min=1.0, x_max=1.7e+308, points_per_decade=8))")
+    curve = eval(call, vars(tailmoments))
+    assert curve.model_name == "geometric(beta_g=1.5,p=2)"
+    assert curve.grid[0] == 1.0 and curve.grid[-1] == 1.7e308
