@@ -3,11 +3,11 @@
 Usage: python scripts/edge_audit.py [--seed 0] [--draws 2000]
 
 Runs the check of tests/edges.py over --draws seeded draws of its cases
-(pareto and geometric curves, beta in (0.2, 4], spans to 1.7e308), the
-check tests/test_edges.py runs in tier-1 on a smaller budget. Prints one
-line per counterexample, the Python call that rebuilds its curve and what
-it got wrong, then the number of draws and of counterexamples. Exits 1 if
-it found any, else 0.
+(pareto, geometric and log-linear table curves, beta in (0.2, 4], spans to
+1.7e308), the check tests/test_edges.py runs in tier-1 on a smaller budget.
+Prints one line per counterexample, the Python call that rebuilds its curve
+and what it got wrong, then the number of draws and of counterexamples of
+each family and of all. Exits 1 if it found any, else 0.
 """
 
 import argparse
@@ -54,6 +54,9 @@ def main() -> int:
     run()
     for case, wrong in found:
         print(f"{edges.reproducer(case)}  # {wrong}")
+    for family in edges.FAMILIES:
+        print(f"{family}: {sum(c[0] == family for c in drawn)} draws, "
+              f"{sum(c[0] == family for c, _ in found)} counterexamples")
     print(f"{len(drawn)} draws, {len(found)} counterexamples")
     return 1 if found else 0
 

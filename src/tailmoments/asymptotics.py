@@ -136,7 +136,7 @@ def _window(xs: np.ndarray, params: AnalysisParams):
 
 #: what the RV estimates read off increasing positive xs and params
 ScalePlan = namedtuple("ScalePlan", "lo hi span win log_xs x_at node off "
-                                    "log_target log_lam x lam near lambdas")
+                                    "log_target log_lam x lam lambdas")
 
 
 def scale_plan(xs: np.ndarray, params: AnalysisParams) -> ScalePlan:
@@ -146,8 +146,7 @@ def scale_plan(xs: np.ndarray, params: AnalysisParams) -> ScalePlan:
     Reads stay in xs[span] (_window). x_at and node index x and lam x's node
     in the span; off flags each lam x that is no node, and log_target is its
     np.log, the log that log_xs takes of the nodes. x, lam and log_lam are a
-    pair's, near flags x below the trend split (_row_stats), and lambdas are
-    the distinct lam that have pairs, ascending.
+    pair's, and lambdas are the distinct lam that have pairs, ascending.
     """
     lo, hi, span, win = _window(xs, params)
     xs_w, lams = xs[span], np.array(params.lambdas)
@@ -165,7 +164,6 @@ def scale_plan(xs: np.ndarray, params: AnalysisParams) -> ScalePlan:
     paired = lams[fit.any(axis=1)]
     return ScalePlan(lo, hi, span, win, np.log(xs_w), x_at, node, off,
                      np.log(target[off]), log_lam, x, lams[k],
-                     x < math.sqrt(lo) * math.sqrt(hi),
                      tuple(sorted(set(paired.tolist()))))
 
 
@@ -193,7 +191,7 @@ def rv_statistics(plan: ScalePlan, fss) -> list[tuple[float, float, float] | Non
     if len(plan.x) < _MIN_PAIRS:
         return [None] * len(fss)
     ok, estimates = _log_ratios(plan, fss)
-    stats = iter(_row_stats(estimates, plan.near))
+    stats = iter(_row_stats(estimates, plan.x, plan.lo, plan.hi))
     return [next(stats) if k else None for k in ok.tolist()]
 
 
@@ -224,7 +222,7 @@ def estimate_rv_index(xs: np.ndarray, fs: np.ndarray,
     if len(plan.x) < _MIN_PAIRS:
         raise InsufficientDataError(f"only {len(plan.x)} scale pairs fit the "
                                     f"window [{lo:g}, {hi:g}]; need {_MIN_PAIRS}")
-    (rho_hat, spread, trend), = _row_stats(estimate, plan.near)
+    (rho_hat, spread, trend), = _row_stats(estimate, plan.x, lo, hi)
     per_scale = np.rec.fromarrays((plan.x, plan.lam, estimate[0], plan.off),
                                   names=("x", "lam", "estimate", "interpolated"))
     return RVEstimate(rho_hat=rho_hat, per_scale=per_scale,
@@ -232,12 +230,13 @@ def estimate_rv_index(xs: np.ndarray, fs: np.ndarray,
                       trend=trend, window=(lo, hi), lambdas=plan.lambdas)
 
 
-def _row_stats(ys: np.ndarray, near: np.ndarray):
-    """(mean, spread, trend) of each row of ys: spread is the half-range, and
-    trend the gap between the means of the samples flagged near, those below
-    the window's geometric midpoint, and of the others (inf if either is
-    empty). Each sum is np.add.reduce of a 1-d row, as ndarray.mean takes it;
-    a 2-d reduction can differ in the last bit."""
+def _row_stats(ys: np.ndarray, xs: np.ndarray, lo: float, hi: float):
+    """(mean, spread, trend) of each row of ys at the points xs of the window
+    [lo, hi]: spread is the half-range, and trend the gap between the means
+    of the samples below the window's geometric midpoint and of the others
+    (inf if either is empty). Each sum is np.add.reduce of a 1-d row, as
+    ndarray.mean takes it; a 2-d reduction can differ in the last bit."""
+    near = xs < math.sqrt(lo) * math.sqrt(hi)  # lo * hi overflows past 1e154
     n, n_near = ys.shape[1], int(np.count_nonzero(near))
     n_far = n - n_near
     add, top, bottom = np.add.reduce, np.maximum.reduce, np.minimum.reduce
@@ -255,8 +254,7 @@ def _series_stats(xs: np.ndarray, ys: np.ndarray, window):
     if n < 2:
         raise InsufficientDataError(
             f"only {n} samples inside window [{lo:g}, {hi:g}]")
-    near = xs[win] < math.sqrt(lo) * math.sqrt(hi)  # lo * hi overflows past 1e154
-    return (*_row_stats(ys[None, win], near)[0], win)
+    return (*_row_stats(ys[None, win], xs[win], lo, hi)[0], win)
 
 
 def pi_class_test(model: TailModel, params: AnalysisParams) -> PiTestResult:

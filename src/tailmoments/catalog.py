@@ -19,6 +19,7 @@ import csv
 import inspect
 import math
 import os
+import sys
 import warnings
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -29,6 +30,7 @@ from .errors import (ExtrapolationWarning, ModelValidationError,
                      TableFormatError)
 
 _E = math.e
+_TINY, _HUGE = sys.float_info.min, sys.float_info.max
 
 
 def _floor_log(x: float, base: float) -> int:
@@ -121,28 +123,45 @@ def _scalar_pow(base: np.ndarray, exp: np.ndarray) -> np.ndarray:
                        count=len(base))
 
 
+def _normal(v: np.ndarray) -> np.ndarray:
+    """Flags the normal floats among the values of v, all >= 0."""
+    return (v >= _TINY) & (v <= _HUGE)
+
+
+def _log_law(knots: np.ndarray, sfs: np.ndarray, exps: np.ndarray,
+             xs: np.ndarray, j: np.ndarray, beta: float):
+    """The law in logs at the points xs on pieces j (the float-edge rule of
+    moments): A = ln sfs[i] + beta ln knots[i], c = beta - exps[i], L = ln(x
+    / knots[i]) (ln x - ln knots[i] past the float range); x^beta sf(x) =
+    exp(A + c L), sf at beta = 0."""
+    lo = knots[j]
+    with np.errstate(over="ignore", divide="ignore"):  # ln 0 at sfs[i] = 0
+        ln_q = np.log(xs / lo)
+        ln_q = np.where(np.isinf(ln_q), np.log(xs) - np.log(lo), ln_q)
+        return np.log(sfs[j]) + beta * np.log(lo), beta - exps[j], ln_q
+
+
 def _piece_sf(knots: np.ndarray, sfs: np.ndarray, exps: np.ndarray,
               xs: np.ndarray, j: np.ndarray | None = None) -> np.ndarray:
     """sf at the points xs on pieces j (TailModel; found here unless given):
     1 below the first knot, exactly sfs[i] on a flat piece, else sfs[i] times
     (x / knots[i]) ** -exps[i] by numpy's vector power, whose bits do not
-    depend on the call's length. That power is inf where it overflows (never
-    for a tail, where it is at most 1), and exp(-exps[i] (ln x - ln knots[i]))
-    where the quotient does."""
+    depend on the call's length, or off _log_law where that power (0 or inf
+    if x / knots[i] overflows) is not a normal float (moments' float edge)."""
     j = knots.searchsorted(xs, side="right") - 1 if j is None else j
     sf = np.concatenate((sfs, [1.0]))[j]  # j = -1 below the first knot: 1
     on = (np.concatenate((exps, [0.0])) != 0.0)[j]
     if not on.any():
         return sf
     on = slice(None) if on.all() else on  # every piece a power: no gathers
-    xs, j = xs[on], j[on]
-    knots, exps = knots[j], -exps[j]
     with np.errstate(over="ignore"):
-        q = xs / knots
-        ratio = np.power(q, exps)
-        big = np.isinf(q).nonzero()[0]
-        ratio[big] = np.exp(exps[big] * (np.log(xs[big]) - np.log(knots[big])))
+        ratio = np.power(xs[on] / knots[j[on]], -exps[j[on]])
     sf[on] *= ratio
+    off = ~_normal(ratio)
+    if off.any():
+        off = np.arange(len(xs))[on][off]
+        ln_level, c, ln_q = _log_law(knots, sfs, exps, xs[off], j[off], 0.0)
+        sf[off] = np.exp(ln_level + c * ln_q)
     return sf
 
 

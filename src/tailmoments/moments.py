@@ -12,24 +12,29 @@ otherwise h is one Gauss–Kronrod pass over every grid step plus a cumsum,
 and u is one array call of the tail. v follows through the identity, with
 an error budget that keeps the subtraction checkable. The shares r1 = u / h
 and r2 = v / h always sum to 1 by construction.
+
+The float-edge rule: u, the tail and an h segment on piece i are products
+(of the level sf_i, x / x_i and its power, x_i^beta, x^beta, a growth g),
+read as such only where every factor and partial product is a normal float,
+and else as exp of the law in logs (catalog._log_law); the last product may
+round past the range as its true value does. Exact factors pass: a stated
+level, g = 0 on a point's own knot, and x^beta in x^beta sf(x) (sf <= 1).
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import TailModel, _piece_sf
+from .catalog import _HUGE, TailModel, _log_law, _normal, _piece_sf
 from .errors import (AdmissionError, InconsistencyError, ModelEvaluationError,
                      ModelValidationError)
 from .params import AnalysisParams
 from .quadrature import integrate_tail
 
 _EPS = 2.0 ** -52
-_TINY, _HUGE = sys.float_info.min, sys.float_info.max
 #: admission proxy: the moment must keep growing across the analysis span
 ADMISSION_GROWTH = 10.0
 #: a kink this close (relative) to a grid point takes its place
@@ -66,14 +71,11 @@ def _read_law(model: TailModel, beta: float, xs: np.ndarray, pieces=None):
 def _power_pieces(law, j, xs, xs_pow, beta):
     """beta * int_lo^hi y^(beta-1) sf (y/lo)^-a dy on each whole piece of the
     law (_read_law), then from piece j's knot to each point of xs (powers
-    xs_pow), with the roundoff each adds beyond a sum's: sf * (hi^beta -
-    lo^beta) at a = 0 if finite, else sf lo^beta beta g, g = expm1((beta -
-    a) ln(hi/lo)) / (beta - a), ln(hi/lo) at a = beta, read through logs
-    (_log_pieces) where that is not finite or lo^beta is subnormal or 0
-    under a positive sf. expm1 scales the rounding of ln(hi/lo), ln hi - ln
-    lo where hi/lo overflows, by (beta - a) ln(hi/lo). Callers ignore over
-    and invalid: a piece may form inf - inf before it is replaced.
-    """
+    xs_pow), with the roundoff each adds beyond a sum's: sf (hi^beta -
+    lo^beta) at a = 0 if finite, else sf lo^beta beta g, g = expm1(cL) / c
+    (L at c = 0), c = beta - a, L = ln(hi/lo), or by the float-edge rule
+    exp(A + ln beta + ln g), ln g = max(cL, 0) + ln(-expm1(-|cL|)) - ln|c|.
+    Callers ignore over and invalid: a piece is inf - inf until replaced."""
     knots, sfs, exps, _, pows = law
     j = np.concatenate((np.arange(len(knots) - 1), j))  # i runs to knot i + 1
     power = (exps != 0.0)[j]
@@ -88,41 +90,34 @@ def _power_pieces(law, j, xs, xs_pow, beta):
             return seg, err
     k = j[p]
     hi, lo, c = np.concatenate((knots[1:], xs))[p], knots[k], beta - exps[k]
-    log_q = np.log(hi / lo)
-    big = np.isinf(log_q).nonzero()[0]
-    if len(big):
-        log_q[big] = np.log(hi[big]) - np.log(lo[big])
+    log_q = np.log(hi / lo)  # inf where the quotient overflows
     cl, crit = c * log_q, c == 0.0
     growth = np.where(crit, log_q, np.expm1(cl) / np.where(crit, 1.0, c))
     base = sfs[k] * pows[k] * beta
+    off = _normal(growth) | (log_q == 0.0)  # on its own knot: an exact 0
+    off &= _normal(base) & _normal(pows)[k] & (log_q < math.inf)
+    off = (~off).nonzero()[0]
     growth *= base
-    under = ((pows < _TINY) & (sfs > 0.0))[k] | ~np.isfinite(growth)
     growth_err = _EPS * ((4.0 + 2.0 * np.abs(cl) + np.maximum(c, 0.0))
                          * np.abs(growth) + base)
-    if under.any():
-        growth[under], growth_err[under] = _log_pieces(
-            sfs[k[under]], lo[under], c[under], cl[under], log_q[under], beta)
+    if len(off):
+        ln_level, c, log_q = _log_law(knots, sfs, exps, hi[off], k[off], beta)
+        cl, crit = c * log_q, c == 0.0
+        ln_c = np.log(np.abs(np.where(crit, 1.0, c)))
+        with np.errstate(divide="ignore", invalid="ignore"):  # ln 0: L or sf 0
+            ln_g = np.where(crit, np.log(log_q), np.maximum(cl, 0.0) - ln_c
+                            + np.log(-np.expm1(-np.abs(cl))))
+            growth[off] = seg_off = np.exp(ln_level + math.log(beta) + ln_g)
+            # |ln sf| + beta |ln lo|, the two logs that ln_level sums
+            size = (np.abs(ln_level) + abs(math.log(beta)) + 2.0 * np.abs(cl)
+                    + 2.0 * beta * np.fmax(np.log(lo[off]), 0.0)
+                    + np.abs(ln_c) + np.abs(ln_g))
+        growth_err[off] = (np.fmax(_EPS * (8.0 + 2.0 * size) * seg_off, 0.0)
+                           + 2.0 ** -1074)
     if isinstance(p, slice):
         return growth, growth_err
     seg[p], err[p] = growth, growth_err
     return seg, err
-
-
-def _log_pieces(sf, lo, c, cl, log_q, beta):
-    """Power pieces sf lo^beta beta g, g = expm1(cL) / c (L at c = 0), with
-    L = log_q and cl = cL, as exp(ln sf + beta ln lo + ln beta + ln g), and
-    ln g = max(cL, 0) + ln(-expm1(-|cL|)) - ln|c|, stable for either sign of
-    c; the bound is one subnormal step plus the logs' rounding, none at 0."""
-    crit = c == 0.0
-    ln_c = np.log(np.abs(np.where(crit, 1.0, c)))
-    with np.errstate(divide="ignore", invalid="ignore"):  # ln 0: hi = lo, sf = 0
-        ln_g = np.where(crit, np.log(log_q), np.maximum(cl, 0.0) - ln_c
-                        + np.log(-np.expm1(-np.abs(cl))))
-        ln_sf, ln_lo = np.log(sf), beta * np.log(lo)
-        seg = np.exp(ln_sf + ln_lo + math.log(beta) + ln_g)
-        size = (np.abs(ln_sf) + np.abs(ln_lo) + abs(math.log(beta))
-                + 2.0 * np.abs(cl) + np.abs(ln_c) + np.abs(ln_g))
-    return seg, np.fmax(_EPS * (8.0 + 2.0 * size) * seg, 0.0) + 2.0 ** -1074
 
 
 def _accumulate(model: TailModel, beta: float, xs: np.ndarray, rel_tol: float,
@@ -194,38 +189,25 @@ def compute_u(model: TailModel, beta: float, x: float) -> float:
 
 def _boundary(model: TailModel, beta: float, xs: np.ndarray,
               xs_pow: np.ndarray, law) -> np.ndarray:
-    """u at xs: xs_pow = x^beta times sf, off the law as h is, or one call.
-
-    Where x^beta sf(x) on a power piece, or x^beta on any piece, is not
-    finite, u is read off the piece law with levels sf_i knot_i^beta and
-    exponents a_i - beta by catalog._piece_sf: inf where the power overflows,
-    and read through ln x - ln knot_i where the quotient does. u is exp(ln
-    sf_i + beta ln x - a_i (ln x - ln knot_i)), 0 at sf_i = 0, where a factor
-    is subnormal, short of digits (sf of a finite u, or knot_i^beta of the
-    piece law), or the piece law's u is not a normal float.
-    """
+    """u at xs: xs_pow = x^beta times sf, off the law as h is, or one call:
+    where x^beta overflows, sf_i x_i^beta (x / x_i)^(beta - a_i), and by the
+    float-edge rule (module doc) exp(A + c L) off catalog._log_law."""
     if law is None:
         return xs_pow * model.tail(xs)
     knots, sfs, exps, j, pows = law
     us = _piece_sf(knots, sfs, exps, xs, j)
-    weak = us < _TINY  # an sf factor without all its digits
+    # sf on a power piece is a product; on a flat one, the stated level
+    off = ~_normal(us) & (np.concatenate((exps, [0.0])) != 0.0)[j]
     us *= xs_pow
-    if not exps.any() and xs_pow[-1] <= _HUGE:  # a level times x^beta
-        return us
-    p = ((~((us >= _TINY) & (us <= _HUGE)) | weak) & (j >= 0)).nonzero()[0]
-    p = p[(exps[j[p]] != 0.0) | (xs_pow[p] > _HUGE)]  # a power piece, or any
-    if not len(p):
-        return us
-    fin = np.isfinite(us[p])
-    big = p[~fin]
+    big = ((xs_pow > _HUGE) & (j >= 0)).nonzero()[0]
     if len(big):  # sfs * pows spans every knot, a table's thousands too
-        us[big] = _piece_sf(knots, sfs * pows, exps - beta, xs[big], j[big])
-    odd = p[np.where(fin, weak[p], ~((us[p] >= _TINY) & (us[p] <= _HUGE))
-                     | (pows[j[p]] < _TINY))]
-    k, ln_x = j[odd], np.log(xs[odd])
-    with np.errstate(divide="ignore"):  # ln 0 at sf_i = 0: u = 0
-        us[odd] = np.exp(np.log(sfs[k]) + beta * ln_x
-                         - exps[k] * (ln_x - np.log(knots[k])))
+        level = sfs * pows
+        us[big] = _piece_sf(knots, level, exps - beta, xs[big], j[big])
+        off[big] = ~_normal(level)[j[big]]  # sf <= 1: then pows is normal too
+    off = off.nonzero()[0]
+    if len(off):
+        ln_level, c, ln_q = _log_law(knots, sfs, exps, xs[off], j[off], beta)
+        us[off] = np.exp(ln_level + c * ln_q)
     return us
 
 

@@ -3,10 +3,12 @@ of the float range, against 40-digit values.
 
 A case is a family, its parameters, an order beta and a span [x_min, x_max]
 at 8 points per decade: pareto(a, x_floor) with a from a few round values
-or from (0.1, 4) and floors from 1e-300 to 1e10, or geometric(beta_g, p)
+or from (0.1, 4) and floors from 1e-300 to 1e10, geometric(beta_g, p)
 with p from 2 to 1e10 (at most ~1,000 atoms over any span, to keep the atom
-sums cheap). beta is in (0.2, 4], and a span reaches up to 10 decades below
-the floor, up to 1.7e308 and over up to 1.7e308 in ratio.
+sums cheap), or a log-linear table of 2 to 8 rows, knots log-uniform in
+[1e-300, 1e307] and levels falling 0 to 40 decades a row. beta is in (0.2,
+4], and a span reaches up to 10 decades below the floor, up to 1.7e308 and
+over up to 1.7e308 in ratio.
 
 audit(case) builds the curve and says what it got wrong, None if nothing:
 - at sampled grid points where the exact h (u) is a normal float, h must lie
@@ -18,17 +20,23 @@ audit(case) builds the curve and says what it got wrong, None if nothing:
 
 from __future__ import annotations
 
+import itertools
 import math
+import os
 import re
 import sys
+import tempfile
+import warnings
 
 import mpmath
 import numpy as np
+from hypothesis import assume
 from hypothesis import strategies as st
 
-from oracles import geometric_hu, pareto_hu
-from tailmoments import (AdmissionError, AnalysisParams, TailMomentsError,
-                         build_curve, make_geometric_tail, make_pareto)
+from oracles import geometric_hu, law_hu, pareto_hu
+from tailmoments import (AdmissionError, AnalysisParams, ExtrapolationWarning,
+                         TailMomentsError, build_curve, load_tabulated,
+                         make_geometric_tail, make_pareto)
 
 _LOG_MAX = math.log10(1.7e308)
 #: grid points audited per curve, besides those next to the support floor
@@ -69,24 +77,66 @@ def geometric_cases(draw):
     return ("geometric", beta_g, p, draw(_BETAS), *draw(_span(p)))
 
 
-CASES = st.one_of(pareto_cases(), geometric_cases())
+@st.composite
+def table_cases(draw):
+    exponents = draw(st.lists(st.floats(-300.0, 307.0), min_size=2,
+                              max_size=8, unique=True))
+    knots = tuple(sorted({10.0 ** e for e in exponents}))
+    assume(len(knots) >= 2)
+    drops = draw(st.lists(st.floats(0.0, 40.0), min_size=len(knots),
+                          max_size=len(knots)))
+    levels = tuple(10.0 ** -d for d in itertools.accumulate(drops))
+    return ("table", knots, levels, draw(_BETAS), *draw(_span(knots[0])))
+
+
+#: the case families by name, in the order edge_audit.py reports them
+FAMILIES = {"pareto": pareto_cases(), "geometric": geometric_cases(),
+            "table": table_cases()}
+CASES = st.one_of(*FAMILIES.values())
+
+
+def table_model(knots, levels):
+    """load_tabulated of the CSV with rows (knots[i], levels[i])."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "edge.csv")
+        with open(path, "w") as fh:
+            fh.write("x,tail\n" + "".join(
+                f"{x!r},{t!r}\n" for x, t in zip(knots, levels)))
+        return load_tabulated(path)
 
 
 def reproducer(case) -> str:
-    """The case as the Python calls that rebuild its curve."""
+    """The case as the Python calls that rebuild its curve (table_model is
+    this module's)."""
     family, first, second, beta, x_min, x_max = case
-    model = (f"make_pareto({first!r}, x_floor={second!r})" if family == "pareto"
-             else f"make_geometric_tail({first!r}, {second!r})")
+    model = {"pareto": f"make_pareto({first!r}, x_floor={second!r})",
+             "geometric": f"make_geometric_tail({first!r}, {second!r})",
+             "table": f"table_model({first!r}, {second!r})"}[family]
     return (f"build_curve({model}, AnalysisParams(beta={beta!r}, "
             f"x_min={x_min!r}, x_max={x_max!r}, points_per_decade=8))")
 
 
-def _exact(case, xs):
+def _model(case):
+    family, first, second = case[:3]
+    if family == "pareto":
+        return make_pareto(first, x_floor=second)
+    if family == "geometric":
+        return make_geometric_tail(first, second)
+    return table_model(first, second)
+
+
+def _exact(case, model, xs):
     """The 40-digit (h, u) of the case's model at the increasing xs."""
     family, first, second, beta = case[:4]
     if family == "pareto":
         return [pareto_hu(first, second, beta, x) for x in xs]
-    return geometric_hu(first, second, beta, xs)
+    if family == "geometric":
+        return geometric_hu(first, second, beta, xs)
+    with warnings.catch_warnings():  # a table held past its last row
+        warnings.simplefilter("ignore", ExtrapolationWarning)
+        law = model.pieces(model.support_floor,
+                           max(xs[-1], model.support_floor))
+    return law_hu(*law, beta, xs)
 
 
 def _normal(value) -> bool:
@@ -95,20 +145,21 @@ def _normal(value) -> bool:
 
 def audit(case) -> str | None:
     """What the curve of case gets wrong, None if nothing (module doc)."""
-    family, first, second, beta, x_min, x_max = case
-    model = (make_pareto(first, x_floor=second) if family == "pareto"
-             else make_geometric_tail(first, second))
+    beta, x_min, x_max = case[3:]
+    model = _model(case)
     params = AnalysisParams(beta=beta, x_min=x_min, x_max=x_max,
                             points_per_decade=8)
     try:
-        curve = build_curve(model, params)
+        with warnings.catch_warnings():  # a table held past its last row
+            warnings.simplefilter("ignore", ExtrapolationWarning)
+            curve = build_curve(model, params)
     except AdmissionError:
         return None
     except TailMomentsError as exc:
         at = re.search(r"leaves the float range at x = (\S+):", str(exc))
         if at:  # x is printed to 6 digits: a value past the range near it
             x = float(at.group(1))
-            near = _exact(case, [x * (1.0 - 1e-5), x * (1.0 + 1e-5)])
+            near = _exact(case, model, [x * (1.0 - 1e-5), x * (1.0 + 1e-5)])
             if any(abs(v) > sys.float_info.max for hu in near for v in hu):
                 return None
         return f"{type(exc).__name__}: {exc}"
@@ -117,7 +168,8 @@ def audit(case) -> str | None:
     picks = np.unique(np.concatenate((
         np.linspace(0, len(grid) - 1, _SAMPLES).astype(int),
         np.clip([at - 1, at, at + 1], 0, len(grid) - 1))))
-    for k, (h, u) in zip(picks.tolist(), _exact(case, grid[picks].tolist())):
+    exact = _exact(case, model, grid[picks].tolist())
+    for k, (h, u) in zip(picks.tolist(), exact):
         x, err = float(grid[k]), float(curve.quad_error[k])
         if _normal(h) and abs(mpmath.mpf(float(curve.h[k])) - h) > err:
             return (f"h({x!r}) = {float(curve.h[k])!r} is off the exact "

@@ -3,12 +3,13 @@
 The atoms of the geometric staircase come from its jump formula, and v from
 their Stieltjes sum, v(x) = sum of loc^beta * jump over the atoms up to x,
 with no use of the h kernel or of the tail function. The 40-digit mpmath
-values of h and u are closed forms for pareto and the same atom sums for a
-geometric staircase.
+values of h and u are closed forms for pareto, the same atom sums for a
+geometric staircase, and sums of closed-form pieces over any piece law.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 
 import mpmath
@@ -75,4 +76,37 @@ def geometric_hu(beta_g: float, p: float, beta: float, xs: list[float]):
                 sf = level
             u = mpmath.mpf(x) ** b * sf
             out.append((u + v, u))
+    return out
+
+
+def law_hu(knots, sfs, exps, beta: float, xs: list[float]):
+    """(h, u) at order beta and each of the increasing xs of the piece law
+    (knots, sfs, exps) of a model's pieces, its floats taken as exact, as
+    40-digit mpf: both x^beta below the first knot; above it, h adds beta
+    int y^(beta-1) sf_i (y / x_i)^-a_i dy = sf_i x_i^beta beta expm1(c L) / c
+    (beta L at c = 0), c = beta - a_i and L = ln(y / x_i), over the pieces up
+    to x, and u = x^beta sf_i (x / x_i)^-a_i."""
+    knots = [float(k) for k in knots]
+    out = []
+    with mpmath.workdps(40):
+        b = mpmath.mpf(beta)
+        law = [tuple(map(mpmath.mpf, row)) for row in zip(knots, sfs, exps)]
+
+        def piece(i, y):
+            x_i, sf_i, a_i = law[i]
+            c, ln_q = b - a_i, mpmath.log(y / x_i)
+            g = ln_q if c == 0 else mpmath.expm1(c * ln_q) / c
+            return sf_i * x_i ** b * b * g
+
+        at_knot = [law[0][0] ** b]
+        for i in range(len(law) - 1):
+            at_knot.append(at_knot[-1] + piece(i, law[i + 1][0]))
+        for x in xs:
+            i, x = bisect.bisect_right(knots, x) - 1, mpmath.mpf(x)
+            if i < 0:
+                out.append((x ** b, x ** b))
+                continue
+            x_i, sf_i, a_i = law[i]
+            out.append((at_knot[i] + piece(i, x),
+                        x ** b * sf_i * (x / x_i) ** -a_i))
     return out

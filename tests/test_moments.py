@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import tailmoments.catalog as catalog
 import tailmoments.moments as moments
-from oracles import atom_sum_v, geometric_atoms, geometric_hu
+from oracles import atom_sum_v, geometric_atoms, geometric_hu, law_hu
 from tailmoments.catalog import (TailModel, _scalar_pow, load_tabulated,
                                  make_geometric_tail, make_inverse_log,
                                  make_log_pareto, make_pareto,
@@ -803,6 +803,34 @@ def test_u_and_h_past_the_quotient_range_are_read_through_logs():
     assert abs(h - exact) <= err
 
 
+def test_h_past_the_quotient_range_of_a_falling_piece_has_a_finite_bound():
+    # x / x_floor = 1e350 overflows under c = beta - a = -1, where the
+    # linear g = expm1(cL) / c still reads 1 but its bound takes |cL| = inf
+    m, beta, x = make_pareto(3.0, x_floor=1e-150), 2.0, 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        h, err = compute_h(m, beta, x)
+    floor = mpmath.mpf(m.support_floor)
+    exact = floor ** 2 + 2 * floor ** 3 * (floor ** -1 - mpmath.mpf(x) ** -1)
+    assert abs(h - exact) <= err < 1e-11 * h
+
+
+def test_a_law_of_normal_factors_reads_no_logs(monkeypatch, power_table):
+    # the float-edge rule reads the law in logs only where a factor is not a
+    # normal float: a point on its own knot (L = 0) is an exact 0, not one
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return catalog._log_law(*args)
+
+    monkeypatch.setattr(moments, "_log_law", spy)
+    c = build_curve(load_tabulated(power_table),
+                    AnalysisParams(beta=1.0, x_max=1e12))
+    assert np.isin(10.0 ** (np.arange(1, 12 * 8) / 8.0), c.grid).sum() > 50
+    assert calls == []
+
+
 def _pareto_u(m, alpha, beta, x):
     """u = x^beta (x / x_floor)^-alpha in 40-digit mpmath."""
     with mpmath.workdps(40):
@@ -882,6 +910,35 @@ def test_a_point_on_a_knot_whose_power_underflows_has_a_finite_bound(
         for x in (1e-190, 1e-180):  # h < 1e-359: 0 and a few subnormal steps
             h, err = compute_h(m, 2.0, x)
             assert h == 0.0 and 0.0 < err <= 2.0 ** -1072
+
+
+@pytest.mark.parametrize("rows, beta, x", [
+    ([(1e-100, 1.0), (1e-90, 1e-50), (1e-80, 1e-55)], 3.0, 1e-85),
+    ([(1e-200, 1.0), (1e-150, 1e-60), (1e-100, 1e-70)], 2.0, 1e-120)])
+def test_power_pieces_whose_level_underflows_are_read_through_logs(
+        table_factory, rows, beta, x):
+    # sf_i x_i^beta beta (1e-50 1e-270 3, 1e-60 1e-300 2) underflows under
+    # normal factors: the growth g scaled its few subnormal digits up, to an
+    # h 11.8 times its bound off at 1e-85, and to h = 0 at 1e-120, where h
+    # ~ 1.1e-306 and the curve was inconsistent
+    m = load_tabulated(table_factory(rows))
+    params = AnalysisParams(beta=beta, x_min=rows[0][0] / 10.0,
+                            x_max=rows[-1][0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ExtrapolationWarning)  # verify's
+        warnings.simplefilter("error", RuntimeWarning)  # numpy's float edge
+        h, err = compute_h(m, beta, x)
+        c = build_curve(m, params)
+        verify(m, params, c)
+    law = m.pieces(m.support_floor, params.x_max)
+    [(h_exact, _)] = law_hu(*law, beta, [x])
+    assert abs(mpmath.mpf(h) - h_exact) <= err < 1e-11 * h
+    for k, (h_exact, u_exact) in enumerate(
+            law_hu(*law, beta, c.grid.tolist())):
+        if h_exact >= sys.float_info.min:
+            assert abs(mpmath.mpf(c.h[k]) - h_exact) <= c.quad_error[k]
+        if u_exact >= sys.float_info.min:
+            assert abs(mpmath.mpf(c.u[k]) - u_exact) <= 1e-12 * u_exact
 
 
 @pytest.mark.parametrize("model, beta_g, p, beta, x", [

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 
@@ -93,7 +94,12 @@ def test_opcost_prints_time_and_faults_of_each_op():
 def test_edge_audit_finds_no_counterexample():
     proc = _run_script("edge_audit.py", "--seed", "2", "--draws", "60")
     assert "Traceback" not in proc.stderr
-    assert proc.stdout == "60 draws, 0 counterexamples\n"
+    *families, total = proc.stdout.splitlines()
+    assert total == "60 draws, 0 counterexamples"
+    assert [line.split(":")[0] for line in families] == [
+        "pareto", "geometric", "table"]
+    assert all(re.fullmatch(r"\w+: [1-9]\d* draws, 0 counterexamples", line)
+               for line in families)
     assert proc.returncode == 0
 
 
