@@ -130,10 +130,9 @@ def _normal(v: np.ndarray) -> np.ndarray:
 
 def _log_law(knots: np.ndarray, sfs: np.ndarray, exps: np.ndarray,
              xs: np.ndarray, j: np.ndarray, beta: float):
-    """The law in logs at the points xs on pieces j (the float-edge rule of
-    moments): A = ln sfs[i] + beta ln knots[i], c = beta - exps[i], L = ln(x
-    / knots[i]) (ln x - ln knots[i] past the float range); x^beta sf(x) =
-    exp(A + c L), sf at beta = 0."""
+    """The law in logs at the points xs on pieces j (moments' float edge): A =
+    ln sfs[i] + beta ln knots[i], c = beta - exps[i] and L = ln(x / knots[i]),
+    ln x - ln knots[i] past the float range, so x^beta sf(x) = exp(A + c L)."""
     lo = knots[j]
     with np.errstate(over="ignore", divide="ignore"):  # ln 0 at sfs[i] = 0
         ln_q = np.log(xs / lo)
@@ -142,35 +141,34 @@ def _log_law(knots: np.ndarray, sfs: np.ndarray, exps: np.ndarray,
 
 
 def _piece_sf(knots: np.ndarray, sfs: np.ndarray, exps: np.ndarray,
-              xs: np.ndarray, j: np.ndarray | None = None) -> np.ndarray:
-    """sf at the points xs on pieces j (TailModel; found here unless given):
-    1 below the first knot, exactly sfs[i] on a flat piece, else sfs[i] times
-    (x / knots[i]) ** -exps[i] by numpy's vector power, whose bits do not
-    depend on the call's length, or off _log_law where that power (0 or inf
-    if x / knots[i] overflows) is not a normal float (moments' float edge)."""
-    j = knots.searchsorted(xs, side="right") - 1 if j is None else j
+              xs: np.ndarray, j: np.ndarray):
+    """sf at the points xs on pieces j (TailModel) read linearly: 1 below the
+    first knot, exactly sfs[i] on a flat piece, else sfs[i] (x / knots[i]) **
+    -exps[i] by numpy's vector power, whose bits do not depend on the call's
+    length; and a mask of where that power is not normal (for _log_law)."""
     sf = np.concatenate((sfs, [1.0]))[j]  # j = -1 below the first knot: 1
     on = (np.concatenate((exps, [0.0])) != 0.0)[j]
     if not on.any():
-        return sf
-    on = slice(None) if on.all() else on  # every piece a power: no gathers
+        return sf, on
+    p = slice(None) if on.all() else on  # every piece a power: no gathers
     with np.errstate(over="ignore"):
-        ratio = np.power(xs[on] / knots[j[on]], -exps[j[on]])
-    sf[on] *= ratio
-    off = ~_normal(ratio)
-    if off.any():
-        off = np.arange(len(xs))[on][off]
-        ln_level, c, ln_q = _log_law(knots, sfs, exps, xs[off], j[off], 0.0)
-        sf[off] = np.exp(ln_level + c * ln_q)
-    return sf
+        ratio = np.power(xs[p] / knots[j[p]], -exps[j[p]])
+    sf[p] *= ratio
+    on[p] = ~_normal(ratio)
+    return sf, on
 
 
 def _piece_tail(pieces) -> Callable[[np.ndarray], np.ndarray]:
-    """The tail that pieces state, with one pieces call per array."""
+    """The tail that pieces state: _piece_sf, and _log_law where it flags."""
     def tail(x):
-        xs = np.asarray(x, dtype=float)
+        xs = np.atleast_1d(np.asarray(x, dtype=float))
         knots, sfs, exps = pieces(float(xs.min()), float(xs.max()))
-        return _piece_sf(knots, sfs, exps, np.atleast_1d(xs)).reshape(xs.shape)[()]
+        j = knots.searchsorted(xs, side="right") - 1
+        sf, off = _piece_sf(knots, sfs, exps, xs, j)
+        if off.any():
+            ln_level, c, ln_q = _log_law(knots, sfs, exps, xs[off], j[off], 0.0)
+            sf[off] = np.exp(ln_level + c * ln_q)
+        return sf.reshape(np.shape(x))[()]
     return tail
 
 

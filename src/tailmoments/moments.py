@@ -94,9 +94,9 @@ def _power_pieces(law, j, xs, xs_pow, beta):
     cl, crit = c * log_q, c == 0.0
     growth = np.where(crit, log_q, np.expm1(cl) / np.where(crit, 1.0, c))
     base = sfs[k] * pows[k] * beta
-    off = _normal(growth) | (log_q == 0.0)  # on its own knot: an exact 0
-    off &= _normal(base) & _normal(pows)[k] & (log_q < math.inf)
-    off = (~off).nonzero()[0]
+    linear = ((_normal(growth) | (log_q == 0.0))  # g, or its exact 0 on a knot
+              & _normal(sfs * pows)[k] & _normal(base) & (log_q < math.inf))
+    off = (~linear).nonzero()[0]  # sf <= 1: x_k^beta is normal with the level
     growth *= base
     growth_err = _EPS * ((4.0 + 2.0 * np.abs(cl) + np.maximum(c, 0.0))
                          * np.abs(growth) + base)
@@ -195,15 +195,17 @@ def _boundary(model: TailModel, beta: float, xs: np.ndarray,
     if law is None:
         return xs_pow * model.tail(xs)
     knots, sfs, exps, j, pows = law
-    us = _piece_sf(knots, sfs, exps, xs, j)
-    # sf on a power piece is a product; on a flat one, the stated level
-    off = ~_normal(us) & (np.concatenate((exps, [0.0])) != 0.0)[j]
-    us *= xs_pow
-    big = ((xs_pow > _HUGE) & (j >= 0)).nonzero()[0]
-    if len(big):  # sfs * pows spans every knot, a table's thousands too
+    big = (xs_pow > _HUGE) & (j >= 0)
+    fit = ~big if big.any() else slice(None)  # where x^beta is a float
+    us, off = np.empty(len(xs)), np.zeros(len(xs), dtype=bool)
+    sf, _ = _piece_sf(knots, sfs, exps, xs[fit], j[fit])
+    # a product on a power piece (not normal where its power is not: sf <= 1)
+    off[fit] = ~_normal(sf) & (np.concatenate((exps, [0.0])) != 0.0)[j[fit]]
+    us[fit] = sf * xs_pow[fit]
+    if big.any():  # sfs * pows spans every knot, a table's thousands too
         level = sfs * pows
-        us[big] = _piece_sf(knots, level, exps - beta, xs[big], j[big])
-        off[big] = ~_normal(level)[j[big]]  # sf <= 1: then pows is normal too
+        us[big], off[big] = _piece_sf(knots, level, exps - beta, xs[big], j[big])
+        off[big] |= ~_normal(level)[j[big]]  # sf <= 1: then pows is normal too
     off = off.nonzero()[0]
     if len(off):
         ln_level, c, ln_q = _log_law(knots, sfs, exps, xs[off], j[off], beta)

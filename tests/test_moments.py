@@ -831,6 +831,35 @@ def test_a_law_of_normal_factors_reads_no_logs(monkeypatch, power_table):
     assert calls == []
 
 
+def test_u_past_the_power_range_reads_no_logs_under_normal_factors(monkeypatch):
+    # x^2 overflows and sf = x^-1.5 = 1e-375 underflows, but u is read off
+    # the level x_floor^2 = 1 and the power (x / x_floor)^0.5 = 1e125, both
+    # normal: no point of the curve is read through logs
+    calls, log_law = [], catalog._log_law
+
+    def spy(*args):
+        calls.append(args)
+        return log_law(*args)
+
+    monkeypatch.setattr(catalog, "_log_law", spy)
+    monkeypatch.setattr(moments, "_log_law", spy)
+    m = make_pareto(1.5)
+    assert compute_u(m, 2.0, 1e250) == 1e125
+    c = build_curve(m, AnalysisParams(beta=2.0, x_max=1e300,
+                                      points_per_decade=8))
+    assert c.grid[-1] == 1e300 and calls == []
+
+
+def test_u_past_the_power_range_with_a_subnormal_power_is_read_through_logs():
+    # x^2 overflows; the level x_floor^2 = 1e200 is normal, but its power
+    # (x / x_floor)^-2 ~ 6.6e-323 is subnormal, which read u 2% off
+    m, beta, x = make_pareto(4.0, x_floor=1e100), 2.0, 1.2345e261
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u = compute_u(m, beta, x)
+    assert math.isclose(u, _pareto_u(m, 4.0, beta, x), rel_tol=1e-12)
+
+
 def _pareto_u(m, alpha, beta, x):
     """u = x^beta (x / x_floor)^-alpha in 40-digit mpmath."""
     with mpmath.workdps(40):
