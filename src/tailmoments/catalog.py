@@ -19,7 +19,6 @@ import csv
 import inspect
 import math
 import os
-import sys
 import warnings
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -30,7 +29,7 @@ from .errors import (ExtrapolationWarning, ModelValidationError,
                      TableFormatError)
 
 _E = math.e
-_TINY, _HUGE = sys.float_info.min, sys.float_info.max
+_TINY, _HUGE = np.finfo(float).tiny, np.finfo(float).max
 
 
 def _floor_log(x: float, base: float) -> int:

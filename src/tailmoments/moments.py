@@ -93,10 +93,12 @@ def _power_pieces(law, j, xs, xs_pow, beta):
     log_q = np.log(hi / lo)  # inf where the quotient overflows
     cl, crit = c * log_q, c == 0.0
     growth = np.where(crit, log_q, np.expm1(cl) / np.where(crit, 1.0, c))
-    base = sfs[k] * pows[k] * beta
-    linear = ((_normal(growth) | (log_q == 0.0))  # g, or its exact 0 on a knot
-              & _normal(sfs * pows)[k] & _normal(base) & (log_q < math.inf))
-    off = (~linear).nonzero()[0]  # sf <= 1: x_k^beta is normal with the level
+    level = sfs * pows  # sf <= 1: x_k^beta is normal where the level is
+    base = level[k] * beta
+    # g > min(L, 1 / |c|) / 2 is normal, but for its exact 0 on a knot (L = 0)
+    linear = ((growth <= _HUGE) & (log_q < math.inf)
+              & (_normal(level) & _normal(level * beta))[k])
+    off = (~linear).nonzero()[0]
     growth *= base
     growth_err = _EPS * ((4.0 + 2.0 * np.abs(cl) + np.maximum(c, 0.0))
                          * np.abs(growth) + base)
@@ -189,24 +191,23 @@ def compute_u(model: TailModel, beta: float, x: float) -> float:
 
 def _boundary(model: TailModel, beta: float, xs: np.ndarray,
               xs_pow: np.ndarray, law) -> np.ndarray:
-    """u at xs: xs_pow = x^beta times sf, off the law as h is, or one call:
-    where x^beta overflows, sf_i x_i^beta (x / x_i)^(beta - a_i), and by the
-    float-edge rule (module doc) exp(A + c L) off catalog._log_law."""
+    """u at xs: xs_pow = x^beta times sf, off the law as h is, or one call;
+    from the first point on a piece where x^beta overflows (xs increase), sf_i
+    x_i^beta (x / x_i)^(beta - a_i); by the float-edge rule, exp(A + c L)."""
     if law is None:
         return xs_pow * model.tail(xs)
     knots, sfs, exps, j, pows = law
-    big = (xs_pow > _HUGE) & (j >= 0)
-    fit = ~big if big.any() else slice(None)  # where x^beta is a float
-    us, off = np.empty(len(xs)), np.zeros(len(xs), dtype=bool)
-    sf, _ = _piece_sf(knots, sfs, exps, xs[fit], j[fit])
-    # a product on a power piece (not normal where its power is not: sf <= 1)
-    off[fit] = ~_normal(sf) & (np.concatenate((exps, [0.0])) != 0.0)[j[fit]]
-    us[fit] = sf * xs_pow[fit]
-    if big.any():  # sfs * pows spans every knot, a table's thousands too
+    b = max(int(xs_pow.searchsorted(_HUGE, side="right")), int(j.searchsorted(0)))
+    us, _ = _piece_sf(knots, sfs, exps, xs[:b], j[:b])
+    off = (~_normal(us)).nonzero()[0]  # also where its power is not: sf <= 1
+    off = off[exps[j[off]] != 0.0]  # a product; on a flat piece, a stated level
+    us *= xs_pow[:b]
+    if b < len(xs):  # sfs * pows spans every knot, a table's thousands too
         level = sfs * pows
-        us[big], off[big] = _piece_sf(knots, level, exps - beta, xs[big], j[big])
-        off[big] |= ~_normal(level)[j[big]]  # sf <= 1: then pows is normal too
-    off = off.nonzero()[0]
+        big, weak = _piece_sf(knots, level, exps - beta, xs[b:], j[b:])
+        weak |= ~_normal(level)[j[b:]]  # sf <= 1: then pows is normal too
+        us = np.concatenate((us, big))
+        off = np.concatenate((off, b + weak.nonzero()[0]))
     if len(off):
         ln_level, c, ln_q = _log_law(knots, sfs, exps, xs[off], j[off], beta)
         us[off] = np.exp(ln_level + c * ln_q)
