@@ -198,10 +198,12 @@ def _boundary(model: TailModel, beta: float, xs: np.ndarray,
         return xs_pow * model.tail(xs)
     knots, sfs, exps, j, pows = law
     b = max(int(xs_pow.searchsorted(_HUGE, side="right")), int(j.searchsorted(0)))
-    us, _ = _piece_sf(knots, sfs, exps, xs[:b], j[:b])
-    off = (~_normal(us)).nonzero()[0]  # also where its power is not: sf <= 1
+    sf, _ = _piece_sf(knots, sfs, exps, xs[:b], j[:b])
+    us = sf * xs_pow[:b]
+    if b == len(xs) and not exps.any():  # stated levels times x^beta
+        return us
+    off = (~_normal(sf)).nonzero()[0]  # also where its power is not: sf <= 1
     off = off[exps[j[off]] != 0.0]  # a product; on a flat piece, a stated level
-    us *= xs_pow[:b]
     if b < len(xs):  # sfs * pows spans every knot, a table's thousands too
         level = sfs * pows
         big, weak = _piece_sf(knots, level, exps - beta, xs[b:], j[b:])
