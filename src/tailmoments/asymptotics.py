@@ -77,7 +77,6 @@ class PiTestResult:
 
     is_member: bool
     c_hat: float
-    per_lambda_residuals: dict[float, float]
     n_skipped: int
     window: tuple[float, float]
     max_residual_rel: float
@@ -288,14 +287,13 @@ def pi_class_test(model: TailModel, params: AnalysisParams) -> PiTestResult:
     r = _centered(*sf[3 * n:].reshape(2, len(lambdas), n), *base)  # row per lam
     used = ~np.isnan(r)
     n_skipped = int(r.size - used.sum())
-    per_lambda = {lam: float(np.max(np.abs(row[ok] - math.log(lam))
-                                    / math.log(lam)))
-                  for lam, row, ok in zip(lambdas, r, used) if ok.any()}
-    if not per_lambda:
+    residuals = [float(np.max(np.abs(row[ok] - math.log(lam)) / math.log(lam)))
+                 for lam, row, ok in zip(lambdas, r, used) if ok.any()]
+    if not residuals:
         raise IndeterminateError(
             f"centered ratio undefined everywhere in [{lo:g}, {hi:g}] "
             f"for model {model.name!r}")
-    max_rel = max(per_lambda.values())
+    max_rel = max(residuals)
     is_member = max_rel <= PI_REL_TOL
 
     # auxiliary-function samples from forward e-steps; sign fixes the gauge c
@@ -312,7 +310,6 @@ def pi_class_test(model: TailModel, params: AnalysisParams) -> PiTestResult:
         lx -= lx.mean()
         ell_index_hat = float(np.sum(lx * (ly - ly.mean())) / np.sum(lx * lx))
     return PiTestResult(is_member=is_member, c_hat=c_hat,
-                        per_lambda_residuals=per_lambda,
                         n_skipped=n_skipped, window=(lo, hi),
                         max_residual_rel=max_rel, ell_index_hat=ell_index_hat)
 

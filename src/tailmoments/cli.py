@@ -155,21 +155,13 @@ def _cmd_list(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_curve(args: argparse.Namespace) -> int:
-    model = build_model(args.dist, **_parse_model_params(args.param))
-    params = _params_from_args(args)
+def _cmd_curve(args: argparse.Namespace, model, params) -> int:
     curve = build_curve(model, params)
     if args.format == "csv":
         text = curve_to_csv(curve)
     else:
-        text = render_json({
-            "model": curve.model_name,
-            "beta": curve.beta,
-            "params": asdict(params),
-            "columns": {"x": curve.grid, "h": curve.h, "v": curve.v,
-                        "u": curve.u, "r1": curve.r1, "r2": curve.r2,
-                        "quad_error": curve.quad_error},
-        })
+        text = render_json({"model": curve.model_name, "beta": curve.beta,
+                            "params": asdict(params), "columns": curve.columns})
     _write_output(text, args.output)
     return EXIT_OK
 
@@ -184,9 +176,7 @@ def _estimate_entry(curve, values, params) -> dict:
             "window": list(est.window), "n_points": len(est.per_scale)}
 
 
-def _cmd_estimate(args: argparse.Namespace) -> int:
-    model = build_model(args.dist, **_parse_model_params(args.param))
-    params = _params_from_args(args)
+def _cmd_estimate(args: argparse.Namespace, model, params) -> int:
     curve = build_curve(model, params)
     ests = {name: _estimate_entry(curve, getattr(curve, name), params)
             for name in ("h", "v", "u")}
@@ -199,13 +189,8 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    model = build_model(args.dist, **_parse_model_params(args.param))
-    params = _params_from_args(args)
+def _cmd_verify(args: argparse.Namespace, model, params) -> int:
     report = verify(model, params)
-    pi = report.pi_result and asdict(report.pi_result)
-    if pi:
-        del pi["per_lambda_residuals"]
     text = render_json({
         "model": report.model_name,
         "beta": report.beta,
@@ -213,7 +198,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         "conditions": {name: asdict(cond)
                        for name, cond in report.conditions.items()},
         "gamma": asdict(report.gamma),
-        "pi": pi,
+        "pi": report.pi_result and asdict(report.pi_result),
         "consistent": report.consistent,
         "violations": list(report.violations),
         "params": asdict(params),
@@ -230,10 +215,13 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_ERROR
-    handlers = {"list": _cmd_list, "curve": _cmd_curve,
-                "estimate": _cmd_estimate, "verify": _cmd_verify}
+    analyses = {"curve": _cmd_curve, "estimate": _cmd_estimate,
+                "verify": _cmd_verify}
     try:
-        return handlers[args.command](args)
+        if args.command == "list":
+            return _cmd_list(args)
+        model = build_model(args.dist, **_parse_model_params(args.param))
+        return analyses[args.command](args, model, _params_from_args(args))
     except TailMomentsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

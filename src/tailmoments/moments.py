@@ -110,10 +110,12 @@ def _power_pieces(law, j, xs, xs_pow, beta):
             ln_g = np.where(crit, np.log(log_q), np.maximum(cl, 0.0) - ln_c
                             + np.log(-np.expm1(-np.abs(cl))))
             growth[off] = seg_off = np.exp(ln_level + math.log(beta) + ln_g)
-            # |ln sf| + beta |ln lo|, the two logs that ln_level sums
+            # |ln sf| + beta |ln lo|, the two logs that ln_level sums, and
+            # L's rounding as g scales it, e^cL / g = c + 1 / g (the linear
+            # bound's max(c, 0) and base terms)
             size = (np.abs(ln_level) + abs(math.log(beta)) + 2.0 * np.abs(cl)
                     + 2.0 * beta * np.fmax(np.log(lo[off]), 0.0)
-                    + np.abs(ln_c) + np.abs(ln_g))
+                    + np.abs(ln_c) + np.abs(ln_g) + np.exp(cl - ln_g))
         growth_err[off] = (np.fmax(_EPS * (8.0 + 2.0 * size) * seg_off, 0.0)
                            + 2.0 ** -1074)
     if isinstance(p, slice):
@@ -329,6 +331,12 @@ class MomentCurve:
     r2: np.ndarray
     quad_error: np.ndarray
 
+    @property
+    def columns(self) -> dict[str, np.ndarray]:
+        """The arrays by their output names (CSV header, JSON keys), in order."""
+        return {"x": self.grid, "h": self.h, "v": self.v, "u": self.u,
+                "r1": self.r1, "r2": self.r2, "quad_error": self.quad_error}
+
 
 def build_curve(model: TailModel, params: AnalysisParams) -> MomentCurve:
     """Evaluate h, v, u and the shares r1, r2 across the analysis grid.
@@ -366,8 +374,7 @@ def build_curve(model: TailModel, params: AnalysisParams) -> MomentCurve:
 
 
 def curve_to_csv(curve: MomentCurve) -> str:
-    """Render a curve as CSV with full float precision."""
-    cols = (curve.grid, curve.h, curve.v, curve.u, curve.r1, curve.r2,
-            curve.quad_error)
-    rows = zip(*(map(repr, col.tolist()) for col in cols))
-    return "x,h,v,u,r1,r2,quad_error\n" + "\n".join(map(",".join, rows)) + "\n"
+    """Render a curve's columns as CSV with full float precision."""
+    cols = curve.columns
+    rows = zip(*(map(repr, col.tolist()) for col in cols.values()))
+    return ",".join(cols) + "\n" + "\n".join(map(",".join, rows)) + "\n"

@@ -368,6 +368,29 @@ def test_verify_handles_infinite_gamma(capsys, table_factory):
     json.dumps(doc)  # proves no bare Infinity leaked into the document
 
 
+def test_a_series_with_no_estimate_is_an_error_entry(capsys, table_factory):
+    # a constant tail has v = 0 on the whole grid: estimate names why v has no
+    # index, and verify reports rho = beta with no de Haan result
+    path = table_factory([(1.0, 1.0), (10.0, 1.0)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the table is held past its last row
+        code, out, _ = run(capsys, "estimate", "--dist", "tabulated",
+                           "--param", f"path={path}", "--beta", "1")
+        assert code == 0
+        doc = json.loads(out)
+        code, out, _ = run(capsys, "verify", "--dist", "tabulated",
+                           "--param", f"path={path}", "--beta", "2")
+    assert doc["estimates"]["v"] == {
+        "error": "fewer than 2 strictly positive samples"}
+    assert math.isclose(doc["tail_index"], 0.0, abs_tol=1e-12)  # u = x
+    assert code == 0
+    report = json.loads(out)
+    assert (report["regime"], report["gamma"]["gamma_hat"], report["pi"],
+            report["consistent"]) == ("rho_beta", "inf", None, True)
+    assert report["conditions"]["v_rv"] == {
+        "estimate": None, "spread": "inf", "verdict": "undecided"}
+
+
 # ---------------------------------------------------------------------------
 # errors and usage
 

@@ -970,6 +970,76 @@ def test_power_pieces_whose_level_underflows_are_read_through_logs(
             assert abs(mpmath.mpf(c.u[k]) - u_exact) <= 1e-12 * u_exact
 
 
+def _pareto_h(alpha, floor, beta, x):
+    """h of make_pareto(alpha, x_floor=floor) at order beta at x >= floor, as
+    a 60-digit mpf of the floats given."""
+    with mpmath.workdps(60):
+        floor, x, c = mpmath.mpf(floor), mpmath.mpf(x), mpmath.mpf(beta) - alpha
+        return floor ** beta + beta * floor ** alpha * (x ** c - floor ** c) / c
+
+
+_FLOOR_1000 = math.exp((math.log(sys.float_info.max) - math.log(500.0)) / 1000.0)
+
+
+@pytest.mark.parametrize("alpha, floor, beta, x", [
+    # c L ~ 100 at c ~ 1e13: the rounding of L = ln(x / x_0) puts h 7e-9
+    # off, 15,466 times a bound without its term
+    (1.0, math.exp(-736.8 / 1e13), 1e13, math.exp(-736.8 / 1e13) * (1 + 1e-11)),
+    # x_0^beta beta ~ 2 DBL_MAX, L ~ 1e-14: the rounding of L moves the
+    # piece by ~1e-2 (1 / g), 155 times such a bound, whatever the sign of c
+    (0.5, _FLOOR_1000, 1000.0, _FLOOR_1000 * (1 + 1e-14)),
+    (1003.0, _FLOOR_1000, 1000.0, _FLOOR_1000 * (1 + 1e-14))])
+def test_a_piece_read_through_logs_bounds_the_rounding_of_its_length(
+        alpha, floor, beta, x):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        h, err = compute_h(make_pareto(alpha, x_floor=floor), beta, x)
+    assert abs(mpmath.mpf(h) - _pareto_h(alpha, floor, beta, x)) <= err < 1e-2 * h
+
+
+@pytest.mark.parametrize("beta", [100.0, 1000.0])
+def test_a_subnormal_level_under_a_normal_scaled_level_is_read_through_logs(
+        beta):
+    # x_0^beta = 3 TINY / beta is subnormal, and x_0^beta beta ~ 3 TINY is
+    # normal: read linearly, the level's lost digits put h 1.29 (beta = 100)
+    # and 3.57 (beta = 1000) bounds off; through logs, inside its bound
+    floor = math.exp(math.log(3.0 * sys.float_info.min / beta) / beta)
+    x = 1.5 * floor
+    h, err = compute_h(make_pareto(beta - 0.5, x_floor=floor), beta, x)
+    assert abs(mpmath.mpf(h) - _pareto_h(beta - 0.5, floor, beta, x)) <= err
+
+
+def test_u_on_a_flat_piece_with_a_subnormal_level_is_the_stated_level(
+        table_factory):
+    # past the last row the table holds its level 1e-310: u is 1e5 * 1e-310
+    # as stated, not 9.999999999999578e-306 through logs
+    m = load_tabulated(table_factory([(1.0, 1.0), (10.0, 1e-310)]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ExtrapolationWarning)
+        assert compute_u(m, 1.0, 1e5) == 1e5 * 1e-310
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 16: the levels 2^(-1.5 k) are subnormal past ~2e205 and 0 "
+    "past ~5.5e215, so the curve reads the float law's h, not the formula's"))
+def test_staircase_levels_past_the_normal_range_are_the_formula():
+    # the atom sum with exact levels: h = (2^1.5 - 1) 1023 + u, u = 2.601
+    m = make_geometric_tail(1.5, 2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        c = build_curve(m, AnalysisParams(beta=1.5, x_min=1.0, x_max=1.7e308,
+                                          points_per_decade=8))
+    x = c.grid[-1]
+    with mpmath.workdps(40):
+        two, v, k = mpmath.mpf(2), mpmath.mpf(0), 1
+        while two ** k <= x:  # the atom at 2^k drops the level by its jump
+            v += two ** (1.5 * k) * (two ** (-1.5 * (k - 1)) - two ** (-1.5 * k))
+            k += 1
+        u = mpmath.mpf(x) ** 1.5 * two ** (-1.5 * (k - 1))
+    assert abs(mpmath.mpf(c.h[-1]) - (u + v)) <= c.quad_error[-1]
+    assert abs(mpmath.mpf(c.u[-1]) - u) <= 1e-12 * u
+
+
 @pytest.mark.parametrize("model, beta_g, p, beta, x", [
     (make_st_petersburg(), 1.0, 2.0, 2.0, 1e300),
     (make_geometric_tail(1.0, 2.0), 1.0, 2.0, 2.0, 1e300),

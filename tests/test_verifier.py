@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 
 import pytest
@@ -18,7 +19,8 @@ from tailmoments.asymptotics import (GammaResult, PiTestResult, _series_stats,
 from tailmoments.catalog import (load_tabulated, make_geometric_tail,
                                  make_inverse_log, make_log_pareto,
                                  make_pareto, make_st_petersburg)
-from tailmoments.errors import (AdmissionError, InsufficientDataError,
+from tailmoments.errors import (AdmissionError, ExtrapolationWarning,
+                               IndeterminateError, InsufficientDataError,
                                TailMomentsError)
 from tailmoments.moments import build_curve
 from tailmoments.params import AnalysisParams
@@ -99,6 +101,27 @@ def test_indeterminate_regime_reports_none():
     assert r.regime == "indeterminate"
     assert r.consistent is None
     assert r.violations == ()
+
+
+@pytest.mark.parametrize("beta", [1.0, 2.0])
+def test_a_constant_tail_is_all_boundary_term(table_factory, beta):
+    # sf = 1, held past the last row: v = 0 and h = u = x^beta everywhere, so
+    # gamma is infinite, v has no estimate, and the de Haan ratio is nowhere
+    # defined (its base step sf(e x) - sf(x / e) is 0), so no pi result
+    m = load_tabulated(table_factory([(1.0, 1.0), (10.0, 1.0)]))
+    params = AnalysisParams(beta=beta, x_max=1e12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ExtrapolationWarning)
+        r = verify(m, params)
+        with pytest.raises(IndeterminateError, match="undefined everywhere"):
+            asymptotics.pi_class_test(m, params)
+    assert r.regime == r.gamma.regime == "rho_beta"
+    assert (r.gamma.gamma_hat, r.gamma.p_hat, r.gamma.rho_hat) == (
+        math.inf, 0.0, beta)
+    assert r.conditions["v_rv"] == ConditionVerdict(
+        verdict="undecided", estimate=None, spread=math.inf)
+    assert r.pi_result is None
+    assert r.consistent is True and r.violations == ()
 
 
 def test_inadmissible_model_raises_before_analysis():
@@ -387,8 +410,7 @@ def _gamma(regime):
 
 
 def _pi(is_member):
-    return PiTestResult(is_member=is_member, c_hat=1.0,
-                        per_lambda_residuals={2.0: 0.0}, n_skipped=0,
+    return PiTestResult(is_member=is_member, c_hat=1.0, n_skipped=0,
                         window=(1e9, 1e12), max_residual_rel=0.0,
                         ell_index_hat=None)
 
