@@ -184,9 +184,8 @@ def _log_ratios(plan: ScalePlan, fss):
 
 def rv_statistics(plan: ScalePlan, fss) -> list[tuple[float, float, float] | None]:
     """(rho_hat, spread, trend) of estimate_rv_index for each series of fss
-    over the plan's xs, in one pass with a row per series; None where that
-    needs its own call: a series the plan does not read, or all of them when
-    fewer than _MIN_PAIRS pairs fit."""
+    over the plan's xs, in one pass, a row per series; None for a series with
+    a non-positive sample the plan reads; all when < _MIN_PAIRS pairs fit."""
     if len(plan.x) < _MIN_PAIRS:
         return [None] * len(fss)
     ok, estimates = _log_ratios(plan, fss)
@@ -216,11 +215,11 @@ def estimate_rv_index(xs: np.ndarray, fs: np.ndarray,
     if len(xs) < 2:
         raise InsufficientDataError("fewer than 2 strictly positive samples")
     plan = scale_plan(xs, params)
-    estimate = _log_ratios(plan, (fs,))[1]
     lo, hi = plan.lo, plan.hi
     if len(plan.x) < _MIN_PAIRS:
         raise InsufficientDataError(f"only {len(plan.x)} scale pairs fit the "
                                     f"window [{lo:g}, {hi:g}]; need {_MIN_PAIRS}")
+    estimate = _log_ratios(plan, (fs,))[1]
     (rho_hat, spread, trend), = _row_stats(estimate, plan.x, lo, hi)
     per_scale = np.rec.fromarrays((plan.x, plan.lam, estimate[0], plan.off),
                                   names=("x", "lam", "estimate", "interpolated"))

@@ -191,18 +191,9 @@ def _cmd_estimate(args: argparse.Namespace, model, params) -> int:
 
 def _cmd_verify(args: argparse.Namespace, model, params) -> int:
     report = verify(model, params)
-    text = render_json({
-        "model": report.model_name,
-        "beta": report.beta,
-        "regime": report.regime,
-        "conditions": {name: asdict(cond)
-                       for name, cond in report.conditions.items()},
-        "gamma": asdict(report.gamma),
-        "pi": report.pi_result and asdict(report.pi_result),
-        "consistent": report.consistent,
-        "violations": list(report.violations),
-        "params": asdict(params),
-    })
+    doc = asdict(report)
+    doc["model"], doc["pi"] = doc.pop("model_name"), doc.pop("pi_result")
+    text = render_json({**doc, "params": asdict(params)})
     _write_output(text, args.output)
     if report.consistent is None:
         return EXIT_INDETERMINATE

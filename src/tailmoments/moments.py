@@ -53,7 +53,7 @@ def _powers(xs: np.ndarray, beta: float) -> np.ndarray:
 def _read_law(model: TailModel, beta: float, xs: np.ndarray, pieces=None):
     """x^beta at the increasing xs and the law over them, None without pieces:
     the pieces (from the floor to xs[-1] unless given), each point's piece
-    (-1 below the first knot) and x^beta at each knot, a point's if it is one."""
+    (-1 below the first knot) and _powers(knots), the knots at beta = 1."""
     xs_pow = _powers(xs, beta)
     if model.pieces is None:
         return xs_pow, None
@@ -61,11 +61,7 @@ def _read_law(model: TailModel, beta: float, xs: np.ndarray, pieces=None):
     pos = xs.searchsorted(knots)  # xs[pos - 1] < knot <= xs[pos]
     j = np.repeat(np.arange(-1, len(knots)),  # by the points on each piece
                   np.diff(np.concatenate(([0], pos, [len(xs)]))))
-    near = np.minimum(pos, len(xs) - 1)
-    pows, off = xs_pow[near], xs[near] != knots
-    if off.any():
-        pows[off] = _powers(knots[off], beta)
-    return xs_pow, (knots, sfs, exps, j, pows)
+    return xs_pow, (knots, sfs, exps, j, _powers(knots, beta))
 
 
 def _power_pieces(law, j, xs, xs_pow, beta):

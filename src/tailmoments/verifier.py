@@ -28,10 +28,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .asymptotics import (GammaResult, PiTestResult, _series_stats,
-                          estimate_rv_index, gamma_classification,
-                          has_incommensurable_pair, pi_class_test,
-                          rv_statistics, scale_plan)
+from .asymptotics import (_MIN_PAIRS, GammaResult, PiTestResult,
+                          _series_stats, estimate_rv_index,
+                          gamma_classification, has_incommensurable_pair,
+                          pi_class_test, rv_statistics, scale_plan)
 from .catalog import TailModel
 from .errors import IndeterminateError, InsufficientDataError
 from .moments import MomentCurve, build_curve, check_admission
@@ -63,6 +63,10 @@ class ConditionVerdict:
     verdict: str
     estimate: float | None
     spread: float
+
+
+#: an RV statement with no index estimate: too few pairs or samples
+_NO_ESTIMATE = ConditionVerdict(_UNDECIDED, None, math.inf)
 
 
 @dataclass(frozen=True)
@@ -134,12 +138,13 @@ def verify(model: TailModel, params: AnalysisParams,
 
     def rv(values, stats, index_shift: float = 0.0) -> ConditionVerdict:
         lambdas = plan.lambdas
-        if stats is None:  # not read in the one pass: its own estimate
+        if len(plan.x) < _MIN_PAIRS:  # no plan of fewer samples has more
+            return _NO_ESTIMATE
+        if stats is None:  # a sample the pass reads is not positive: own plan
             try:
                 est = estimate_rv_index(curve.grid, values, params)
             except InsufficientDataError:
-                return ConditionVerdict(verdict=_UNDECIDED, estimate=None,
-                                        spread=math.inf)
+                return _NO_ESTIMATE
             stats, lambdas = (est.rho_hat, est.spread, est.trend), est.lambdas
         return _verdict(stats[0] + index_shift, *stats[1:], params,
                         not truncated and has_incommensurable_pair(lambdas))

@@ -15,13 +15,20 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
 import sys
 
 import pytest
 
 from tailmoments.cli import main
 
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:  # numpy < 2
+    from numpy.core._multiarray_umath import __cpu_features__
+
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 X_MAX = "1e15"
 COMMANDS = ("verify", "estimate", "curve")
 #: relative tolerance for smooth models, in units of the report's rel_tol
@@ -91,6 +98,30 @@ def test_report_matches_golden(case, command, tmp_path):
     old = json.loads(golden)
     _assert_close(json.loads(text), old,
                   SMOOTH_TOL_FACTOR * old["params"]["rel_tol"])
+
+
+#: the AVX-512 targets numpy dispatches to on this CPU
+AVX512 = sorted(name for name, on in __cpu_features__.items()
+                if on and name.startswith("AVX512"))
+
+
+@pytest.mark.skipif(not AVX512, reason=(
+    "this CPU has no AVX-512, so the run above already uses numpy's "
+    "dispatch without it"))
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 14: numpy's kernels without AVX-512 round some last bits "
+    "apart, and 8 goldens fail (5 staircase files, 3 smooth curves)"))
+def test_goldens_hold_without_avx512(tmp_path):
+    # the comparison above, rerun with numpy's AVX-512 targets switched off
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               NPY_DISABLE_CPU_FEATURES=" ".join(AVX512 + ["X86_V4"]))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{os.path.abspath(__file__)}::test_report_matches_golden"],
+        capture_output=True, text=True, timeout=300, env=env, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
 
 
 def _regenerate() -> None:

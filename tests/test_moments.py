@@ -151,17 +151,16 @@ def test_curve_takes_each_scalar_power_once(monkeypatch):
     assert 0 < sum(powers) <= len(curve.grid) + len(knots)
 
 
-def test_curve_takes_no_scalar_power_for_a_knot_on_the_grid(monkeypatch):
-    # all 628 knots 3^k up to 1e300 are grid points, whose powers the law
-    # reuses: one power per grid point and none besides
-    model, params = make_geometric_tail(0.5, 3.0), AnalysisParams(beta=0.5,
-                                                                 x_max=1e300)
-    powers, scalar_powers = [], moments._powers
-    monkeypatch.setattr(moments, "_powers",
-                        lambda xs, beta: powers.append(len(xs))
-                        or scalar_powers(xs, beta))
-    curve = build_curve(model, params)
-    assert sum(powers) == len(curve.grid)
+def test_curve_at_beta_one_leaves_a_tables_knots_as_they_are(power_table):
+    # at beta = 1 the law's knot powers are the knots, a view of the table's
+    # rows: no reader may write to them
+    m = load_tabulated(power_table)
+    knots = m.pieces(m.support_floor, 1e13)[0]
+    rows = knots.copy()
+    params = AnalysisParams(beta=1.0, x_max=1e13)
+    first = build_curve(m, params)
+    assert knots.tobytes() == rows.tobytes()
+    assert build_curve(m, params).h.tobytes() == first.h.tobytes()
 
 
 @pytest.mark.parametrize("model, beta, x_max, ppd, count", [

@@ -201,6 +201,21 @@ def test_verify_judges_each_estimate_by_its_own_lambdas(monkeypatch):
     assert judged == [own[0], own[1], own[0]]
 
 
+def test_verify_with_too_few_pairs_plans_no_series_of_its_own(monkeypatch):
+    # no (lam, x) pair fits 0.3 decades, and a plan of a series' positive
+    # samples holds no pair that the shared plan lacks: h, v and u are
+    # undecided without an estimate of their own
+    calls, estimate = [], verifier.estimate_rv_index
+    monkeypatch.setattr(verifier, "estimate_rv_index",
+                        lambda *args: calls.append(args) or estimate(*args))
+    report = verify(make_pareto(1.5), AnalysisParams(beta=2.0, x_max=1e12,
+                                                     window_decades=0.3))
+    assert len(calls) == 0
+    for name in ("h_rv", "v_rv", "f_rv"):
+        assert report.conditions[name] == ConditionVerdict(
+            verdict="undecided", estimate=None, spread=math.inf), name
+
+
 def _conditions_one_by_one(model, params, curve):
     """The five verdicts as three estimate_rv_index calls and the share
     statistics of r1 compute them, one series at a time."""
