@@ -1,6 +1,7 @@
 """Print what each benchmark operation costs in one process.
 
 Usage: python scripts/opcost.py [--workload sweep] [--seed 3] [--cycles 20]
+                                [--minima]
 
 Runs the build_curve + verify pair of every operation of one in-process
 workload of perfbench/workloads.py (sweep or long-range) for --cycles
@@ -11,6 +12,12 @@ resource.getrusage), as the median per pair and the total. The table model
 is the seeded table of workloads.write_table, in a temporary directory;
 nothing is written under perfbench/.
 
+--minima adds each operation's minimum time next to its median, and a last
+line with the p50 and p90 of all timed pairs, computed as perfbench/run.py
+computes latency_p50_ms and latency_p90_ms. On a shared host the minimum is
+the time that separates two trees op by op: the median moves with the
+other load, the minimum much less.
+
 The fault count repeats exactly for one tree, seed and cycle count when
 hash and address randomisation are off:
 
@@ -18,6 +25,16 @@ hash and address randomisation are off:
 
 Otherwise an operation's total can move by a fault or two. Either way it
 tells two trees apart where wall time on a shared host cannot.
+
+Faults on big ops come from glibc returning its heap to the system when a
+large array is freed and faulting it back on the next op. Pinning the
+allocator's thresholds for this process alone takes them out, and shows
+how much of an op's time is heap state rather than work:
+
+    MALLOC_TRIM_THRESHOLD_=4294967296 MALLOC_MMAP_THRESHOLD_=4294967296 \
+        python scripts/opcost.py --workload long-range
+
+MALLOC_TRIM_THRESHOLD_ alone is enough for the piece ops of long-range.
 """
 
 import argparse
@@ -48,6 +65,7 @@ def main() -> int:
                     default="sweep")
     ap.add_argument("--seed", type=int, default=3)
     ap.add_argument("--cycles", type=int, default=20)
+    ap.add_argument("--minima", action="store_true")
     args = ap.parse_args()
     ops = workloads.ops_for(args.workload)
     with tempfile.TemporaryDirectory() as tmp:
@@ -72,10 +90,17 @@ def main() -> int:
             if cycle:
                 times[i].append(elapsed * 1e3)
                 faults[i].append(took)
-    print(f"{'op':<48} {'median_ms':>9} {'faults':>6} {'total':>7}")
+    least = f" {'min_ms':>9}" if args.minima else ""
+    print(f"{'op':<48} {'median_ms':>9}{least} {'faults':>6} {'total':>7}")
     for op, ms, fs in zip(ops, times, faults):
-        print(f"{op.id:<48} {statistics.median(ms):9.4f} "
+        least = f" {min(ms):9.4f}" if args.minima else ""
+        print(f"{op.id:<48} {statistics.median(ms):9.4f}{least} "
               f"{statistics.median_low(fs):6d} {sum(fs):7d}")
+    if args.minima:
+        lat = [ms for op_ms in times for ms in op_ms]
+        print(f"all {len(lat)} pairs: p50 {statistics.median(lat):.4f} ms, "
+              f"p90 {statistics.quantiles(lat, n=10, method='inclusive')[8]:.4f}"
+              " ms")
     return 0
 
 

@@ -255,6 +255,15 @@ def _series_stats(xs: np.ndarray, ys: np.ndarray, window):
     return (*_row_stats(ys[None, win], xs[win], lo, hi)[0], win)
 
 
+def _geomspace(lo: float, hi: float, n: int) -> np.ndarray:
+    """np.geomspace(lo, hi, n), n >= 2, bit for bit, without its checks."""
+    l0, l1 = np.log10(np.array(lo)), np.log10(np.array(hi))
+    y = np.arange(n) * ((l1 - l0) / (n - 1)) + l0
+    xs = np.power(10.0, y)
+    xs[0], xs[-1] = lo, hi  # so geomspace's y[-1] = l1 is never read
+    return xs
+
+
 def pi_class_test(model: TailModel, params: AnalysisParams) -> PiTestResult:
     """Test membership of the survival function in the de Haan class.
 
@@ -274,25 +283,24 @@ def pi_class_test(model: TailModel, params: AnalysisParams) -> PiTestResult:
         raise IndeterminateError(
             f"window [{lo:g}, {hi:g}] is empty for model {model.name!r}")
     decades = math.log10(hi) - math.log10(lo)  # hi / lo may overflow
-    n_pts = int(math.ceil(decades * params.points_per_decade)) + 1
-    xs = np.geomspace(lo, hi, max(n_pts, 2))
+    n = max(int(math.ceil(decades * params.points_per_decade)) + 1, 2)
+    xs = _geomspace(lo, hi, n)
     lambdas = [l for l in params.lambdas if not math.isclose(l, math.e)]
     if not lambdas:
         raise IndeterminateError("all scale factors coincide with the base e")
-    lams, n = np.array(lambdas)[:, None], len(xs)
+    lams = np.array(lambdas)[:, None]
     sf = model.tail(np.concatenate((xs, math.e * xs, xs / math.e,
                                     (lams * xs).ravel(), (xs / lams).ravel())))
     base = sf[:n], sf[n:2 * n], sf[2 * n:3 * n]  # sf at x, e x, x/e
     r = _centered(*sf[3 * n:].reshape(2, len(lambdas), n), *base)  # row per lam
-    used = ~np.isnan(r)
-    n_skipped = int(r.size - used.sum())
-    residuals = [float(np.max(np.abs(row[ok] - math.log(lam)) / math.log(lam)))
-                 for lam, row, ok in zip(lambdas, r, used) if ok.any()]
-    if not residuals:
+    n_skipped = int(np.count_nonzero(np.isnan(r)))
+    ln = np.array([math.log(lam) for lam in lambdas])[:, None]
+    # the largest residual; fmax passes over the skipped (NaN) points
+    max_rel = float(np.fmax.reduce(np.abs(r - ln) / ln, axis=None))
+    if math.isnan(max_rel):
         raise IndeterminateError(
             f"centered ratio undefined everywhere in [{lo:g}, {hi:g}] "
             f"for model {model.name!r}")
-    max_rel = max(residuals)
     is_member = max_rel <= PI_REL_TOL
 
     # auxiliary-function samples from forward e-steps; sign fixes the gauge c
@@ -303,11 +311,11 @@ def pi_class_test(model: TailModel, params: AnalysisParams) -> PiTestResult:
     pos = ell > 0.0
     ell_index_hat = None
     if pos.sum() >= _MIN_PAIRS:
-        # the least-squares slope by hand: np.polyfit's LAPACK call would
-        # touch ~1 MB of buffers, the only LAPACK use of a report
-        lx, ly = np.log(xs[pos]), np.log(ell[pos])
-        lx -= lx.mean()
-        ell_index_hat = float(np.sum(lx * (ly - ly.mean())) / np.sum(lx * lx))
+        # the least-squares slope by hand (np.polyfit's LAPACK call would
+        # touch ~1 MB of buffers), each sum the one np.sum and .mean call
+        add, lx, ly = np.add.reduce, np.log(xs[pos]), np.log(ell[pos])
+        lx -= add(lx) / len(lx)
+        ell_index_hat = float(add(lx * (ly - add(ly) / len(ly))) / add(lx * lx))
     return PiTestResult(is_member=is_member, c_hat=c_hat,
                         n_skipped=n_skipped, window=(lo, hi),
                         max_residual_rel=max_rel, ell_index_hat=ell_index_hat)

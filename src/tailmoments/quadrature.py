@@ -89,35 +89,35 @@ def integrate_tail(tail: Callable, beta: float, xs,
 
     Steps longer than 4.6/beta log-units, across which e^(beta t) grows past
     ~100x, are pre-split; an interval whose |K - G| exceeds both rel_tol |K|
-    and eps xs[0]^beta is bisected. errs sums those |K - G|, the rule's
-    roundoff (its nodes round by eps |t|), the cumsum's, and the rounding of
-    ln xs[0] and ln x: beta y^beta sf(y) eps |ln y| at each end, y^beta sf(y)
-    being at most xs[0]^beta at the bottom and the value plus xs[0]^beta at
-    the top. Past the interval budget or the depth limit it raises
-    ConvergenceError: before any tail call when the pre-split needs it, else
-    with the partial estimate.
+    and eps xs[0]^beta is bisected. Which step owns each interval is tracked
+    only once a step is split or an interval misses. errs sums those |K - G|,
+    the rule's roundoff (its nodes round by eps |t|), the cumsum's, and the
+    rounding of ln xs[0] and ln x: beta y^beta sf(y) eps |ln y| at each end,
+    y^beta sf(y) being at most xs[0]^beta at the bottom and the value plus
+    xs[0]^beta at the top. Past the interval budget or the depth limit it
+    raises ConvergenceError: before any tail call when the pre-split needs
+    it, else with the partial estimate.
     """
     t = np.log(np.asarray(xs, dtype=float))
     n = len(t) - 1
     with np.errstate(over="ignore", invalid="ignore"):
-        split = np.maximum(np.ceil(beta * np.diff(t) / 4.6), 1.0)
-        if not split.sum() - n <= _MAX_INTERVALS:
-            raise ConvergenceError(
-                f"order {beta:g} on [{xs[0]:g}, {xs[-1]:g}] needs "
-                f"{split.sum():g} intervals, more than the interval budget "
-                f"{_MAX_INTERVALS}")
-        parts = split.astype(int)
-        owner = np.repeat(np.arange(n), parts)
-        if len(owner) == n:  # no step split: the parts are the steps
-            ta, tb = t[:-1], t[1:]
-        else:
+        dt, ta, tb, owner = np.diff(t), t[:-1], t[1:], None  # unsplit steps
+        if not beta * dt.max() / 4.6 <= 1.0:  # the ceil below is 1 otherwise
+            split = np.maximum(np.ceil(beta * dt / 4.6), 1.0)
+            if not split.sum() - n <= _MAX_INTERVALS:
+                raise ConvergenceError(
+                    f"order {beta:g} on [{xs[0]:g}, {xs[-1]:g}] needs "
+                    f"{split.sum():g} intervals, more than the interval "
+                    f"budget {_MAX_INTERVALS}")
+            parts = split.astype(int)
+            owner = np.repeat(np.arange(n), parts)
             part = np.arange(len(owner)) - np.repeat(np.cumsum(parts) - parts,
                                                      parts)
-            ta = t[owner] + np.diff(t)[owner] * (part / split[owner])
+            ta = t[owner] + dt[owner] * (part / split[owner])
             tb = np.append(ta[1:], t[-1])  # a part ends where the next begins
 
-        seg, seg_err = np.zeros(n), np.zeros(n)
-        extra = len(owner) - n
+        seg = seg_err = 0.0
+        extra = len(ta) - n
         lo_pow = np.float64(xs[0]) ** beta
         for depth in range(_MAX_DEPTH + 1):
             k, g = _rule(tail, beta, ta, tb)
@@ -125,6 +125,11 @@ def integrate_tail(tail: Callable, beta: float, xs,
             # h never falls below xs[0]^beta, so a miss under eps of that is
             # rounding (a subnormal integrand's), not an unresolved interval
             done = miss <= np.maximum(rel_tol * np.abs(k), _EPS * lo_pow)
+            if owner is None:  # the intervals are the steps, in order
+                if done.all():  # 0.0 + k: the bincount's sum, signed zero too
+                    seg, seg_err = k + 0.0, miss
+                    break
+                owner = np.arange(n)
             seg += np.bincount(owner[done], k[done], n)
             seg_err += np.bincount(owner[done], miss[done], n)
             rest = ~done

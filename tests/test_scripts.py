@@ -91,6 +91,21 @@ def test_opcost_prints_time_and_faults_of_each_op():
     assert sorted(os.listdir(perfbench)) == before  # no bytecode cache there
 
 
+def test_opcost_minima_adds_each_ops_minimum_and_pooled_percentiles():
+    proc = _run_script("opcost.py", "--workload", "sweep", "--cycles", "2",
+                       "--minima")
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr
+    header, *rows, pooled = [line.split() for line in
+                             proc.stdout.splitlines()]
+    assert header == ["op", "median_ms", "min_ms", "faults", "total"]
+    assert len(rows) == 24
+    assert all(0.0 < float(least) <= float(median)
+               for *_, median, least, _, _ in rows)
+    assert pooled[:4] == ["all", "48", "pairs:", "p50"]
+    p50, p90 = float(pooled[4]), float(pooled[7])
+    assert pooled[5:7] == ["ms,", "p90"] and 0.0 < p50 <= p90
+
+
 def test_edge_audit_finds_no_counterexample():
     proc = _run_script("edge_audit.py", "--seed", "2", "--draws", "60")
     assert "Traceback" not in proc.stderr
