@@ -79,10 +79,11 @@ class TailModel:
     the knots from the one at or below max(lo, support_floor) up to hi, with
     tail(y) = sfs[i] * (y / knots[i]) ** -exps[i] up to the next knot. The
     first knot is the support floor; a knot's float does not depend on lo.
-    A curve reads pieces once, from the floor to x_max; its tail, h and u
-    come off them, and their knots are the only kinks and jumps. A tail
-    without pieces must be continuous above its floor: the floor is its one
-    kink, and quadrature integrates it unsplit.
+    Callers never write to them (the catalog's are read-only). A curve reads
+    pieces once, from the floor to x_max; its tail, h and u come off them,
+    and their knots are the only kinks and jumps. A tail without pieces must
+    be continuous above its floor: the floor is its one kink, and quadrature
+    integrates it unsplit.
     """
 
     name: str
@@ -120,6 +121,11 @@ def _scalar_pow(base: np.ndarray, exp: np.ndarray) -> np.ndarray:
     """
     return np.fromiter(map(math.pow, memoryview(base), memoryview(exp)), float,
                        count=len(base))
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, flagged read-only: a law a model holds is never written."""
+    return tuple(a.setflags(write=False) or a for a in arrays)
 
 
 def _normal(v: np.ndarray) -> np.ndarray:
@@ -201,10 +207,10 @@ def make_pareto(alpha: float, x_floor: float = 1.0) -> TailModel:
     if not (x_floor > 0.0 and math.isfinite(x_floor)):
         raise ModelValidationError(f"x_floor must be positive, got {x_floor!r}")
 
+    law = _read_only(*np.array([[x_floor], [1.0], [alpha]]))  # one piece
     def pieces(lo: float, hi: float):
         n = int(hi >= x_floor)
-        return (np.full(n, x_floor, dtype=float), np.ones(n),
-                np.full(n, alpha, dtype=float))
+        return tuple(a[:n] for a in law)
 
     def closed_form_h(beta: float, x: float) -> float:
         if x <= x_floor:
@@ -242,15 +248,19 @@ def make_geometric_tail(beta_g: float, p: float) -> TailModel:
     # integer parameters would make _floor_log's powers exact big ints
     beta_g, p = float(beta_g), float(p)
 
+    law = _read_only(*np.zeros((3, 0)))
     def pieces(lo: float, hi: float):
-        # k of the knots p^k from the one at or below max(lo, p) up to hi
-        # k as floats equal to the ints: p ** k is the same pow either way
-        ks = (np.arange(max(1, _floor_log(max(lo, p), p)),
-                        _floor_log(hi, p) + 1, dtype=float)
-              if hi >= p else np.zeros(0))
-        ps = np.full(len(ks), p)
-        return (_scalar_pow(ps, ks), _scalar_pow(ps, -beta_g * ks),
-                np.zeros(len(ks)))
+        # the law for k = 1 to the largest k asked yet, one tuple that a call
+        # past it takes afresh (k as floats equal to the ints: the same pow),
+        # sliced from the knot at or below max(lo, p) up to hi
+        nonlocal law
+        known, k1 = law, _floor_log(hi, p) if hi >= p else 0
+        if k1 > len(known[0]):
+            ks, ps = np.arange(1, k1 + 1, dtype=float), np.full(k1, p)
+            known = law = _read_only(_scalar_pow(ps, ks),
+                                     _scalar_pow(ps, -beta_g * ks), np.zeros(k1))
+        k0 = max(1, _floor_log(max(lo, p), p))
+        return tuple(a[k0 - 1:k1] for a in known)
 
     def rho_of(beta: float) -> float | None:
         # only the critical order has a regularly varying truncated moment
@@ -399,6 +409,7 @@ def load_tabulated(path: str) -> TailModel:
     knots, sfs = np.asarray(xs), np.asarray(ts)
     # the log-log slope of each row to the next; held constant past the last
     exps = np.append(-np.diff(np.log(sfs)) / np.diff(np.log(knots)), 0.0)
+    _read_only(knots, sfs, exps)
     warned = [False]  # one-shot flag; benign under concurrent evaluation
 
     def pieces(lo: float, hi: float):

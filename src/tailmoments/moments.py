@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import _HUGE, TailModel, _log_law, _normal, _piece_sf
+from .catalog import _HUGE, TailModel, _log_law, _normal, _piece_sf, _read_only
 from .errors import (AdmissionError, InconsistencyError, ModelEvaluationError,
                      ModelValidationError)
 from .params import AnalysisParams
@@ -39,6 +39,7 @@ _EPS = 2.0 ** -52
 ADMISSION_GROWTH = 10.0
 #: a kink this close (relative) to a grid point takes its place
 _SNAP = 1e-9
+_STEPS: dict[int, np.ndarray] = {}  #: ppd -> steps 10 ** (k / ppd), k >= 1
 
 
 def _powers(xs: np.ndarray, beta: float) -> np.ndarray:
@@ -278,15 +279,22 @@ def build_grid(model: TailModel, params: AnalysisParams,
     max(x_min, support floor) is a grid point. Each kink goes into the slot
     that searchsorted finds among the kept points, O(n + k) for n grid
     points and k kinks, and a repeated point is kept once. A span whose
-    x_max / x_min overflows raises ModelValidationError.
+    x_max / x_min overflows raises ModelValidationError. The steps 10 ** (k /
+    ppd) are held per density for the process's life, read-only, as long as
+    the longest grid at it: numpy's vector power, bits free of the length.
     """
     lo, hi = params.x_min, params.x_max
     if not math.isfinite(hi / lo):
         raise ModelValidationError(
             f"the span [{lo!r}, {hi!r}] is wider than the float range")
-    n = int(math.ceil(math.log10(hi / lo) * params.points_per_decade))
-    grid = lo * 10.0 ** (np.arange(1, n) / params.points_per_decade)
-    grid = np.concatenate(([lo], grid[grid < hi * (1.0 - _SNAP)], [hi]))
+    ppd = params.points_per_decade
+    n = int(math.ceil(math.log10(hi / lo) * ppd))
+    steps = _STEPS.get(ppd, ())
+    if len(steps) < n - 1:  # the longest grid at this density so far
+        steps = _STEPS[ppd] = _read_only(10.0 ** (np.arange(1, n) / ppd))[0]
+    grid = lo * steps[:n - 1]
+    grid = np.concatenate(([lo], grid[:grid.searchsorted(hi * (1.0 - _SNAP))],
+                           [hi]))
     keep = np.concatenate(([True], grid[1:] != grid[:-1]))  # rounded repeats
     kinks = np.asarray(model.breakpoints(lo, hi) if knots is None else knots,
                        dtype=float)

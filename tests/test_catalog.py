@@ -339,6 +339,17 @@ def test_registry_builds_every_family(power_table):
         assert model.tail(model.support_floor * 2) <= 1.0
 
 
+def test_every_law_a_model_holds_is_read_only(power_table):
+    # pieces returns views of the law the model holds: a reader that writes
+    # into one fails loudly instead of changing the model
+    for model in (make_pareto(1.5), make_geometric_tail(0.5, 3.0),
+                  make_st_petersburg(), load_tabulated(power_table)):
+        for law in model.pieces(model.support_floor, 1e12):
+            assert len(law), model.name
+            with pytest.raises(ValueError, match="read-only"):
+                law[0] = 0.5
+
+
 def test_registry_rejects_unknown_model():
     with pytest.raises(ModelValidationError, match="unknown model"):
         build_model("cauchy")

@@ -7,6 +7,11 @@ point reports the anchor plus one partial piece. The kernel must reproduce
 its h and error bound bit for bit. Power pieces have no such reference:
 they are checked against adaptive quadrature and against an exact sum of
 closed-form pieces.
+
+reference_pieces and reference_base_grid are a geometric law's pieces and
+the grid's geometric points as they were taken afresh by every call. The
+law a model holds and the grid steps held per density must give their
+bytes whatever calls came before.
 """
 
 from __future__ import annotations
@@ -19,12 +24,14 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tailmoments.catalog import (load_tabulated, make_geometric_tail,
-                                 make_pareto, make_st_petersburg)
-from tailmoments.moments import (_accumulate, _powers, _read_law,
+import tailmoments.moments as moments
+from tailmoments.catalog import (_floor_log, _scalar_pow, load_tabulated,
+                                 make_geometric_tail, make_pareto,
+                                 make_st_petersburg)
+from tailmoments.moments import (_SNAP, _accumulate, _powers, _read_law,
                                  build_curve, build_grid, compute_h)
 from tailmoments.params import AnalysisParams
 from tailmoments.quadrature import integrate_tail
@@ -210,3 +217,57 @@ def test_table_kernel_agrees_with_quadrature_and_closed_form_sums(case):
             quad_err += value_err[0]
         assert abs(h - math.fsum(closed)) <= err, (x, h, math.fsum(closed), err)
         assert abs(h - quad) <= err + quad_err, (x, h, quad, err, quad_err)
+
+
+def reference_pieces(beta_g, p, lo, hi):
+    """geometric(beta_g, p)'s pieces(lo, hi), its powers taken for this call."""
+    ks = (np.arange(max(1, _floor_log(max(lo, p), p)), _floor_log(hi, p) + 1,
+                    dtype=float) if hi >= p else np.zeros(0))
+    ps = np.full(len(ks), p)
+    return (_scalar_pow(ps, ks), _scalar_pow(ps, -beta_g * ks),
+            np.zeros(len(ks)))
+
+
+def reference_base_grid(lo, hi, ppd):
+    """build_grid's geometric points over [lo, hi] before any kink joins."""
+    n = int(math.ceil(math.log10(hi / lo) * ppd))
+    grid = lo * 10.0 ** (np.arange(1, n) / ppd)
+    grid = np.concatenate(([lo], grid[grid < hi * (1.0 - _SNAP)], [hi]))
+    return grid[np.concatenate(([True], grid[1:] != grid[:-1]))]
+
+
+@pytest.mark.parametrize("ppd", [8, 16, 64, 100])
+@pytest.mark.parametrize("x_min", [1.0, 0.37])
+def test_held_grid_steps_give_the_fresh_grid_bitwise(monkeypatch, ppd, x_min):
+    # short, long, short again: a grid cut from a longer held table, and the
+    # one that grew it, are the grids of a fresh power. The model's one kink
+    # is x_min, which stays a grid point anyway
+    monkeypatch.setattr(moments, "_STEPS", {})
+    model = make_pareto(1.5, x_floor=x_min)
+    for x_max in (1e5, 1e300, 1e12, 3.3e7, 1.7e308 * x_min):
+        params = AnalysisParams(beta=2.0, x_min=x_min, x_max=x_max,
+                                points_per_decade=ppd)
+        assert build_grid(model, params).tobytes() == reference_base_grid(
+            x_min, x_max, ppd).tobytes(), x_max
+    assert not moments._STEPS[ppd].flags.writeable
+
+
+_SPANS = st.lists(st.tuples(st.floats(0.5, 1.7e308), st.floats(0.5, 1.7e308)),
+                  min_size=1, max_size=8)
+
+
+@given(beta_g=st.floats(0.2, 4.0), p=st.floats(1.5, 16.0), spans=_SPANS)
+@example(beta_g=1.0, p=2.0,  # k = 1023, then lo above hi, then hi below p
+         spans=[(1.0, 1e3), (1.0, 1.7e308), (1e20, 1e10), (0.5, 1.9), (3.0, 9.0)])
+@example(beta_g=1.5, p=2.0,  # levels subnormal, then 0, past 2^(1022/1.5)
+         spans=[(1e300, 1.7e308), (1.0, 1e200), (2e205, 7e215)])
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+def test_held_geometric_law_gives_the_fresh_pieces_bitwise(beta_g, p, spans):
+    # one model asked in any order: the held law grows and is sliced, and
+    # every call's arrays are the fresh call's bytes, read-only
+    model = make_geometric_tail(beta_g, p)
+    for lo, hi in spans:
+        got = model.pieces(lo, hi)
+        for held, fresh in zip(got, reference_pieces(beta_g, p, lo, hi)):
+            assert held.tobytes() == fresh.tobytes(), (lo, hi)
+            assert not held.flags.writeable

@@ -3,6 +3,7 @@ import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
+from functools import partial
 
 import mpmath
 import numpy as np
@@ -164,21 +165,26 @@ def test_curve_at_beta_one_leaves_a_tables_knots_as_they_are(power_table):
 
 
 @pytest.mark.parametrize("model, beta, x_max, ppd, count", [
-    (make_pareto(1.5), 2.0, 1e150, 64, 0),
-    (make_pareto(1.5), 2.0, 1e300, 16, 0),
-    (make_geometric_tail(0.5, 3.0), 0.5, 1e300, 64, 1270),
-    (make_st_petersburg(), 1.0, 1e300, 64, 2014)])
+    (partial(make_pareto, 1.5), 2.0, 1e150, 64, 0),
+    (partial(make_pareto, 1.5), 2.0, 1e300, 16, 0),
+    (partial(make_geometric_tail, 0.5, 3.0), 0.5, 1e300, 64, 1256),
+    (partial(make_st_petersburg), 1.0, 1e300, 64, 1992)])
 def test_scalar_powers_are_the_laws_knots_only(monkeypatch, model, beta, x_max,
                                                ppd, count):
     # libm's pow takes only the knots p^k and levels p^(-beta_g k) of a
-    # geometric law, which must be the floats _floor_log compares against;
-    # every per-point power is numpy's vector power
+    # geometric law, which must be the floats _floor_log compares against,
+    # once each from the floor to x_max; every per-point power is numpy's
+    # vector power. The model is built here, so no earlier call has read it
     elements, scalar_pow = [], catalog._scalar_pow
     monkeypatch.setattr(catalog, "_scalar_pow", lambda base, exp:
                         elements.append(len(base)) or scalar_pow(base, exp))
-    params = AnalysisParams(beta=beta, x_max=x_max, points_per_decade=ppd)
-    verify(model, params, build_curve(model, params))
+    m, params = model(), AnalysisParams(beta=beta, x_max=x_max,
+                                        points_per_decade=ppd)
+    verify(m, params, build_curve(m, params))
     assert sum(elements) == count
+    verify(m, params, build_curve(m, params))
+    verify(m, replace(params, x_max=1e200))
+    assert sum(elements) == count  # the held law serves both
 
 
 def test_curve_and_report_read_the_law_once(power_table):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 import os
 import re
 import subprocess
@@ -125,3 +126,33 @@ def test_edge_reproducer_rebuilds_the_curve_of_its_case():
     curve = eval(call, vars(tailmoments))
     assert curve.model_name == "geometric(beta_g=1.5,p=2)"
     assert curve.grid[0] == 1.0 and curve.grid[-1] == 1.7e308
+
+
+def test_pairs_summarises_runs_by_each_metrics_direction():
+    # canned run records: perfbench is not run. Pair 4 lost its parent run
+    spec = importlib.util.spec_from_file_location(
+        "pairs", os.path.join(ROOT, "scripts", "pairs.py"))
+    pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(pairs)
+
+    def run(pair, side, p50, rate):
+        return {"pair": pair, "side": side, "result": {
+            "correct": True, "attempted": 10, "failed": 1, "metrics": {
+                "latency_p50_ms": {"value": p50, "unit": "ms"},
+                "reports_per_s": {"value": rate, "unit": "1/s"}}}}
+
+    records = [run(1, "parent", 1.2, 800), run(1, "change", 1.0, 795),
+               run(2, "change", 0.9, 850), run(2, "parent", 1.1, 790),
+               run(3, "parent", 1.3, 780), run(3, "change", 1.25, 770),
+               {"pair": 4, "side": "parent", "result": None},
+               run(4, "change", 0.1, 1e4)]
+    head, columns, p50, rate, failed = pairs.summary(records, {
+        "latency_p50_ms": "lower", "reports_per_s": "higher",
+        "failed_frac": "lower"})
+    assert head == "3 complete pairs; correct: parent 3/3, change 3/3"
+    assert columns.split()[:2] == ["metric", "parent"]
+    assert p50.split() == ["latency_p50_ms", "1.2", "[1.15,", "1.25]", "1",
+                           "[0.95,", "1.125]", "-16.7%", "3/3", "yes"]
+    assert rate.split() == ["reports_per_s", "790", "[785,", "795]", "795",
+                            "[782.5,", "822.5]", "+0.6%", "1/3", "no"]
+    assert failed.split()[-3:] == ["+0.0%", "0/3", "no"]
