@@ -82,8 +82,7 @@ class TailModel:
     Callers never write to them (the catalog's are read-only). A curve reads
     pieces once, from the floor to x_max; its tail, h and u come off them,
     and their knots are the only kinks and jumps. A tail without pieces must
-    be continuous above its floor: the floor is its one kink, and quadrature
-    integrates it unsplit.
+    be continuous above its floor, its one kink; quadrature takes it unsplit.
     """
 
     name: str
@@ -250,9 +249,8 @@ def make_geometric_tail(beta_g: float, p: float) -> TailModel:
 
     law = _read_only(*np.zeros((3, 0)))
     def pieces(lo: float, hi: float):
-        # the law for k = 1 to the largest k asked yet, one tuple that a call
-        # past it takes afresh (k as floats equal to the ints: the same pow),
-        # sliced from the knot at or below max(lo, p) up to hi
+        # one tuple, the law for k = 1 to the largest k yet (float k: the same
+        # pow), sliced from the knot at or below max(lo, p) up to hi
         nonlocal law
         known, k1 = law, _floor_log(hi, p) if hi >= p else 0
         if k1 > len(known[0]):

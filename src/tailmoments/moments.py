@@ -40,6 +40,7 @@ ADMISSION_GROWTH = 10.0
 #: a kink this close (relative) to a grid point takes its place
 _SNAP = 1e-9
 _STEPS: dict[int, np.ndarray] = {}  #: ppd -> steps 10 ** (k / ppd), k >= 1
+_DENSITIES_HELD = 8  #: a new density past this many clears _STEPS
 
 
 def _powers(xs: np.ndarray, beta: float) -> np.ndarray:
@@ -280,8 +281,8 @@ def build_grid(model: TailModel, params: AnalysisParams,
     that searchsorted finds among the kept points, O(n + k) for n grid
     points and k kinks, and a repeated point is kept once. A span whose
     x_max / x_min overflows raises ModelValidationError. The steps 10 ** (k /
-    ppd) are held per density for the process's life, read-only, as long as
-    the longest grid at it: numpy's vector power, bits free of the length.
+    ppd), bits free of the length, are held read-only for _DENSITIES_HELD
+    densities at most, each as long as the longest grid built at it.
     """
     lo, hi = params.x_min, params.x_max
     if not math.isfinite(hi / lo):
@@ -289,8 +290,10 @@ def build_grid(model: TailModel, params: AnalysisParams,
             f"the span [{lo!r}, {hi!r}] is wider than the float range")
     ppd = params.points_per_decade
     n = int(math.ceil(math.log10(hi / lo) * ppd))
-    steps = _STEPS.get(ppd, ())
-    if len(steps) < n - 1:  # the longest grid at this density so far
+    steps = _STEPS.get(ppd)
+    if steps is None or len(steps) < n - 1:  # the longest grid at it so far
+        if steps is None and len(_STEPS) >= _DENSITIES_HELD:
+            _STEPS.clear()  # a sweep over densities holds no more than that
         steps = _STEPS[ppd] = _read_only(10.0 ** (np.arange(1, n) / ppd))[0]
     grid = lo * steps[:n - 1]
     grid = np.concatenate(([lo], grid[:grid.searchsorted(hi * (1.0 - _SNAP))],

@@ -25,7 +25,7 @@ class AnalysisParams:
     beta              order of the truncated moment under study (> 0)
     lambdas           scale factors for ratio estimators (each > 1)
     x_min, x_max      analysis range (0 < x_min < x_max)
-    points_per_decade geometric grid density (>= 8)
+    points_per_decade geometric grid density (>= 8; build_grid holds steps)
     rel_tol           relative quadrature tolerance, in [1e-13, 1e-4]
     eps_rho           tolerance used when comparing index estimates and
                       classifying boundary regimes

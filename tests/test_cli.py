@@ -7,7 +7,7 @@ import warnings
 
 import pytest
 
-from tailmoments import cli
+from tailmoments import cli, moments
 from tailmoments.cli import _params_from_args, build_parser, main, render_json
 from tailmoments.params import AnalysisParams
 
@@ -130,6 +130,18 @@ def test_verify_inadmissible_exits_one(capsys):
     assert code == 1
     assert out == ""
     assert "finite moment" in err
+
+
+def test_curve_over_a_span_shorter_than_one_grid_step_is_inadmissible(
+        capsys, monkeypatch):
+    # no grid steps held at any density: the first grid here takes none
+    monkeypatch.setattr(moments, "_STEPS", {})
+    code, out, err = run(capsys, "curve", "--dist", "pareto", "--param",
+                         "alpha=1.5", "--beta", "2", "--x-max", "1.1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: model 'pareto(alpha=1.5,x_floor=1)' looks "
+                          "like it has a finite moment of order 2")
 
 
 def test_verify_false_tail_condition_exits_zero(capsys):

@@ -252,6 +252,28 @@ def test_held_grid_steps_give_the_fresh_grid_bitwise(monkeypatch, ppd, x_min):
     assert not moments._STEPS[ppd].flags.writeable
 
 
+@pytest.mark.parametrize("x_max", [1.01, 1.1, 1.2])
+def test_a_span_of_one_step_at_a_new_density_is_the_fresh_grid(monkeypatch,
+                                                                  x_max):
+    # x_max / x_min at or below 10^(1/ppd): no geometric point between, and
+    # no table held yet at this density
+    monkeypatch.setattr(moments, "_STEPS", {})
+    params = AnalysisParams(beta=2.0, x_max=x_max, points_per_decade=16)
+    assert build_grid(make_pareto(1.5), params).tobytes() == \
+        reference_base_grid(1.0, x_max, 16).tobytes()
+
+
+def test_a_sweep_over_densities_holds_a_bounded_number_of_tables(monkeypatch):
+    monkeypatch.setattr(moments, "_STEPS", {})
+    model = make_pareto(1.5)
+    for ppd in range(8, 8 + 3 * moments._DENSITIES_HELD):
+        params = AnalysisParams(beta=2.0, x_max=1e300, points_per_decade=ppd)
+        assert build_grid(model, params).tobytes() == reference_base_grid(
+            1.0, 1e300, ppd).tobytes(), ppd
+        assert ppd in moments._STEPS
+        assert len(moments._STEPS) <= moments._DENSITIES_HELD
+
+
 _SPANS = st.lists(st.tuples(st.floats(0.5, 1.7e308), st.floats(0.5, 1.7e308)),
                   min_size=1, max_size=8)
 
