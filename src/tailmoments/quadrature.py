@@ -20,7 +20,7 @@ from .errors import ConvergenceError, ModelEvaluationError
 
 _EPS = 2.0 ** -52
 _MAX_DEPTH = 20
-#: intervals that pre-splitting and bisection may add beyond one per step
+#: intervals that bisection may add beyond one per step
 _MAX_INTERVALS = 2 ** 15
 #: intervals per array call of the tail, 15 nodes each
 _BLOCK = 512
@@ -87,37 +87,20 @@ def integrate_tail(tail: Callable, beta: float, xs,
     of the increasing, positive, finite xs (two points at least), as arrays
     (values, errs) aligned with xs[1:].
 
-    Steps longer than 4.6/beta log-units, across which e^(beta t) grows past
-    ~100x, are pre-split; an interval whose |K - G| exceeds both rel_tol |K|
-    and eps xs[0]^beta is bisected. Which step owns each interval is tracked
-    only once a step is split or an interval misses. errs sums those |K - G|,
-    the rule's roundoff (its nodes round by eps |t|), the cumsum's, and the
-    rounding of ln xs[0] and ln x: beta y^beta sf(y) eps |ln y| at each end,
-    y^beta sf(y) being at most xs[0]^beta at the bottom and the value plus
-    xs[0]^beta at the top. Past the interval budget or the depth limit it
-    raises ConvergenceError: before any tail call when the pre-split needs
-    it, else with the partial estimate.
+    Every step enters the first pass whole, and an interval whose |K - G|
+    exceeds both rel_tol |K| and eps xs[0]^beta is bisected; which step owns
+    each interval is tracked only once an interval misses. errs sums
+    those |K - G|, the rule's roundoff (its nodes round by eps |t|), the
+    cumsum's, and the rounding of ln xs[0] and ln x: beta y^beta sf(y) eps
+    |ln y| at each end, y^beta sf(y) being at most xs[0]^beta at the bottom
+    and the value plus xs[0]^beta at the top. Past the interval budget or
+    the depth limit it raises ConvergenceError with the partial estimate.
     """
     t = np.log(np.asarray(xs, dtype=float))
     n = len(t) - 1
     with np.errstate(over="ignore", invalid="ignore"):
-        dt, ta, tb, owner = np.diff(t), t[:-1], t[1:], None  # unsplit steps
-        if not beta * dt.max() / 4.6 <= 1.0:  # the ceil below is 1 otherwise
-            split = np.maximum(np.ceil(beta * dt / 4.6), 1.0)
-            if not split.sum() - n <= _MAX_INTERVALS:
-                raise ConvergenceError(
-                    f"order {beta:g} on [{xs[0]:g}, {xs[-1]:g}] needs "
-                    f"{split.sum():g} intervals, more than the interval "
-                    f"budget {_MAX_INTERVALS}")
-            parts = split.astype(int)
-            owner = np.repeat(np.arange(n), parts)
-            part = np.arange(len(owner)) - np.repeat(np.cumsum(parts) - parts,
-                                                     parts)
-            ta = t[owner] + dt[owner] * (part / split[owner])
-            tb = np.append(ta[1:], t[-1])  # a part ends where the next begins
-
+        ta, tb, owner, extra = t[:-1], t[1:], None, 0  # the steps, whole
         seg = seg_err = 0.0
-        extra = len(ta) - n
         lo_pow = np.float64(xs[0]) ** beta
         for depth in range(_MAX_DEPTH + 1):
             k, g = _rule(tail, beta, ta, tb)

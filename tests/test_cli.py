@@ -306,8 +306,10 @@ def test_staircase_past_the_float_range_of_x_beta_gives_its_report(
     ("--dist", "pareto", "--param", "alpha=0.5"),
 ])
 def test_huge_order_is_a_clean_error(model_args):
-    # quadrature built ceil(beta * dt / 4.6) segment bounds before it could
-    # exhaust its interval budget: at beta = 1e300 the run never ended
+    # at beta = 1e300, x^beta leaves the float range above x = 1: the
+    # quadrature's first block names the overflow, and so does the piece
+    # curve. A split of each step into ceil(beta * dt / 4.6) segments, made
+    # before any tail call, once never ended here
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
 import mpmath
@@ -12,7 +13,7 @@ from tailmoments.errors import (AdmissionError, ConvergenceError,
                                 ModelEvaluationError)
 from tailmoments.moments import build_curve, compute_h
 from tailmoments.params import AnalysisParams
-from tailmoments.quadrature import _MAX_INTERVALS, integrate_tail
+from tailmoments.quadrature import integrate_tail
 
 
 def _one_step(tail, beta, a, b, rel_tol=1e-10):
@@ -64,23 +65,57 @@ def test_budget_exhaustion_raises_with_partial_estimate():
     assert exc.value.err >= 0.0
 
 
-def test_order_past_the_interval_budget_fails_before_evaluating():
-    # ceil(beta * 10 / 4.6) segments over ten log-units; each accepts at
-    # least one interval, so past the budget the run cannot converge
-    below = 4.6 * _MAX_INTERVALS / 10.0 - 1.0
-    # the weight e^(beta t) underflows to 0 here: one interval per segment
-    assert _one_step(lambda y: 1.0, below, math.exp(-20.0),
-                     math.exp(-10.0)) == (0.0, 0.0)
-    calls = []
+@pytest.mark.parametrize("beta", [15_000.0, 1e300])
+def test_a_huge_order_ends_after_one_pass_in_little_memory(beta):
+    # a step of ten log-units enters the rule whole at any order: where the
+    # weight e^(beta t) underflows across it the result is 0 in one pass, and
+    # where it overflows the first block names the bad node. An a-priori
+    # split of ceil(beta dt / 4.6) parts once took 3e300 intervals here
+    sizes = []
 
     def tail(y):
-        calls.append(y)
-        return 1.0
+        sizes.append(np.size(y))
+        return np.ones_like(y)
 
-    for beta in (below + 2.0, 1e300):
-        with pytest.raises(ConvergenceError, match="interval budget"):
-            _one_step(tail, beta, math.exp(-20.0), math.exp(-10.0))
-    assert calls == []
+    tracemalloc.start()
+    try:
+        assert _one_step(tail, beta, math.exp(-20.0),
+                         math.exp(-10.0)) == (0.0, 0.0)
+        assert sizes == [15]
+        with pytest.raises(ModelEvaluationError, match="non-finite value inf"):
+            _one_step(tail, beta, math.exp(10.0), math.exp(20.0))
+        assert sizes == [15, 15]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def _inverse_log_h(beta, x):
+    """h of sf = 1/ln y (floor e) at x > e in 40 digits: e^beta + beta
+    (li(x^beta) - li(e^beta))."""
+    with mpmath.workdps(40):
+        b, e = mpmath.mpf(beta), mpmath.e
+        return e ** b + b * (mpmath.li(mpmath.mpf(x) ** b) - mpmath.li(e ** b))
+
+
+@pytest.mark.parametrize("beta, x_min, x_max", [(5.0, 1e30, 1e40),
+                                                (1.0, 1e10, 1e15),
+                                                (2.0, None, 1e100)])
+def test_steps_far_above_the_floor_are_bisected_to_within_the_bound(
+        beta, x_min, x_max):
+    # the first step, from the floor e to x_min, spans beta * ln(x_min / e)
+    # up to 345 in the weight's log; the rule takes it whole and bisects it
+    model = make_inverse_log()
+    if x_min is None:
+        xs, (h, err) = [x_max], compute_h(model, beta, x_max)
+        hs, errs = [h], [err]
+    else:
+        curve = build_curve(model, AnalysisParams(beta=beta, x_min=x_min,
+                                                  x_max=x_max))
+        xs, hs, errs = curve.grid, curve.h, curve.quad_error
+    for x, h, err in zip(xs, hs, errs):
+        assert abs(mpmath.mpf(h) - _inverse_log_h(beta, x)) <= err, x
 
 
 def test_tail_is_read_at_the_left_end_itself():

@@ -3,8 +3,10 @@
 reference_integrate_tail is that loop, kept as it was: it always forms the
 split counts and the owner of each interval, starts both sums at zeros and
 adds every pass's resolved intervals into them by np.bincount, whether or
-not a step was split or an interval missed. integrate_tail must return the
-same (values, errs) bit for bit, and raise the same errors.
+not a step was split or an interval missed. It also splits, before any tail
+call, each step longer than 4.6/beta log-units, as integrate_tail once did;
+integrate_tail refines by bisection alone. On the cases here it must return
+the same (values, errs) bit for bit, and raise the same errors.
 """
 
 from __future__ import annotations
@@ -106,12 +108,15 @@ _CASES = {
     # one pass, no step split and none bisected: what every smooth bench op runs
     "one-pass": (make_inverse_log().tail, 1.0,
                  _grid(make_inverse_log(), 1.0, 1e12), 1e-10, "one"),
-    # beta 40 at 16 points per decade: every step is cut in two
-    "pre-split": (make_inverse_log().tail, 40.0,
-                  _grid(make_inverse_log(), 40.0, 1e7), 1e-10, "more"),
-    # three decades per step at rel_tol 1e-12: some steps are bisected
+    # beta 40 at 16 points per decade: the reference cuts every step in two
+    # before the first pass, and bisection reaches the same halves
+    "split-by-bisection": (make_inverse_log().tail, 40.0,
+                           _grid(make_inverse_log(), 40.0, 1e7), 1e-10,
+                           "more"),
+    # 1.45 decades per step, short of the reference's split, at rel_tol
+    # 1e-12: some steps are bisected
     "bisects": (make_log_pareto(1.5, 2.0).tail, 1.0,
-                np.geomspace(np.e, 1e12, 5), 1e-12, "more"),
+                np.geomspace(np.e, 1e12, 9), 1e-12, "more"),
     # the tail is 0 past 100, and the steps there give K = 0.0
     "zero-tail": (_zero_above_100, 1.0, np.geomspace(1.0, 1e4, 33), 1e-10,
                   "one"),
@@ -124,6 +129,11 @@ def test_the_signed_zero_case_has_negative_zero_steps():
     tail, beta, xs = _CASES["signed-zero"][:3]
     k = _rule(tail, beta, np.log(xs[:-1]), np.log(xs[1:]))[0]
     assert np.signbit(k[0]) and k[0] == 0.0
+
+
+def test_the_bisects_case_is_short_of_the_reference_split():
+    _, beta, xs = _CASES["bisects"][:3]
+    assert beta * np.diff(np.log(xs)).max() < 4.6
 
 
 @pytest.mark.parametrize("case", list(_CASES))
@@ -153,18 +163,24 @@ def _error(integrate, tail, beta, xs, rel_tol):
     # non-finite integrand: the first bad node in step order is named
     (lambda y: np.where(y > 50.0, np.nan, 1.0 / y), 1.0,
      np.geomspace(1.0, 1e4, 33), 1e-10),
-    # the pre-split alone needs more intervals than the budget: no tail call
-    (lambda y: 1.0 / y, 1e4, np.array([1.0, 1e300]), 1e-10),
     # a jump inside a step is never resolved: the depth limit, with the
     # partial estimate and its error attached
     (lambda y: np.where(y < 3.3, 1.0, 0.5), 1.0, np.array([1.0, 10.0]),
      1e-10),
-], ids=["non-finite", "pre-split-budget", "depth"])
+], ids=["non-finite", "depth"])
 def test_integrate_tail_raises_as_the_owner_loop(tail, beta, xs, rel_tol):
     got = _error(integrate_tail, tail, beta, xs, rel_tol)
     want = _error(reference_integrate_tail, tail, beta, xs, rel_tol)
     assert repr(got) == repr(want)  # float repr round-trips: the same bits
-    if beta == 1e4:
-        assert got[4] == 0
     if "exhausted" in got[1]:
         assert got[2] is not None and got[3] is not None
+
+
+def test_an_order_past_the_old_split_budget_overflows_in_one_block():
+    # the reference's split needs 1.5e6 intervals here and refuses before
+    # any tail call; the one step enters the rule whole, and its weight
+    # e^(beta t) overflows in the first block
+    got = _error(integrate_tail, lambda y: 1.0 / y, 1e4,
+                 np.array([1.0, 1e300]), 1e-10)
+    assert got == (ModelEvaluationError, "integrand returned non-finite value"
+                   " inf at log-point t=2.951210262357495", None, None, 1)
