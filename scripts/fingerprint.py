@@ -43,18 +43,24 @@ def digest(model, params) -> str:
     return h.hexdigest()
 
 
-def main() -> int:
-    ap = argparse.ArgumentParser()
-    ap.add_argument("--seed", type=int, default=3)
-    args = ap.parse_args()
+def distinct_ops() -> list:
+    """The first operation of each distinct key over every workload, in
+    workload order."""
     ops = {}
     for workload in workloads.WORKLOADS:
         for op in workloads.ops_for(workload):
             ops.setdefault((op.dist, op.params, op.beta, op.x_max, op.ppd), op)
+    return list(ops.values())
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser()
+    ap.add_argument("--seed", type=int, default=3)
+    args = ap.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
         table = os.path.join(tmp, "table.csv")
         workloads.write_table(table, args.seed)
-        for op in ops.values():
+        for op in distinct_ops():
             model = (load_tabulated(table) if op.dist == "tabulated"
                      else build_model(op.dist, **dict(op.params)))
             params = AnalysisParams(beta=op.beta, x_max=op.x_max,

@@ -107,6 +107,29 @@ def test_opcost_minima_adds_each_ops_minimum_and_pooled_percentiles():
     assert pooled[5:7] == ["ms,", "p90"] and 0.0 < p50 <= p90
 
 
+def test_opcost_counts_repeat_across_runs():
+    def table():
+        proc = _run_script("opcost.py", "--counts", "--seed", "3")
+        assert proc.returncode == 0 and "Traceback" not in proc.stderr
+        header, *rows = [line.rsplit(None, 9) for line in
+                         proc.stdout.splitlines()]
+        assert header == ["op", "tail_calls", "tail_points", "rule_passes",
+                          "rule_intervals", "grid_points", "kinks",
+                          "pow_calls", "pow_elements", "peak_bytes"]
+        return [(op.rstrip(), *map(int, counts)) for op, *counts in rows]
+
+    first, second = table(), table()
+    assert len(first) == 35
+    # every count repeats; the peak up to a small Python object
+    assert [row[:-1] for row in first] == [row[:-1] for row in second]
+    assert all(abs(a[-1] - b[-1]) <= 256 for a, b in zip(first, second))
+    # no benchmark op bisects: each smooth one takes one rule pass, as
+    # inverse_log to 1e300 over its 4,794 grid steps above the floor e
+    assert {row[3] for row in first} == {0, 1}
+    by_op = {row[0]: row[3:6] for row in first}
+    assert by_op["inverse_log b=1 x=1e+300"] == (1, 4794, 4802)
+
+
 def test_edge_audit_finds_no_counterexample():
     proc = _run_script("edge_audit.py", "--seed", "2", "--draws", "60")
     assert "Traceback" not in proc.stderr
