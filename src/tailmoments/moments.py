@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import _HUGE, TailModel, _log_law, _normal, _piece_sf, _read_only
+from .catalog import (_HUGE, TailModel, _log_law, _normal, _piece_sf,
+                      _read_only, _scalar_pow)
 from .errors import (AdmissionError, InconsistencyError, ModelEvaluationError,
                      ModelValidationError)
 from .params import AnalysisParams
@@ -281,8 +282,10 @@ def build_grid(model: TailModel, params: AnalysisParams,
     that searchsorted finds among the kept points, O(n + k) for n grid
     points and k kinks, and a repeated point is kept once. A span whose
     x_max / x_min overflows raises ModelValidationError. The steps 10 ** (k /
-    ppd), bits free of the length, are held read-only for _DENSITIES_HELD
-    densities at most, each as long as the longest grid built at it.
+    ppd) are libm's pow per element, so their bits depend neither on the
+    length nor on numpy's SIMD dispatch; they are held read-only for
+    _DENSITIES_HELD densities at most, each as long as the longest grid
+    built at it.
     """
     lo, hi = params.x_min, params.x_max
     if not math.isfinite(hi / lo):
@@ -294,7 +297,8 @@ def build_grid(model: TailModel, params: AnalysisParams,
     if steps is None or len(steps) < n - 1:  # the longest grid at it so far
         if steps is None and len(_STEPS) >= _DENSITIES_HELD:
             _STEPS.clear()  # a sweep over densities holds no more than that
-        steps = _STEPS[ppd] = _read_only(10.0 ** (np.arange(1, n) / ppd))[0]
+        steps = _STEPS[ppd] = _read_only(_scalar_pow(np.full(n - 1, 10.0),
+                                                     np.arange(1, n) / ppd))[0]
     grid = lo * steps[:n - 1]
     grid = np.concatenate(([lo], grid[:grid.searchsorted(hi * (1.0 - _SNAP))],
                            [hi]))

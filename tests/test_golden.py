@@ -109,8 +109,8 @@ AVX512 = sorted(name for name, on in __cpu_features__.items()
     "this CPU has no AVX-512, so the run above already uses numpy's "
     "dispatch without it"))
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "ROADMAP item 14: numpy's kernels without AVX-512 round some last bits "
-    "apart, and 8 goldens fail (5 staircase files, 3 smooth curves)"))
+    "ROADMAP item 14: numpy's log and exp without AVX-512 round some last "
+    "bits apart, and 3 smooth curves miss their goldens in quad_error"))
 def test_goldens_hold_without_avx512(tmp_path):
     # the comparison above, rerun with numpy's AVX-512 targets switched off
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",

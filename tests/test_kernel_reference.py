@@ -229,9 +229,10 @@ def reference_pieces(beta_g, p, lo, hi):
 
 
 def reference_base_grid(lo, hi, ppd):
-    """build_grid's geometric points over [lo, hi] before any kink joins."""
+    """build_grid's geometric points over [lo, hi] before any kink joins:
+    lo times the steps 10 ** (k / ppd), each by libm's pow."""
     n = int(math.ceil(math.log10(hi / lo) * ppd))
-    grid = lo * 10.0 ** (np.arange(1, n) / ppd)
+    grid = lo * np.array([math.pow(10.0, k / ppd) for k in range(1, n)])
     grid = np.concatenate(([lo], grid[grid < hi * (1.0 - _SNAP)], [hi]))
     return grid[np.concatenate(([True], grid[1:] != grid[:-1]))]
 
