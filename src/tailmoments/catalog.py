@@ -25,8 +25,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (ExtrapolationWarning, ModelValidationError,
-                     TableFormatError)
+from .errors import (ExtrapolationWarning, ModelEvaluationError,
+                     ModelValidationError, TableFormatError)
+from .params import MAX_POINTS
 
 _E = math.e
 _TINY, _HUGE = np.finfo(float).tiny, np.finfo(float).max
@@ -246,6 +247,7 @@ def make_geometric_tail(beta_g: float, p: float) -> TailModel:
         raise ModelValidationError(f"p must exceed 1, got {p!r}")
     # integer parameters would make _floor_log's powers exact big ints
     beta_g, p = float(beta_g), float(p)
+    name = f"geometric(beta_g={_num(beta_g)},p={_num(p)})"
 
     law = _read_only(*np.zeros((3, 0)))
     def pieces(lo: float, hi: float):
@@ -253,6 +255,10 @@ def make_geometric_tail(beta_g: float, p: float) -> TailModel:
         # pow), sliced from the knot at or below max(lo, p) up to hi
         nonlocal law
         known, k1 = law, _floor_log(hi, p) if hi >= p else 0
+        if k1 > MAX_POINTS:
+            raise ModelEvaluationError(
+                f"{name} has {k1:,} knots up to {hi:g}, more than the budget "
+                f"of {MAX_POINTS:,}")
         if k1 > len(known[0]):
             ks, ps = np.arange(1, k1 + 1, dtype=float), np.full(k1, p)
             known = law = _read_only(_scalar_pow(ps, ks),
@@ -265,7 +271,7 @@ def make_geometric_tail(beta_g: float, p: float) -> TailModel:
         return 0.0 if beta == beta_g else None
 
     return TailModel(
-        name=f"geometric(beta_g={_num(beta_g)},p={_num(p)})",
+        name=name,
         support_floor=p,
         tail=_piece_tail(pieces),
         pieces=pieces,

@@ -12,6 +12,11 @@ from .errors import ModelValidationError
 #: and e makes the de Haan normalization step exact.
 DEFAULT_LAMBDAS: tuple[float, ...] = (2.0, math.e, 3.0, 8.0)
 
+#: the most grid points a span may ask, and the most knots a law may hold
+#: up to x_max: a curve and its report take ~115 B and ~0.2-0.4 us per point,
+#: so this budget bounds one at ~1.2 GB and a few seconds
+MAX_POINTS = 10_000_000
+
 #: the tightest quadrature tolerance accepted: below it the curve error stops
 #: improving while the work grows 5-10x, and reported errors fall below the
 #: true ones
@@ -25,7 +30,10 @@ class AnalysisParams:
     beta              order of the truncated moment under study (> 0)
     lambdas           scale factors for ratio estimators (each > 1)
     x_min, x_max      analysis range (0 < x_min < x_max)
-    points_per_decade geometric grid density (>= 8; build_grid holds steps)
+    points_per_decade geometric grid density (>= 8; build_grid holds steps);
+                      the span asks log10(x_max / x_min) * points_per_decade
+                      grid points, at most MAX_POINTS (10^7), and a law its
+                      knots up to x_max, at most as many
     rel_tol           relative quadrature tolerance, in [1e-13, 1e-4]
     eps_rho           tolerance used when comparing index estimates and
                       classifying boundary regimes
@@ -61,6 +69,12 @@ class AnalysisParams:
         if self.points_per_decade < 8:
             raise ModelValidationError(
                 f"points_per_decade must be >= 8, got {self.points_per_decade!r}")
+        points = math.log10(self.x_max / self.x_min) * self.points_per_decade
+        if points > MAX_POINTS and math.isfinite(points):  # inf: build_grid's
+            raise ModelValidationError(
+                f"points_per_decade {self.points_per_decade!r} over "
+                f"[{self.x_min:g}, {self.x_max:g}] asks {points:.4g} grid "
+                f"points, more than the budget of {MAX_POINTS:,}")
         if not (REL_TOL_FLOOR <= self.rel_tol <= 1.0e-4):
             raise ModelValidationError(
                 f"rel_tol must lie in [{REL_TOL_FLOOR:g}, 1e-4], got "

@@ -11,12 +11,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import geometric_atoms
+from tailmoments import catalog
 from tailmoments.catalog import (MODEL_REGISTRY, _floor_log, build_model,
                                  load_tabulated, make_geometric_tail,
                                  make_inverse_log, make_log_pareto,
                                  make_pareto, make_st_petersburg)
-from tailmoments.errors import (ExtrapolationWarning, ModelValidationError,
-                                TableFormatError)
+from tailmoments.errors import (ExtrapolationWarning, ModelEvaluationError,
+                                ModelValidationError, TableFormatError)
 from tailmoments.moments import build_curve, build_grid
 from tailmoments.params import AnalysisParams
 from tailmoments.verifier import verify
@@ -162,6 +163,19 @@ def test_power_tail_past_the_quotient_range_is_read_through_logs():
         sf = m.tail(x)
     exact = [(mpmath.mpf(v) / mpmath.mpf(1e-300)) ** -0.5 for v in x.tolist()]
     assert all(math.isclose(a, b, rel_tol=1e-13) for a, b in zip(sf, exact))
+
+
+def test_geometric_knots_are_bounded_by_the_budget(monkeypatch):
+    with pytest.raises(ModelEvaluationError, match=(
+            r"^geometric\(beta_g=1,p=1.00001\) has 69,077,898 knots up to "
+            r"1e\+300, more than the budget of 10,000,000$")):
+        make_geometric_tail(1.0, 1.00001).pieces(1.0, 1e300)
+    # the budget is inclusive, and counts the law from k = 1 whatever lo is
+    monkeypatch.setattr(catalog, "MAX_POINTS", 100)
+    m = make_geometric_tail(1.0, 2.0)
+    assert len(m.pieces(1.0, 2.0 ** 100)[0]) == 100
+    with pytest.raises(ModelEvaluationError, match="has 101 knots"):
+        m.pieces(2.0 ** 100, 2.0 ** 101)
 
 
 def test_geometric_rejects_bad_params():

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import pytest
@@ -319,6 +320,29 @@ def test_huge_order_is_a_clean_error(model_args):
         env=env)
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("args, message", [
+    (("--dist", "pareto", "--param", "alpha=1.5", "--beta", "2",
+      "--points-per-decade", "10000000"), "asks 3e+09 grid points"),
+    (("--dist", "geometric", "--param", "beta_g=1", "--param", "p=1.00001",
+      "--beta", "1"), "has 69,077,898 knots up to 1e+300"),
+])
+def test_a_size_past_the_budget_is_refused_before_it_is_allocated(capsys,
+                                                                   args,
+                                                                   message):
+    # 3e9 grid points and 6.9e7 knots once ended in numpy's
+    # _ArrayMemoryError traceback; both counts are known before any array
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "verify", *args, "--x-max", "1e300")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and message in err
+    assert err.rstrip().endswith("more than the budget of 10,000,000")
+    assert peak < 4 << 20
 
 
 def test_de_haan_test_stays_inside_the_float_range(capsys):

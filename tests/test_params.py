@@ -2,8 +2,9 @@ import math
 
 import pytest
 
+from tailmoments import params
 from tailmoments.errors import ModelValidationError
-from tailmoments.params import DEFAULT_LAMBDAS, AnalysisParams
+from tailmoments.params import DEFAULT_LAMBDAS, MAX_POINTS, AnalysisParams
 
 
 def test_defaults_are_sane():
@@ -54,3 +55,18 @@ def test_lambdas_coerced_to_floats():
 def test_invalid_params_rejected(kwargs):
     with pytest.raises(ModelValidationError):
         AnalysisParams(**kwargs)
+
+
+def test_grid_points_are_bounded_by_the_budget(monkeypatch):
+    assert MAX_POINTS == 10_000_000
+    with pytest.raises(ModelValidationError, match=(
+            r"^points_per_decade 10000000 over \[1, 1e\+300\] asks 3e\+09 "
+            r"grid points, more than the budget of 10,000,000$")):
+        AnalysisParams(beta=2.0, x_max=1e300, points_per_decade=10_000_000)
+    # the budget is inclusive: three decades at 16 per decade are 48 points
+    monkeypatch.setattr(params, "MAX_POINTS", 48)
+    AnalysisParams(beta=1.0, x_max=1e3)
+    with pytest.raises(ModelValidationError, match="asks 48.07 grid points"):
+        AnalysisParams(beta=1.0, x_max=1.01e3)
+    # a span past the float range is build_grid's error, not the budget's
+    AnalysisParams(beta=1.0, x_min=1e-300, x_max=1e300)
