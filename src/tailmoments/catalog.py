@@ -256,9 +256,8 @@ def make_geometric_tail(beta_g: float, p: float) -> TailModel:
         nonlocal law
         known, k1 = law, _floor_log(hi, p) if hi >= p else 0
         if k1 > MAX_POINTS:
-            raise ModelEvaluationError(
-                f"{name} has {k1:,} knots up to {hi:g}, more than the budget "
-                f"of {MAX_POINTS:,}")
+            raise ModelEvaluationError(f"{name} has {k1:,} knots up to {hi:g}, "
+                                       f"more than the budget of {MAX_POINTS:,}")
         if k1 > len(known[0]):
             ks, ps = np.arange(1, k1 + 1, dtype=float), np.full(k1, p)
             known = law = _read_only(_scalar_pow(ps, ks),

@@ -12,9 +12,8 @@ from .errors import ModelValidationError
 #: and e makes the de Haan normalization step exact.
 DEFAULT_LAMBDAS: tuple[float, ...] = (2.0, math.e, 3.0, 8.0)
 
-#: the most grid points a span may ask, and the most knots a law may hold
-#: up to x_max: a curve and its report take ~115 B and ~0.2-0.4 us per point,
-#: so this budget bounds one at ~1.2 GB and a few seconds
+#: the most grid points a span may ask, and knots a law may hold to x_max: a
+#: curve and its report take ~115 B and 0.2-0.4 us a point, ~1.2 GB at most
 MAX_POINTS = 10_000_000
 
 #: the tightest quadrature tolerance accepted: below it the curve error stops
@@ -30,10 +29,8 @@ class AnalysisParams:
     beta              order of the truncated moment under study (> 0)
     lambdas           scale factors for ratio estimators (each > 1)
     x_min, x_max      analysis range (0 < x_min < x_max)
-    points_per_decade geometric grid density (>= 8; build_grid holds steps);
-                      the span asks log10(x_max / x_min) * points_per_decade
-                      grid points, at most MAX_POINTS (10^7), and a law its
-                      knots up to x_max, at most as many
+    points_per_decade geometric grid density (>= 8; build_grid holds steps),
+                      at most MAX_POINTS (10^7) grid points over the span
     rel_tol           relative quadrature tolerance, in [1e-13, 1e-4]
     eps_rho           tolerance used when comparing index estimates and
                       classifying boundary regimes
@@ -70,11 +67,10 @@ class AnalysisParams:
             raise ModelValidationError(
                 f"points_per_decade must be >= 8, got {self.points_per_decade!r}")
         points = math.log10(self.x_max / self.x_min) * self.points_per_decade
-        if points > MAX_POINTS and math.isfinite(points):  # inf: build_grid's
+        if MAX_POINTS < points < math.inf:  # inf: build_grid's error
             raise ModelValidationError(
-                f"points_per_decade {self.points_per_decade!r} over "
-                f"[{self.x_min:g}, {self.x_max:g}] asks {points:.4g} grid "
-                f"points, more than the budget of {MAX_POINTS:,}")
+                f"the span asks {points:.4g} grid points at points_per_decade "
+                f"{self.points_per_decade}, more than the budget of {MAX_POINTS:,}")
         if not (REL_TOL_FLOOR <= self.rel_tol <= 1.0e-4):
             raise ModelValidationError(
                 f"rel_tol must lie in [{REL_TOL_FLOOR:g}, 1e-4], got "
