@@ -69,8 +69,9 @@ def test_budget_exhaustion_raises_with_partial_estimate():
 def test_a_huge_order_ends_after_one_pass_in_little_memory(beta):
     # a step of ten log-units enters the rule whole at any order: where the
     # weight e^(beta t) underflows across it the result is 0 in one pass, and
-    # where it overflows the first block names the bad node. An a-priori
-    # split of ceil(beta dt / 4.6) parts once took 3e300 intervals here
+    # where it overflows the first block names the bad node. A split of
+    # each step into ceil(beta dt / 4.6) parts, made before any tail call,
+    # once asked 32,609 intervals here at beta 15,000, and 2e300 at 1e300
     sizes = []
 
     def tail(y):
