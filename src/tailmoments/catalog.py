@@ -6,11 +6,11 @@ that is a power function between knots, its power pieces: the one statement
 of its law, off which its tail, its kinks and its moments are read. All is
 immutable and evaluation is pure, so model instances can be shared freely.
 
-Two fields serve tests only: an optional closed-form truncated moment used
-for cross-validation, and a ground-truth record stating the known limiting
-index of the truncated moment per beta, whether the survival function is
-regularly varying, and whether it belongs to the de Haan class. No module
-of the package other than this one may name them.
+Two fields serve the benchmark's checks and the test census only: an
+optional closed-form truncated moment, and a ground-truth record stating the
+known limiting index of the truncated moment per beta. No module of the
+package other than this one may name them; the tests' exact moments live in
+tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ def _num(v: float) -> str:
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """Known limiting behaviour, for test assertions only.
+    """Known limiting behaviour, for the benchmark's checks and the census.
 
     rho_of(beta) returns the limiting index of the truncated beta-moment, or
     None when the moment is finite (model inadmissible) or when no limit is
@@ -65,8 +65,6 @@ class GroundTruth:
     """
 
     rho_of: Callable[[float], float | None]
-    tail_is_rv: bool
-    pi_member: bool
 
 
 @dataclass(frozen=True)
@@ -191,7 +189,7 @@ def _power_law_truth(alpha: float) -> GroundTruth:
             return 0.0
         return None  # finite moment, not admissible
 
-    return GroundTruth(rho_of=rho_of, tail_is_rv=True, pi_member=False)
+    return GroundTruth(rho_of=rho_of)
 
 
 def make_pareto(alpha: float, x_floor: float = 1.0) -> TailModel:
@@ -200,7 +198,7 @@ def make_pareto(alpha: float, x_floor: float = 1.0) -> TailModel:
     The truncated beta-moment has the closed form
         h(x) = x_floor^beta + beta * x_floor^alpha
                * (x^(beta-alpha) - x_floor^(beta-alpha)) / (beta - alpha)
-    (logarithmic when beta == alpha), kept as a cross-validation oracle.
+    (logarithmic when beta == alpha), kept for the benchmark's checks.
     """
     if not (alpha > 0.0 and math.isfinite(alpha)):
         raise ModelValidationError(f"alpha must be positive, got {alpha!r}")
@@ -274,7 +272,7 @@ def make_geometric_tail(beta_g: float, p: float) -> TailModel:
         support_floor=p,
         tail=_piece_tail(pieces),
         pieces=pieces,
-        ground_truth=GroundTruth(rho_of=rho_of, tail_is_rv=False, pi_member=False),
+        ground_truth=GroundTruth(rho_of=rho_of),
     )
 
 
@@ -285,7 +283,7 @@ def make_st_petersburg() -> TailModel:
 
 def _li(z: float) -> float:
     """Logarithmic integral li(z) = pv int_0^z dt/ln t for z > 1."""
-    from scipy import special  # only this test oracle needs scipy
+    from scipy import special  # only this closed form needs scipy
     return float(special.expi(math.log(z)))
 
 
@@ -313,8 +311,7 @@ def make_inverse_log() -> TailModel:
         support_floor=_E,
         tail=tail,
         closed_form_h=closed_form_h,
-        ground_truth=GroundTruth(rho_of=lambda beta: beta,
-                                 tail_is_rv=True, pi_member=True),
+        ground_truth=GroundTruth(rho_of=lambda beta: beta),
     )
 
 

@@ -43,17 +43,7 @@ class AdmissionError(TailMomentsError):
 
 
 class ConvergenceError(TailMomentsError):
-    """Quadrature exhausted its interval budget or its bisection depth.
-
-    The best available estimate and its error bound are attached so callers
-    that can tolerate a degraded answer may still use it.
-    """
-
-    def __init__(self, message: str, estimate: float | None = None,
-                 err: float | None = None):
-        super().__init__(message)
-        self.estimate = estimate
-        self.err = err
+    """Quadrature exhausted its interval budget or its bisection depth."""
 
 
 class InconsistencyError(TailMomentsError):

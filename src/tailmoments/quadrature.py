@@ -94,7 +94,7 @@ def integrate_tail(tail: Callable, beta: float, xs,
     cumsum's, and the rounding of ln xs[0] and ln x: beta y^beta sf(y) eps
     |ln y| at each end, y^beta sf(y) being at most xs[0]^beta at the bottom
     and the value plus xs[0]^beta at the top. Past the interval budget or
-    the depth limit it raises ConvergenceError with the partial estimate.
+    the depth limit it raises ConvergenceError.
     """
     t = np.log(np.asarray(xs, dtype=float))
     n = len(t) - 1
@@ -123,9 +123,7 @@ def integrate_tail(tail: Callable, beta: float, xs,
                 raise ConvergenceError(
                     f"interval budget {_MAX_INTERVALS} or depth {_MAX_DEPTH} "
                     f"exhausted on [{xs[0]:g}, {xs[-1]:g}] at "
-                    f"rel_tol={rel_tol:g}",
-                    estimate=float(seg.sum() + k[rest].sum()),
-                    err=float(seg_err.sum() + miss[rest].sum()))
+                    f"rel_tol={rel_tol:g}")
             mid = 0.5 * (ta[rest] + tb[rest])
             owner = np.tile(owner[rest], 2)
             ta, tb = np.append(ta[rest], mid), np.append(mid, tb[rest])

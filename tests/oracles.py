@@ -3,8 +3,9 @@
 The atoms of the geometric staircase come from its jump formula, and v from
 their Stieltjes sum, v(x) = sum of loc^beta * jump over the atoms up to x,
 with no use of the h kernel or of the tail function. The 40-digit mpmath
-values of h and u are closed forms for pareto, the same atom sums for a
-geometric staircase, and sums of closed-form pieces over any piece law.
+values of h and u are closed forms for pareto and inverse_log, the same atom
+sums for a geometric staircase, and sums of closed-form pieces over any
+piece law. Each is stated here once, for every test that needs it.
 """
 
 from __future__ import annotations
@@ -56,6 +57,17 @@ def pareto_hu(alpha: float, x_floor: float, beta: float, x: float):
         ln_q, c = mpmath.log(x / f), b - a
         g = ln_q if c == 0 else mpmath.expm1(c * ln_q) / c
         return f ** b * (1 + b * g), mpmath.exp(b * mpmath.log(x) - a * ln_q)
+
+
+def inverse_log_h(beta: float, x: float):
+    """h of make_inverse_log() at order beta and x, as a 40-digit mpf: x^beta
+    up to the floor e, then e^beta + beta (li(x^beta) - li(e^beta)), with t =
+    y^beta. It holds at any x, where x^beta leaves the float range too."""
+    with mpmath.workdps(40):
+        b, e, x = mpmath.mpf(beta), mpmath.e, mpmath.mpf(x)
+        if x <= e:
+            return +x ** b
+        return e ** b + b * (mpmath.li(x ** b) - mpmath.li(e ** b))
 
 
 def geometric_hu(beta_g: float, p: float, beta: float, xs: list[float]):

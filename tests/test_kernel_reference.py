@@ -20,7 +20,6 @@ import math
 import os
 import tempfile
 import warnings
-from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -28,6 +27,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tailmoments.moments as moments
+from oracles import pareto_hu
 from tailmoments.catalog import (_floor_log, _scalar_pow, load_tabulated,
                                  make_geometric_tail, make_pareto,
                                  make_st_petersburg)
@@ -116,18 +116,6 @@ def test_compute_h_equals_the_curve_bitwise(case, tmp_path):
     assert _bits(curve.quad_error) == _bits(err for _, err in fresh)
 
 
-def _exact_pareto_h(alpha, beta, x):
-    """h(x) of pareto(alpha) with floor 1, to 60 digits."""
-    with localcontext() as ctx:
-        ctx.prec = 60
-        x, a, b = Decimal(x), Decimal(alpha), Decimal(beta)
-        if x <= 1:
-            return float(x ** b)
-        if a == b:
-            return float(1 + b * x.ln())
-        return float(1 + b * ((x.ln() * (b - a)).exp() - 1) / (b - a))
-
-
 @pytest.mark.parametrize("alpha, beta, x_max", [
     (0.5, 1.0, 1e300), (1.5, 2.0, 1e150), (1.0, 1.0, 1e300),
     (0.3, 2.5, 1e100), (2.5, 0.7, 1e300)])
@@ -137,7 +125,8 @@ def test_power_piece_error_bound_brackets_exact_h(alpha, beta, x_max):
     xs = np.geomspace(1.0, x_max, 500)
     model = make_pareto(alpha)
     hs, errs = _accumulate(model, beta, xs, 1e-10, *_read_law(model, beta, xs))
-    exact = np.array([_exact_pareto_h(alpha, beta, x) for x in xs.tolist()])
+    exact = np.array([float(pareto_hu(alpha, 1.0, beta, x)[0])
+                      for x in xs.tolist()])
     assert (np.abs(hs - exact) <= errs).all()
 
 

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 import tailmoments.catalog as catalog
 import tailmoments.moments as moments
-from oracles import atom_sum_v, geometric_atoms, geometric_hu, law_hu
+from oracles import (atom_sum_v, geometric_atoms, geometric_hu,
+                     inverse_log_h, law_hu, pareto_hu)
 from tailmoments.catalog import (TailModel, _scalar_pow, load_tabulated,
                                  make_geometric_tail, make_inverse_log,
                                  make_log_pareto, make_pareto,
@@ -61,7 +62,7 @@ def test_inverse_log_quadrature_matches_closed_form():
     for beta in (0.5, 1.0, 2.0):
         for x in (10.0, 1e4, 1e10):
             hq, err = compute_h(m, beta, x)
-            hc = m.closed_form_h(beta, x)
+            hc = float(inverse_log_h(beta, x))
             assert math.isclose(hq, hc, rel_tol=1e-9), (beta, x)
 
 
@@ -211,8 +212,7 @@ def test_a_subnormal_sf_factor_reads_u_through_logs():
     assert (curve.v >= 0.0).all()
     m = make_pareto(1.5, x_floor=1.0106406955836432e-194)
     beta, x = 3.9940166744041674, 4.96861e21
-    exact = mpmath.exp((mpmath.mpf(beta) - 1.5) * mpmath.log(x)
-                       + 1.5 * mpmath.log(m.support_floor))
+    exact = pareto_hu(1.5, m.support_floor, beta, x)[1]
     assert abs(compute_u(m, beta, x) - exact) <= 1e-12 * exact
 
 
@@ -239,8 +239,7 @@ def test_u_off_a_piece_law_with_a_subnormal_knot_power_is_read_through_logs():
     # floor^beta ~ 4e-317 is subnormal: the linear form was 1e-8 off
     a, floor = 1.7664782481190073, 1.5223113351322276e-108
     beta, x = 2.931427629102007, 1.7782794100389227e+123
-    exact = mpmath.exp(beta * mpmath.log(x)
-                       - a * mpmath.log(mpmath.mpf(x) / floor))
+    exact = pareto_hu(a, floor, beta, x)[1]
     assert abs(compute_u(make_pareto(a, x_floor=floor), beta, x)
                - exact) <= 1e-12 * exact
 
@@ -250,8 +249,7 @@ def test_h_whose_growth_factor_overflows_is_read_through_logs():
     # h itself is a float
     m = make_pareto(1.0, x_floor=5.281280788021559e-31)
     beta, x = 2.253459789139046, 5.39686e215
-    f, b = mpmath.mpf(m.support_floor), mpmath.mpf(beta)
-    exact = f ** b + b * f * (mpmath.mpf(x) ** (b - 1) - f ** (b - 1)) / (b - 1)
+    exact = pareto_hu(1.0, m.support_floor, beta, x)[0]
     h, err = compute_h(m, beta, x)
     assert abs(h - exact) <= 1e-12 * exact
     assert abs(h - exact) <= err
@@ -537,15 +535,15 @@ def test_piecewise_curve_above_breakpoints_matches_fresh_computation():
 
 
 # pareto takes the exact piece path; inverse_log runs the quadrature
-_SMOOTH_CASES = pytest.mark.parametrize("model, beta, x_max", [
-    (make_pareto(1.5, 1.0), 2.0, 1e8),
-    (make_inverse_log(), 1.0, 1e15),
-    (make_inverse_log(), 2.0, 1e15),
+_SMOOTH_CASES = pytest.mark.parametrize("model, beta, x_max, exact_h", [
+    (make_pareto(1.5, 1.0), 2.0, 1e8, lambda b, x: pareto_hu(1.5, 1.0, b, x)[0]),
+    (make_inverse_log(), 1.0, 1e15, inverse_log_h),
+    (make_inverse_log(), 2.0, 1e15, inverse_log_h),
 ], ids=["pareto-1.5-b2", "inverse_log-b1", "inverse_log-b2"])
 
 
 @_SMOOTH_CASES
-def test_smooth_curve_matches_fresh_computation(model, beta, x_max):
+def test_smooth_curve_matches_fresh_computation(model, beta, x_max, exact_h):
     p = AnalysisParams(beta=beta, x_max=x_max)
     c = build_curve(model, p)
     fresh = np.array([compute_h(model, beta, float(x))[0] for x in c.grid])
@@ -553,25 +551,17 @@ def test_smooth_curve_matches_fresh_computation(model, beta, x_max):
 
 
 @_SMOOTH_CASES
-def test_curve_quadrature_error_brackets_truth(model, beta, x_max):
+def test_curve_quadrature_error_brackets_truth(model, beta, x_max, exact_h):
     c = build_curve(model, AnalysisParams(beta=beta, x_max=x_max))
-    truth = np.array([model.closed_form_h(beta, float(x)) for x in c.grid])
+    truth = np.array([float(exact_h(beta, x)) for x in c.grid.tolist()])
     assert (np.abs(c.h - truth) <= 10.0 * c.quad_error + 1e-13 * truth).all()
 
 
-def _mp_inverse_log_h(model, beta, x):
-    """h(x) of inverse_log to 40 digits: e^beta + beta (li(x^beta) - li(e^beta))."""
-    x, b = mpmath.mpf(x), mpmath.mpf(beta)
-    if x <= mpmath.e:
-        return x ** b
-    return mpmath.e ** b + b * (mpmath.li(x ** b) - mpmath.li(mpmath.e ** b))
-
-
-def _mp_log_pareto_h(model, beta, x):
+def _mp_log_pareto_h(beta, x):
     """h(x) of log_pareto(0.5, 1) at beta = 1 to 40 digits, from the floor
     x0 = e^2 and the normalisation c = x0^0.5 / ln x0 as the model rounds
     them: beta c int y^-0.5 ln y dy = c y^0.5 (2 ln y - 4)."""
-    x0 = model.support_floor
+    x0 = make_log_pareto(0.5, 1.0).support_floor
     c = mpmath.mpf(x0 ** 0.5 / math.log(x0))
     x, x0 = mpmath.mpf(x), mpmath.mpf(x0)
     if x <= x0:
@@ -584,8 +574,8 @@ def _mp_log_pareto_h(model, beta, x):
 
 
 @pytest.mark.parametrize("model, beta, x_max, exact_h", [
-    (make_inverse_log(), 1.0, 1e300, _mp_inverse_log_h),
-    (make_inverse_log(), 2.0, 1e150, _mp_inverse_log_h),
+    (make_inverse_log(), 1.0, 1e300, inverse_log_h),
+    (make_inverse_log(), 2.0, 1e150, inverse_log_h),
     (make_log_pareto(0.5, 1.0), 1.0, 1e300, _mp_log_pareto_h),
 ], ids=["inverse_log-b1-1e300", "inverse_log-b2-1e150", "log_pareto-b1-1e300"])
 def test_curve_quadrature_error_bounds_the_mpmath_truth(model, beta, x_max,
@@ -595,7 +585,7 @@ def test_curve_quadrature_error_bounds_the_mpmath_truth(model, beta, x_max,
     with mpmath.workdps(40):
         for i in np.linspace(0, len(c.grid) - 1, 30).astype(int).tolist():
             x = float(c.grid[i])
-            truth = exact_h(model, beta, x)
+            truth = exact_h(beta, x)
             assert abs(mpmath.mpf(float(c.h[i])) - truth) <= c.quad_error[i], x
 
 
@@ -634,7 +624,7 @@ def test_pareto_moment_matches_closed_form_everywhere(alpha, gap):
     m = make_pareto(alpha, 1.0)
     for x in (3.7, 123.4, 1e6):
         h, err = compute_h(m, beta, x, rel_tol=1e-10)
-        assert math.isclose(h, m.closed_form_h(beta, x), rel_tol=1e-8)
+        assert math.isclose(h, pareto_hu(alpha, 1.0, beta, x)[0], rel_tol=1e-8)
 
 
 @st.composite
@@ -788,8 +778,9 @@ def test_curve_past_the_quotient_range_matches_closed_form():
         c = build_curve(m, AnalysisParams(beta=1.0, x_min=1e-5, x_max=1e300))
     with np.errstate(over="ignore"):
         assert (c.grid / m.support_floor == np.inf).sum() > 1000
-    cf = np.array([m.closed_form_h(1.0, x) for x in c.grid.tolist()])
-    assert (np.abs(c.h - cf) <= c.quad_error).all()
+    exact = np.array([float(pareto_hu(0.5, m.support_floor, 1.0, x)[0])
+                      for x in c.grid.tolist()])
+    assert (np.abs(c.h - exact) <= c.quad_error).all()
     assert (c.u > 0.0).all()
 
 
@@ -801,11 +792,9 @@ def test_u_and_h_past_the_quotient_range_are_read_through_logs():
         warnings.simplefilter("error")
         u = compute_u(m, beta, x)
         h, err = compute_h(m, beta, x)
-    big, floor = mpmath.mpf(x), mpmath.mpf(m.support_floor)
-    assert math.isclose(u, big ** beta * floor / big, rel_tol=1e-12)
-    c = beta - 1.0
-    exact = floor ** beta + beta * floor * (big ** c - floor ** c) / c
-    assert abs(h - exact) <= err
+    h_exact, u_exact = pareto_hu(1.0, m.support_floor, beta, x)
+    assert math.isclose(u, u_exact, rel_tol=1e-12)
+    assert abs(h - h_exact) <= err
 
 
 def test_h_past_the_quotient_range_of_a_falling_piece_has_a_finite_bound():
@@ -815,8 +804,7 @@ def test_h_past_the_quotient_range_of_a_falling_piece_has_a_finite_bound():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         h, err = compute_h(m, beta, x)
-    floor = mpmath.mpf(m.support_floor)
-    exact = floor ** 2 + 2 * floor ** 3 * (floor ** -1 - mpmath.mpf(x) ** -1)
+    exact = pareto_hu(3.0, m.support_floor, beta, x)[0]
     assert abs(h - exact) <= err < 1e-11 * h
 
 
@@ -862,14 +850,7 @@ def test_u_past_the_power_range_with_a_subnormal_power_is_read_through_logs():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         u = compute_u(m, beta, x)
-    assert math.isclose(u, _pareto_u(m, 4.0, beta, x), rel_tol=1e-12)
-
-
-def _pareto_u(m, alpha, beta, x):
-    """u = x^beta (x / x_floor)^-alpha in 40-digit mpmath."""
-    with mpmath.workdps(40):
-        big = mpmath.mpf(x)
-        return big ** beta * (big / mpmath.mpf(m.support_floor)) ** -alpha
+    assert math.isclose(u, pareto_hu(4.0, m.support_floor, beta, x)[1], rel_tol=1e-12)
 
 
 def test_u_where_x_beta_overflows_and_the_knot_power_underflows():
@@ -880,7 +861,7 @@ def test_u_where_x_beta_overflows_and_the_knot_power_underflows():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         u = compute_u(m, beta, x)
-    assert math.isclose(u, _pareto_u(m, 1.5, beta, x), rel_tol=1e-12)
+    assert math.isclose(u, pareto_hu(1.5, m.support_floor, beta, x)[1], rel_tol=1e-12)
     assert math.isclose(u, 4.851997884909761e146, rel_tol=1e-12)
 
 
@@ -892,7 +873,7 @@ def test_u_where_the_pieces_sf_factor_underflows():
         warnings.simplefilter("error")
         u = compute_u(m, beta, x)
         c = build_curve(m, AnalysisParams(beta=beta, x_max=x))
-    assert math.isclose(u, _pareto_u(m, 1.5, beta, x), rel_tol=1e-12)
+    assert math.isclose(u, pareto_hu(1.5, m.support_floor, beta, x)[1], rel_tol=1e-12)
     assert c.u[-1] == u
     assert abs(c.r1[-1] - 0.5) <= c.quad_error[-1] / c.h[-1]
 
@@ -909,11 +890,8 @@ def test_power_pieces_below_an_underflowed_knot_power_match_closed_form(beta):
         c = build_curve(m, params)
         report = verify(m, params, c)
     assert report.regime == "interior" and report.consistent is True
-    with mpmath.workdps(40):
-        floor, c_exp = mpmath.mpf(m.support_floor), beta - 0.5
-        exact = np.array([float(floor ** beta + beta * floor ** 0.5 * (
-            mpmath.mpf(x) ** c_exp - floor ** c_exp) / c_exp)
-            for x in c.grid.tolist()])
+    exact = np.array([float(pareto_hu(0.5, m.support_floor, beta, x)[0])
+                      for x in c.grid.tolist()])
     assert (np.abs(c.h - exact) <= c.quad_error).all()
     assert [compute_h(m, beta, x) for x in c.grid[::50].tolist()] == list(
         zip(c.h[::50].tolist(), c.quad_error[::50].tolist()))
@@ -927,10 +905,8 @@ def test_power_pieces_below_a_subnormal_knot_power_hold_their_bound():
     m = make_pareto(0.5, x_floor=1e-160)
     for x in (1e-100, 1e-10, 1.0):
         h, err = compute_h(m, 2.0, x)
-        with mpmath.workdps(40):
-            floor, big = mpmath.mpf(m.support_floor), mpmath.mpf(x)
-            exact = floor ** 2 + 2 * floor ** 0.5 * (big ** 1.5 - floor ** 1.5) / 1.5
-            assert abs(h - exact) <= err < 1e-11 * h
+        exact = pareto_hu(0.5, m.support_floor, 2.0, x)[0]
+        assert abs(h - exact) <= err < 1e-11 * h
 
 
 def test_a_point_on_a_knot_whose_power_underflows_has_a_finite_bound(
@@ -975,14 +951,6 @@ def test_power_pieces_whose_level_underflows_are_read_through_logs(
             assert abs(mpmath.mpf(c.u[k]) - u_exact) <= 1e-12 * u_exact
 
 
-def _pareto_h(alpha, floor, beta, x):
-    """h of make_pareto(alpha, x_floor=floor) at order beta at x >= floor, as
-    a 60-digit mpf of the floats given."""
-    with mpmath.workdps(60):
-        floor, x, c = mpmath.mpf(floor), mpmath.mpf(x), mpmath.mpf(beta) - alpha
-        return floor ** beta + beta * floor ** alpha * (x ** c - floor ** c) / c
-
-
 _FLOOR_1000 = math.exp((math.log(sys.float_info.max) - math.log(500.0)) / 1000.0)
 
 
@@ -999,7 +967,7 @@ def test_a_piece_read_through_logs_bounds_the_rounding_of_its_length(
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         h, err = compute_h(make_pareto(alpha, x_floor=floor), beta, x)
-    assert abs(mpmath.mpf(h) - _pareto_h(alpha, floor, beta, x)) <= err < 1e-2 * h
+    assert abs(mpmath.mpf(h) - pareto_hu(alpha, floor, beta, x)[0]) <= err < 1e-2 * h
 
 
 @pytest.mark.parametrize("beta", [100.0, 1000.0])
@@ -1011,7 +979,7 @@ def test_a_subnormal_level_under_a_normal_scaled_level_is_read_through_logs(
     floor = math.exp(math.log(3.0 * sys.float_info.min / beta) / beta)
     x = 1.5 * floor
     h, err = compute_h(make_pareto(beta - 0.5, x_floor=floor), beta, x)
-    assert abs(mpmath.mpf(h) - _pareto_h(beta - 0.5, floor, beta, x)) <= err
+    assert abs(mpmath.mpf(h) - pareto_hu(beta - 0.5, floor, beta, x)[0]) <= err
 
 
 def test_u_on_a_flat_piece_with_a_subnormal_level_is_the_stated_level(

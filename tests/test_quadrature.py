@@ -7,6 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from oracles import inverse_log_h
 from tailmoments import quadrature
 from tailmoments.catalog import TailModel, make_inverse_log, make_log_pareto
 from tailmoments.errors import (AdmissionError, ConvergenceError,
@@ -54,15 +55,13 @@ def test_non_finite_integrand_rejected():
         _one_step(lambda y: math.nan, 1.0, 1.0, 10.0)
 
 
-def test_budget_exhaustion_raises_with_partial_estimate():
+def test_budget_exhaustion_raises():
     # ~160k oscillations per log-unit cannot be resolved within the budget
     def hostile(y):
         return 0.5 * (1.0 + np.sin(1e6 * np.log(y)))
 
-    with pytest.raises(ConvergenceError) as exc:
+    with pytest.raises(ConvergenceError, match="interval budget 32768"):
         _one_step(hostile, 1.0, 1.0, math.e, rel_tol=1e-12)
-    assert exc.value.estimate is not None
-    assert exc.value.err >= 0.0
 
 
 @pytest.mark.parametrize("beta", [15_000.0, 1e300])
@@ -92,14 +91,6 @@ def test_a_huge_order_ends_after_one_pass_in_little_memory(beta):
     assert peak < 1 << 20
 
 
-def _inverse_log_h(beta, x):
-    """h of sf = 1/ln y (floor e) at x > e in 40 digits: e^beta + beta
-    (li(x^beta) - li(e^beta))."""
-    with mpmath.workdps(40):
-        b, e = mpmath.mpf(beta), mpmath.e
-        return e ** b + b * (mpmath.li(mpmath.mpf(x) ** b) - mpmath.li(e ** b))
-
-
 @pytest.mark.parametrize("beta, x_min, x_max", [(5.0, 1e30, 1e40),
                                                 (1.0, 1e10, 1e15),
                                                 (2.0, None, 1e100)])
@@ -116,7 +107,7 @@ def test_steps_far_above_the_floor_are_bisected_to_within_the_bound(
                                                   x_max=x_max))
         xs, hs, errs = curve.grid, curve.h, curve.quad_error
     for x, h, err in zip(xs, hs, errs):
-        assert abs(mpmath.mpf(h) - _inverse_log_h(beta, x)) <= err, x
+        assert abs(mpmath.mpf(h) - inverse_log_h(beta, x)) <= err, x
 
 
 def test_tail_is_read_at_the_left_end_itself():

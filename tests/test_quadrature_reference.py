@@ -59,9 +59,7 @@ def reference_integrate_tail(tail, beta, xs, rel_tol=1e-10):
                 raise ConvergenceError(
                     f"interval budget {_MAX_INTERVALS} or depth {_MAX_DEPTH} "
                     f"exhausted on [{xs[0]:g}, {xs[-1]:g}] at "
-                    f"rel_tol={rel_tol:g}",
-                    estimate=float(seg.sum() + k[rest].sum()),
-                    err=float(seg_err.sum() + miss[rest].sum()))
+                    f"rel_tol={rel_tol:g}")
             mid = 0.5 * (ta[rest] + tb[rest])
             owner = np.tile(owner[rest], 2)
             ta, tb = np.append(ta[rest], mid), np.append(mid, tb[rest])
@@ -149,31 +147,26 @@ def test_integrate_tail_matches_the_owner_loop_bitwise(case):
 
 
 def _error(integrate, tail, beta, xs, rel_tol):
-    """(type, message, estimate, err) of the error that integrate raises,
-    and the number of tail calls made before it."""
+    """(type, message) of the error that integrate raises, and the number of
+    tail calls made before it."""
     counted, sizes = _counted(tail)
     with pytest.raises((ConvergenceError, ModelEvaluationError)) as info:
         integrate(counted, beta, xs, rel_tol)
-    e = info.value
-    return (type(e), str(e), getattr(e, "estimate", None),
-            getattr(e, "err", None), len(sizes))
+    return type(info.value), str(info.value), len(sizes)
 
 
 @pytest.mark.parametrize("tail, beta, xs, rel_tol", [
     # non-finite integrand: the first bad node in step order is named
     (lambda y: np.where(y > 50.0, np.nan, 1.0 / y), 1.0,
      np.geomspace(1.0, 1e4, 33), 1e-10),
-    # a jump inside a step is never resolved: the depth limit, with the
-    # partial estimate and its error attached
+    # a jump inside a step is never resolved: the depth limit
     (lambda y: np.where(y < 3.3, 1.0, 0.5), 1.0, np.array([1.0, 10.0]),
      1e-10),
 ], ids=["non-finite", "depth"])
 def test_integrate_tail_raises_as_the_owner_loop(tail, beta, xs, rel_tol):
     got = _error(integrate_tail, tail, beta, xs, rel_tol)
     want = _error(reference_integrate_tail, tail, beta, xs, rel_tol)
-    assert repr(got) == repr(want)  # float repr round-trips: the same bits
-    if "exhausted" in got[1]:
-        assert got[2] is not None and got[3] is not None
+    assert got == want
 
 
 def test_an_order_past_the_old_split_budget_overflows_in_one_block():
@@ -183,4 +176,4 @@ def test_an_order_past_the_old_split_budget_overflows_in_one_block():
     got = _error(integrate_tail, lambda y: 1.0 / y, 1e4,
                  np.array([1.0, 1e300]), 1e-10)
     assert got == (ModelEvaluationError, "integrand returned non-finite value"
-                   " inf at log-point t=2.951210262357495", None, None, 1)
+                   " inf at log-point t=2.951210262357495", 1)

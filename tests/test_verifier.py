@@ -91,8 +91,9 @@ def test_verdicts_are_decided_at_the_float_range_edge(model, beta, ppd):
     assert r.consistent is True and r.violations == ()
     for name in ("h_rv", "v_rv", "lim1", "lim2"):
         assert r.conditions[name].verdict == "true"
-    tail_rv = model.ground_truth.tail_is_rv
-    assert r.conditions["f_rv"].verdict == ("true" if tail_rv else "false")
+    # a staircase's sf is log-periodic, every other one regularly varying
+    staircase = model.name.startswith(("st_petersburg", "geometric"))
+    assert r.conditions["f_rv"].verdict == ("false" if staircase else "true")
 
 
 def test_indeterminate_regime_reports_none():
