@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import geometric_atoms
+from oracles import geometric_atoms, inverse_log_h, pareto_hu
 from tailmoments import catalog
 from tailmoments.catalog import (MODEL_REGISTRY, _floor_log, build_model,
                                  load_tabulated, make_geometric_tail,
@@ -419,6 +419,35 @@ def test_only_the_catalog_names_the_test_oracles():
             text = fh.read()
         for name in ("closed_form_h", "ground_truth", "GroundTruth"):
             assert name not in text, (module, name)
+
+
+def _pareto_h(alpha):
+    return lambda beta, x: pareto_hu(alpha, 1.0, beta, x)[0]
+
+
+# each (x_max, points_per_decade) span over which the benchmark checks a curve
+# against closed_form_h; the seeded table's reference is pareto(0.7)
+@pytest.mark.parametrize("model, beta, spans, exact_h", [
+    (make_pareto(1.5), 2.0, [(1e12, 16), (1e15, 16), (1e100, 16), (1e150, 64),
+                             (1e300, 16)], _pareto_h(1.5)),
+    (make_pareto(0.5), 1.0, [(1e12, 16), (1e15, 16), (1e300, 16)],
+     _pareto_h(0.5)),
+    (make_pareto(1.0), 1.0, [(1e12, 16), (1e15, 16)], _pareto_h(1.0)),
+    (make_pareto(0.7), 1.0, [(1e15, 16)], _pareto_h(0.7)),
+    (make_inverse_log(), 1.0, [(1e12, 16), (1e15, 16), (1e300, 16)],
+     inverse_log_h),
+    (make_inverse_log(), 2.0, [(1e12, 16), (1e15, 16)], inverse_log_h),
+], ids=["pareto-1.5-b2", "pareto-0.5-b1", "pareto-1-b1", "pareto-0.7-b1",
+        "inverse_log-b1", "inverse_log-b2"])
+def test_closed_forms_are_the_oracles_on_the_benchmarks_spans(
+        model, beta, spans, exact_h):
+    # the benchmark holds each curve within 1e-8 of closed_form_h, so the
+    # float closed form must itself be exact to well inside that
+    xs = np.unique(np.concatenate([build_grid(model, AnalysisParams(
+        beta=beta, x_max=x_max, points_per_decade=ppd)) for x_max, ppd in spans]))
+    for x in xs.tolist():
+        exact = exact_h(beta, x)
+        assert abs(model.closed_form_h(beta, x) - exact) <= 1e-12 * exact, x
 
 
 # ---------------------------------------------------------------------------
