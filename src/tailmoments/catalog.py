@@ -364,8 +364,9 @@ def load_tabulated(path: str) -> TailModel:
     """Build a model from a CSV file with header ``x,tail``.
 
     Rows must have strictly increasing x and non-increasing tail values in
-    (0, 1]. Zero tail values are rejected: log-linear interpolation is
-    undefined there (and such a tail has a finite moment anyway). Left of the
+    (0, 1], at most MAX_POINTS of them. Zero tail values are rejected:
+    log-linear interpolation is undefined there (and such a tail has a finite
+    moment anyway). Left of the
     first sample the survival function is 1; right of the last sample it is
     held constant, with one ExtrapolationWarning when pieces first go there.
     """
@@ -382,6 +383,9 @@ def load_tabulated(path: str) -> TailModel:
         for lineno, row in enumerate(reader, start=2):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
+            if len(xs) == MAX_POINTS:
+                raise TableFormatError(f"more rows than the budget of "
+                                       f"{MAX_POINTS:,}", line=lineno)
             if len(row) != 2:
                 raise TableFormatError(f"expected 2 columns, got {len(row)}", line=lineno)
             try:

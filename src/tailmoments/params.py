@@ -12,8 +12,9 @@ from .errors import ModelValidationError
 #: and e makes the de Haan normalization step exact.
 DEFAULT_LAMBDAS: tuple[float, ...] = (2.0, math.e, 3.0, 8.0)
 
-#: the most grid points a span may ask, and knots a law may hold to x_max: a
-#: curve and its report take ~115 B and 0.2-0.4 us a point, ~1.2 GB at most
+#: the most grid points a span may ask, knots a law may hold to x_max and rows
+#: a table may have: a curve and its report take ~115 B and 0.2-0.4 us a
+#: point, ~1.2 GB at most
 MAX_POINTS = 10_000_000
 
 #: the tightest quadrature tolerance accepted: below it the curve error stops

@@ -337,6 +337,18 @@ def test_tabulated_needs_two_rows(table_factory):
         load_tabulated(path)
 
 
+def test_tabulated_rows_are_bounded_by_the_budget(monkeypatch, table_factory):
+    # the budget is inclusive; the first row past it is refused by its line
+    monkeypatch.setattr(catalog, "MAX_POINTS", 3)
+    rows = [(1.0, 1.0), (10.0, 0.5), (100.0, 0.25), (1000.0, 0.125)]
+    m = load_tabulated(table_factory(rows[:3]))
+    assert m.breakpoints(1.0, 100.0) == [1.0, 10.0, 100.0]
+    with pytest.raises(TableFormatError, match=(
+            r"^line 5: more rows than the budget of 3$")) as exc:
+        load_tabulated(table_factory(rows))
+    assert exc.value.line == 5
+
+
 # ---------------------------------------------------------------------------
 # registry
 

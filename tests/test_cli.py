@@ -8,7 +8,7 @@ import warnings
 
 import pytest
 
-from tailmoments import cli, moments
+from tailmoments import catalog, cli, moments
 from tailmoments.cli import _params_from_args, build_parser, main, render_json
 from tailmoments.params import AnalysisParams
 
@@ -343,6 +343,16 @@ def test_a_size_past_the_budget_is_refused_before_it_is_allocated(capsys,
     assert err.startswith("error: ") and message in err
     assert err.rstrip().endswith("more than the budget of 10,000,000")
     assert peak < 4 << 20
+
+
+def test_a_table_past_the_row_budget_exits_1(capsys, monkeypatch,
+                                             table_factory):
+    monkeypatch.setattr(catalog, "MAX_POINTS", 2)
+    path = table_factory([(1.0, 1.0), (10.0, 0.5), (100.0, 0.25)])
+    code, out, err = run(capsys, "verify", "--dist", "tabulated", "--param",
+                         f"path={path}", "--beta", "1")
+    assert (code, out) == (1, "")
+    assert err == "error: line 4: more rows than the budget of 2\n"
 
 
 def test_de_haan_test_stays_inside_the_float_range(capsys):
