@@ -13,8 +13,8 @@ from tailmoments.asymptotics import (estimate_rv_index, gamma_classification,
 from tailmoments.catalog import (make_geometric_tail, make_inverse_log,
                                  make_log_pareto, make_pareto,
                                  make_st_petersburg)
-from tailmoments.errors import InsufficientDataError
-from tailmoments.moments import build_curve
+from tailmoments.errors import IndeterminateError, InsufficientDataError
+from tailmoments.moments import MomentCurve, build_curve
 from tailmoments.params import AnalysisParams
 from tailmoments.verifier import verify
 
@@ -78,6 +78,12 @@ def test_too_few_points_raises():
     xs = np.geomspace(1.0, 10.0, 5)
     with pytest.raises(InsufficientDataError):
         estimate_rv_index(xs, xs ** 0.5, replace(p, lambdas=(8.0,)))
+
+
+def test_samples_of_another_length_than_the_points_raise():
+    xs = np.geomspace(1.0, 1e10, 161)
+    with pytest.raises(InsufficientDataError, match="need matching xs/fs"):
+        estimate_rv_index(xs, xs[1:] ** 0.5, AnalysisParams(beta=1.0))
 
 
 def test_zero_samples_are_dropped_not_fatal():
@@ -157,6 +163,13 @@ def test_pi_test_of_a_window_past_the_float_range():
     assert res.window[1] / res.window[0] == math.inf
     assert math.isclose(res.max_residual_rel, ref.max_residual_rel,
                         rel_tol=0.0, abs_tol=1e-9)
+
+
+def test_pi_test_of_an_empty_window_is_indeterminate():
+    # the window's bottom is raised to e times the floor, e^2, above x_max 5
+    with pytest.raises(IndeterminateError, match=(
+            r"^window \[7.38906, 5\] is empty for model 'inverse_log'$")):
+        pi_class_test(make_inverse_log(), AnalysisParams(beta=1.0, x_max=5.0))
 
 
 def test_pareto_centered_ratio_matches_sinh_formula():
@@ -246,6 +259,27 @@ def test_gamma_rho_beta_for_slowly_varying_tail():
     assert g.regime == "rho_beta"
     assert g.rho_hat > 0.9
     assert g.gamma_hat > 10.0
+
+
+def test_gamma_above_its_cap_and_never_falling_is_infinite():
+    # u/v above 1e6 at every window point and non-decreasing: the boundary
+    # term dominates, gamma_hat is inf; one falling step leaves it finite
+    p = AnalysisParams(beta=1.0, x_max=1e12)
+    xs = np.geomspace(1.0, 1e12, 193)
+    u, v = xs.copy(), 1e-7 * np.sqrt(xs)
+
+    def curve(v):
+        h = u + v
+        r1 = u / h
+        return MomentCurve("hand-built", 1.0, xs, h, v, u, r1, 1.0 - r1,
+                           np.zeros_like(xs))
+
+    g = gamma_classification(curve(v), p)
+    assert (g.regime, g.gamma_hat, g.p_hat, g.rho_hat) == (
+        "rho_beta", math.inf, 0.0, 1.0)
+    v[-2] *= 2.0
+    g = gamma_classification(curve(v), p)
+    assert g.regime == "rho_beta" and 1e6 < g.gamma_hat < math.inf
 
 
 def test_gamma_indeterminate_for_off_critical_staircase():

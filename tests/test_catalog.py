@@ -12,10 +12,11 @@ from hypothesis import strategies as st
 
 from oracles import geometric_atoms, inverse_log_h, pareto_hu
 from tailmoments import catalog
-from tailmoments.catalog import (MODEL_REGISTRY, _floor_log, build_model,
-                                 load_tabulated, make_geometric_tail,
-                                 make_inverse_log, make_log_pareto,
-                                 make_pareto, make_st_petersburg)
+from tailmoments.catalog import (MODEL_REGISTRY, TailModel, _floor_log,
+                                 build_model, load_tabulated,
+                                 make_geometric_tail, make_inverse_log,
+                                 make_log_pareto, make_pareto,
+                                 make_st_petersburg)
 from tailmoments.errors import (ExtrapolationWarning, ModelEvaluationError,
                                 ModelValidationError, TableFormatError)
 from tailmoments.moments import build_curve, build_grid
@@ -47,6 +48,16 @@ def test_floor_log_general_base():
     assert _floor_log(1.7e308, 3.0) == 646
     assert _floor_log(1.7e308, 10.0) == 308
     assert _floor_log(1e300, 1e10) == 30
+
+
+# ---------------------------------------------------------------------------
+# TailModel
+
+@pytest.mark.parametrize("name, floor", [("m", 0.0), ("m", math.inf),
+                                         ("", 1.0)])
+def test_tail_model_refuses_a_bad_floor_or_an_empty_name(name, floor):
+    with pytest.raises(ModelValidationError):
+        TailModel(name, floor, lambda x: x)
 
 
 # ---------------------------------------------------------------------------

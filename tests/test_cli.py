@@ -6,6 +6,7 @@ import sys
 import tracemalloc
 import warnings
 
+import numpy as np
 import pytest
 
 from tailmoments import catalog, cli, moments
@@ -86,6 +87,24 @@ def test_curve_output_file_is_atomic(capsys, tmp_path):
     assert text.startswith("x,h,v,u,r1,r2,quad_error\n")
     leftovers = [p for p in os.listdir(tmp_path) if p.endswith(".part")]
     assert leftovers == []
+
+
+def test_an_output_that_cannot_be_replaced_exits_1_and_leaves_no_part(
+        capsys, tmp_path):
+    # the temporary file is written, then os.replace onto a directory fails
+    target = tmp_path / "out"
+    target.mkdir()
+    code, out, err = run(capsys, "curve", "--dist", "pareto", "--param",
+                         "alpha=1.5", "--beta", "2", "--x-max", "1e4",
+                         "--output", str(target))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: IsADirectoryError: ")
+    assert os.listdir(tmp_path) == ["out"] and os.listdir(target) == []
+
+
+def test_render_json_writes_nan_as_a_string():
+    text = render_json({"a": math.nan, "b": np.array([1.0, math.nan])})
+    assert json.loads(text) == {"a": "nan", "b": [1.0, "nan"]}
 
 
 # ---------------------------------------------------------------------------
