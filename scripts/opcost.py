@@ -46,8 +46,9 @@ the warm run's tail calls and the points they were asked (model.tail,
 wrapped on a dataclasses.replace copy), Gauss-Kronrod rule passes and the
 intervals they took (quadrature._rule), grid points and the kinks among
 them (moments.build_grid), the libm powers of the cold run, as calls and
-elements (catalog._scalar_pow, also where moments names it), and the warm
-run's tracemalloc peak in bytes. The counts do not depend on the host, the
+elements (catalog._scalar_pow, also where moments names it), the warm
+run's per-series RV fallbacks of verify (its calls of
+verifier.estimate_rv_index), and its tracemalloc peak in bytes. The counts do not depend on the host, the
 load or the order of the operations: two runs of one tree print the same
 counts, and two trees that print the same counts did the same work. The
 peak repeats to the byte with hash and address randomisation off (as
@@ -76,7 +77,7 @@ from fingerprint import distinct_ops  # noqa: E402
 
 from tailmoments import (AnalysisParams, TailMomentsError,  # noqa: E402
                          build_curve, build_model, catalog, load_tabulated,
-                         moments, quadrature, verify)
+                         moments, quadrature, verifier, verify)
 
 
 def _faults() -> int:
@@ -84,16 +85,18 @@ def _faults() -> int:
 
 
 _COUNTS = ("tail_calls", "tail_points", "rule_passes", "rule_intervals",
-           "grid_points", "kinks", "pow_calls", "pow_elements", "peak_bytes")
+           "grid_points", "kinks", "pow_calls", "pow_elements", "rv_fallbacks",
+           "peak_bytes")
 
 
 def _op_counts(model, params) -> dict:
     """The counts of build_curve + verify on a fresh model (see --counts),
     an error being an outcome like a report."""
     tail, rule, grid = model.tail, quadrature._rule, moments.build_grid
+    rv_index = verifier.estimate_rv_index
     pows = {mod: mod._scalar_pow for mod in (catalog, moments)
             if hasattr(mod, "_scalar_pow")}
-    tails, rules, grids, powers = [], [], [], []  # sizes, read after a run
+    tails, rules, grids, powers, fallbacks = [], [], [], [], []  # per run
 
     def counted_tail(y):
         tails.append(np.size(y))
@@ -108,11 +111,15 @@ def _op_counts(model, params) -> dict:
         grids.append((len(xs), model, params, knots))
         return xs
 
+    def counted_rv_index(xs, fs, params):
+        fallbacks.append(len(xs))
+        return rv_index(xs, fs, params)
+
     def counted_pow(pow_):
         return lambda base, exp: powers.append(len(base)) or pow_(base, exp)
 
     def run():
-        for spied in (tails, rules, grids, powers):
+        for spied in (tails, rules, grids, powers, fallbacks):
             spied.clear()
         try:
             verify(model, params, build_curve(model, params))
@@ -121,6 +128,7 @@ def _op_counts(model, params) -> dict:
 
     model = dataclasses.replace(model, tail=counted_tail)
     quadrature._rule, moments.build_grid = counted_rule, counted_grid
+    verifier.estimate_rv_index = counted_rv_index
     for mod, pow_ in pows.items():
         mod._scalar_pow = counted_pow(pow_)
     moments._STEPS.clear()
@@ -136,11 +144,13 @@ def _op_counts(model, params) -> dict:
         gc.enable()
     finally:
         quadrature._rule, moments.build_grid = rule, grid
+        verifier.estimate_rv_index = rv_index
         for mod, pow_ in pows.items():
             mod._scalar_pow = pow_
     n.update(tail_calls=len(tails), tail_points=int(sum(tails)),
              rule_passes=len(rules), rule_intervals=sum(rules),
-             grid_points=sum(points for points, *_ in grids), kinks=0)
+             grid_points=sum(points for points, *_ in grids), kinks=0,
+             rv_fallbacks=len(fallbacks))
     for _, grid_model, grid_params, knots in grids:
         lo, hi = grid_params.x_min, grid_params.x_max
         kinks = np.append(grid_model.breakpoints(lo, hi) if knots is None

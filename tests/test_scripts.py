@@ -111,11 +111,12 @@ def test_opcost_counts_repeat_across_runs():
     def table():
         proc = _run_script("opcost.py", "--counts", "--seed", "3")
         assert proc.returncode == 0 and "Traceback" not in proc.stderr
-        header, *rows = [line.rsplit(None, 9) for line in
+        header, *rows = [line.rsplit(None, 10) for line in
                          proc.stdout.splitlines()]
         assert header == ["op", "tail_calls", "tail_points", "rule_passes",
                           "rule_intervals", "grid_points", "kinks",
-                          "pow_calls", "pow_elements", "peak_bytes"]
+                          "pow_calls", "pow_elements", "rv_fallbacks",
+                          "peak_bytes"]
         return [(op.rstrip(), *map(int, counts)) for op, *counts in rows]
 
     first, second = table(), table()
@@ -128,6 +129,8 @@ def test_opcost_counts_repeat_across_runs():
     assert {row[3] for row in first} == {0, 1}
     by_op = {row[0]: row[3:6] for row in first}
     assert by_op["inverse_log b=1 x=1e+300"] == (1, 4794, 4802)
+    # and none runs verify's per-series RV fallback
+    assert {row[-2] for row in first} == {0}
 
 
 def test_edge_audit_finds_no_counterexample():
