@@ -48,12 +48,12 @@ intervals they took (quadrature._rule), grid points and the kinks among
 them (moments.build_grid), the libm powers of the cold run, as calls and
 elements (catalog._scalar_pow, also where moments names it), the warm
 run's per-series RV fallbacks of verify (its calls of
-verifier.estimate_rv_index), and its tracemalloc peak in bytes. The counts do not depend on the host, the
-load or the order of the operations: two runs of one tree print the same
-counts, and two trees that print the same counts did the same work. The
-peak repeats to the byte with hash and address randomisation off (as
-above); otherwise it can move by the size of one small Python object (59 B
-here) between processes.
+verifier.estimate_rv_index), and its tracemalloc peak in bytes. The counts
+do not depend on the host, the load or the order of the operations: two
+runs of one tree print the same counts, and two trees that print the same
+counts did the same work. The peak repeats to the byte with hash and
+address randomisation off (as above); otherwise it can move by the size of
+one small Python object (59 B here) between processes.
 """
 
 import argparse
@@ -96,7 +96,8 @@ def _op_counts(model, params) -> dict:
     rv_index = verifier.estimate_rv_index
     pows = {mod: mod._scalar_pow for mod in (catalog, moments)
             if hasattr(mod, "_scalar_pow")}
-    tails, rules, grids, powers, fallbacks = [], [], [], [], []  # per run
+    # what each spy saw, read after a run
+    tails, rules, grids, powers, fallbacks = [], [], [], [], []
 
     def counted_tail(y):
         tails.append(np.size(y))
@@ -112,7 +113,7 @@ def _op_counts(model, params) -> dict:
         return xs
 
     def counted_rv_index(xs, fs, params):
-        fallbacks.append(len(xs))
+        fallbacks.append(len(fs))
         return rv_index(xs, fs, params)
 
     def counted_pow(pow_):

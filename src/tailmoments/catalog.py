@@ -366,9 +366,9 @@ def load_tabulated(path: str) -> TailModel:
     Rows must have strictly increasing x and non-increasing tail values in
     (0, 1], at most MAX_POINTS of them. Zero tail values are rejected:
     log-linear interpolation is undefined there (and such a tail has a finite
-    moment anyway). Left of the
-    first sample the survival function is 1; right of the last sample it is
-    held constant, with one ExtrapolationWarning when pieces first go there.
+    moment anyway). Left of the first sample the survival function is 1;
+    right of the last sample it is held constant, with one
+    ExtrapolationWarning when pieces first go there.
     """
     xs: list[float] = []
     ts: list[float] = []

@@ -444,7 +444,8 @@ def test_only_the_catalog_names_the_test_oracles():
             assert name not in text, (module, name)
 
 
-def _pareto_h(alpha):
+def _pareto_oracle(alpha):
+    """pareto_hu's h of make_pareto(alpha), as a function of (beta, x)."""
     return lambda beta, x: pareto_hu(alpha, 1.0, beta, x)[0]
 
 
@@ -452,11 +453,11 @@ def _pareto_h(alpha):
 # against closed_form_h; the seeded table's reference is pareto(0.7)
 @pytest.mark.parametrize("model, beta, spans, exact_h", [
     (make_pareto(1.5), 2.0, [(1e12, 16), (1e15, 16), (1e100, 16), (1e150, 64),
-                             (1e300, 16)], _pareto_h(1.5)),
+                             (1e300, 16)], _pareto_oracle(1.5)),
     (make_pareto(0.5), 1.0, [(1e12, 16), (1e15, 16), (1e300, 16)],
-     _pareto_h(0.5)),
-    (make_pareto(1.0), 1.0, [(1e12, 16), (1e15, 16)], _pareto_h(1.0)),
-    (make_pareto(0.7), 1.0, [(1e15, 16)], _pareto_h(0.7)),
+     _pareto_oracle(0.5)),
+    (make_pareto(1.0), 1.0, [(1e12, 16), (1e15, 16)], _pareto_oracle(1.0)),
+    (make_pareto(0.7), 1.0, [(1e15, 16)], _pareto_oracle(0.7)),
     (make_inverse_log(), 1.0, [(1e12, 16), (1e15, 16), (1e300, 16)],
      inverse_log_h),
     (make_inverse_log(), 2.0, [(1e12, 16), (1e15, 16)], inverse_log_h),

@@ -536,7 +536,8 @@ def test_piecewise_curve_above_breakpoints_matches_fresh_computation():
 
 # pareto takes the exact piece path; inverse_log runs the quadrature
 _SMOOTH_CASES = pytest.mark.parametrize("model, beta, x_max, exact_h", [
-    (make_pareto(1.5, 1.0), 2.0, 1e8, lambda b, x: pareto_hu(1.5, 1.0, b, x)[0]),
+    (make_pareto(1.5, 1.0), 2.0, 1e8,
+     lambda b, x: pareto_hu(1.5, 1.0, b, x)[0]),
     (make_inverse_log(), 1.0, 1e15, inverse_log_h),
     (make_inverse_log(), 2.0, 1e15, inverse_log_h),
 ], ids=["pareto-1.5-b2", "inverse_log-b1", "inverse_log-b2"])
